@@ -27,6 +27,11 @@ class BetaAlgebraError(ValueError):
     """Raised for slopes or betas outside the admissible domain."""
 
 
+def _positive(x: float) -> bool:
+    """True for a finite, strictly positive number (False for NaN and inf)."""
+    return math.isfinite(x) and x > 0.0
+
+
 @dataclass(frozen=True)
 class BetaSet:
     beta_xq: float
@@ -54,23 +59,23 @@ def beta_from_slope(alpha: float) -> float:
 
 def chain_to_market(beta_xq: float, beta_qm: float) -> float:
     """Market-referenced natural asset beta: product of the two betas."""
-    if beta_xq <= 0.0 or beta_qm <= 0.0:
-        raise BetaAlgebraError("betas must be positive")
+    if not (_positive(beta_xq) and _positive(beta_qm)):
+        raise BetaAlgebraError("betas must be finite and positive")
     return float(beta_xq) * float(beta_qm)
 
 
 def natural_return(beta_xm: float, r_m: float) -> float:
     """Rate of return on the natural asset given the market rate."""
-    if beta_xm <= 0.0:
-        raise BetaAlgebraError("beta_xm must be positive")
+    if not _positive(beta_xm):
+        raise BetaAlgebraError("beta_xm must be finite and positive")
     if not math.isfinite(r_m):
         raise BetaAlgebraError("market rate must be finite")
     return float(beta_xm) * float(r_m)
 
 
 def build_beta_set(beta_xq: float, beta_qm: float) -> BetaSet:
-    if beta_xq <= 0.0 or beta_qm <= 0.0:
-        raise BetaAlgebraError("betas must be positive")
+    if not (_positive(beta_xq) and _positive(beta_qm)):
+        raise BetaAlgebraError("betas must be finite and positive")
     return BetaSet(
         beta_xq=float(beta_xq),
         beta_qx=1.0 / float(beta_xq),

@@ -130,13 +130,17 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     Either ``panel`` or the stub (``slope`` plus both log means) must be
     supplied.  Monte Carlo intervals are computed when ``draws > 0``, which
-    requires ``seed``.
+    requires ``seed``; ``draws == 0`` skips them and negative draws raise.
     """
-    if beta_qm is None or beta_qm <= 0.0:
-        raise StageError("beta_algebra", f"beta_qm must be positive, got {beta_qm}",
+    if beta_qm is None or not (math.isfinite(beta_qm) and beta_qm > 0.0):
+        raise StageError("beta_algebra",
+                         f"beta_qm must be finite and positive, got {beta_qm}",
                          hint="pass the firm market beta via beta_qm")
     if r_m is None or not math.isfinite(float(r_m)):
         raise StageError("beta_algebra", "market rate r_m must be a finite number")
+    if draws < 0:
+        raise StageError("uncertainty", f"draws must be >= 0, got {draws}",
+                         hint="draws=0 skips the intervals")
 
     stub = slope is not None
     provenance: dict = {

@@ -2,10 +2,12 @@
 
 Betas are drawn from a normal distribution; non-positive draws are redrawn
 from per-index counter-based streams so the result is identical no matter
-how the work is split.  Derived quantities are evaluated per draw and the
-interval is formed from empirical quantiles (linear interpolation), never
-by mapping interval endpoints: the price map is not monotone in beta, so
-endpoint mapping would be wrong.
+how the work is split.  One Philox generator is re-keyed per rejected
+index, which gives the same streams as a fresh per-index Philox.  Derived
+quantities are evaluated per draw and the interval is formed from
+empirical quantiles (linear interpolation), never by mapping interval
+endpoints: the price map is not monotone in beta, so endpoint mapping
+would be wrong.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.
@@ -64,13 +66,33 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _redraw_streams(seed: int, indices):
+    """Yield (index, generator) with the generator in ``_stream(seed, index)``'s state.
+
+    A zero counter, an empty buffer and key (seed, index + 1) is exactly
+    the state a fresh ``_stream`` starts in, so re-keying one Philox skips
+    the cost of building a generator per index.
+    """
+    bitgen = np.random.Philox(key=[seed & _MASK64, 0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter and buffer zero, buffer_pos 4
+    key = state["state"]["key"]
+    for i in indices:
+        key[1] = (i + 1) & _MASK64
+        bitgen.state = state
+        yield i, gen
+
+
 def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     """Draw positive betas from N(mean, se), redrawing non-positive values.
 
     Redraws use per-index counter-based streams, so the output depends only
-    on (mean, se, draws, seed).  Raises when the cumulative number of
-    rejected draws exceeds half the requested draws: the normal is then too
-    inconsistent with the positivity restriction to represent the beta.
+    on (mean, se, draws, seed).  The streams come from one Philox generator
+    re-keyed to (seed, index + 1) for each rejected index, which draws the
+    same numbers as a fresh Philox built per index.  Raises when the
+    cumulative number of rejected draws exceeds half the requested draws:
+    the normal is then too inconsistent with the positivity restriction to
+    represent the beta.
     """
     if draws < 1:
         raise UncertaintyError(f"draws must be >= 1, got {draws}")
@@ -96,8 +118,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
         raise UncertaintyError(
             f"excessive truncation: {rejected} of {draws} draws non-positive"
         )
-    for i in bad:
-        sub = _stream(seed, int(i))
+    for i, sub in _redraw_streams(seed, bad.tolist()):
         while True:
             candidate = mean + se * sub.standard_normal()
             if candidate > 0.0:
@@ -133,8 +154,8 @@ def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
         betas = np.asarray(draws, dtype=np.float64)
     if betas.ndim != 1 or betas.size == 0:
         raise UncertaintyError("draws must be a non-empty 1-d sequence")
-    if beta_qm <= 0.0:
-        raise UncertaintyError(f"beta_qm must be positive, got {beta_qm}")
+    if not (math.isfinite(beta_qm) and beta_qm > 0.0):
+        raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
     if not 0.0 < level < 1.0:
         raise UncertaintyError(f"level must be in (0, 1), got {level}")
     if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price) and math.isfinite(r_m)):

@@ -54,6 +54,16 @@ def test_chain_rejects_non_positive():
         chain_to_market(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_betas_reject_nan_and_inf(bad):
+    with pytest.raises(BetaAlgebraError):
+        chain_to_market(bad, 2.0)
+    with pytest.raises(BetaAlgebraError):
+        build_beta_set(1.0, bad)
+    with pytest.raises(BetaAlgebraError):
+        natural_return(bad, 0.05)
+
+
 def test_natural_return_published(paper):
     assert natural_return(4.93, paper["r_m"]) == pytest.approx(0.143, abs=1e-3)
 

@@ -76,6 +76,20 @@ def test_estimate_stage_error_exit_code(tmp_path, capsys):
     assert "non-positive value at row 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    PAPER_STUB + ["--beta-qm", "nan"],
+    PAPER_STUB + ["--draws", "-5"],
+    ["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "inf",
+     "--r-m", "2.9%", "--mean-ln-flow", "2.113", "--mean-ln-price", "2.828",
+     "--draws", "2000", "--seed", "12"],
+], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf"])
+def test_non_finite_or_negative_inputs_exit_nonzero(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code != 0
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_estimate_missing_file(capsys):
     code, out, err = run_cli(capsys, [
         "estimate", "--input", "/nonexistent.csv", "--beta-qm", "1", "--r-m", "0.02",

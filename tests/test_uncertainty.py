@@ -50,6 +50,69 @@ def test_mild_truncation_redraws_and_counts():
     assert 0 < draws.n_redrawn < 0.5 * 50_000
 
 
+def reference_sample_betas(mean, se, draws, seed):
+    """Oracle: the redraw loop with a fresh Philox built for every rejected index."""
+    mask = (1 << 64) - 1
+
+    def stream(index):
+        key = np.array([seed & mask, (index + 1) & mask], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    values = mean + se * stream(-1).standard_normal(draws)
+    bad = np.flatnonzero(values <= 0.0)
+    rejected = int(bad.size)
+    if rejected > 0.5 * draws:
+        raise UncertaintyError(
+            f"excessive truncation: {rejected} of {draws} draws non-positive"
+        )
+    for i in bad:
+        sub = stream(int(i))
+        while True:
+            candidate = mean + se * sub.standard_normal()
+            if candidate > 0.0:
+                values[i] = candidate
+                break
+            rejected += 1
+            if rejected > 0.5 * draws:
+                raise UncertaintyError(
+                    f"excessive truncation: more than half of {draws} draws rejected"
+                )
+    return values, rejected
+
+
+@pytest.mark.parametrize("mean, se, draws, seed", [
+    (0.1, 0.1, 20_000, 7),
+    (0.5, 0.25, 50_000, 4),
+    (0.043, 0.1, 10_000, 11),  # 4987 redraws of a 5000 budget
+])
+def test_redraws_match_per_index_philox(mean, se, draws, seed):
+    got = sample_betas(mean, se, draws, seed)
+    values, n_redrawn = reference_sample_betas(mean, se, draws, seed)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.n_redrawn == n_redrawn > 0
+
+
+def test_redraws_near_budget_case_is_near_budget():
+    n_redrawn = sample_betas(0.043, 0.1, 10_000, 11).n_redrawn
+    assert 0.9 * 5_000 <= n_redrawn <= 5_000
+
+
+def test_redraw_keys_are_masked_to_64_bits():
+    got = sample_betas(0.1, 0.1, 20_000, 2**64 + 5)
+    values, n_redrawn = reference_sample_betas(0.1, 0.1, 20_000, 5)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.n_redrawn == n_redrawn
+
+
+def test_redraw_abort_matches_per_index_philox():
+    with pytest.raises(UncertaintyError) as ref:
+        reference_sample_betas(0.01, 0.1, 10_000, 3)
+    with pytest.raises(UncertaintyError) as got:
+        sample_betas(0.01, 0.1, 10_000, 3)
+    assert str(got.value) == str(ref.value)
+    assert "more than half" in str(got.value)  # the abort inside the redraw loop
+
+
 def test_determinism_bitwise():
     a = sample_betas(0.5, 0.25, 20_000, seed=9)
     b = sample_betas(0.5, 0.25, 20_000, seed=9)
