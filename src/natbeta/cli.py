@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from . import econometrics as em
@@ -17,7 +18,8 @@ from . import market_curves as mc
 from . import preprocess as pp
 from . import uncertainty as unc
 from .panel_io import PanelFormatError, parse_panel, serialize_panel
-from .pipeline import StageError, render_report, run_estimate
+from .pipeline import (StageError, _descriptives_text, _equilibrium_text, _intervals_text,
+                       render_report, run_estimate)
 from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
 
 
@@ -78,30 +80,15 @@ def _cmd_describe(args) -> int:
     if args.format == "json":
         sys.stdout.write(_json_dumps(rows))
         return 0
-    out = [f"{'Variable':<12}{'Obs':>5}{'Mean':>10}{'Std. Dev.':>11}{'Min':>9}{'Max':>9}"]
-    for name, d in rows.items():
-        out.append(
-            f"{name:<12}{d['n_obs']:>5d}{d['mean']:>10.3f}{d['sd']:>11.3f}"
-            f"{d['min']:>9.3f}{d['max']:>9.3f}"
-        )
-    sys.stdout.write("\n".join(out) + "\n")
+    sys.stdout.write("\n".join(_descriptives_text(rows)) + "\n")
     return 0
 
 
 def _equilibrium_payload(beta_xq: float, mean_ln_flow: float, mean_ln_price: float) -> dict:
     point = mc.equilibrium_levels(beta_xq, mean_ln_flow, mean_ln_price)
     supply_el, demand_el = mc.elasticities(beta_xq)
-    return {
-        "beta_xq": beta_xq,
-        "x_e": point.x_e,
-        "y_e": point.y_e,
-        "ln_quantity": point.ln_quantity,
-        "ln_price": point.ln_price,
-        "quantity": point.quantity,
-        "price": point.price,
-        "ln_user_cost": point.ln_user_cost,
-        "elasticities": {"supply": supply_el, "demand": demand_el},
-    }
+    return {"beta_xq": beta_xq, **asdict(point),
+            "elasticities": {"supply": supply_el, "demand": demand_el}}
 
 
 def _cmd_equilibrium(args) -> int:
@@ -112,14 +99,7 @@ def _cmd_equilibrium(args) -> int:
     if args.format == "json":
         sys.stdout.write(_json_dumps(payload))
         return 0
-    sys.stdout.write(
-        f"x_e = {payload['x_e']:.6f}, y_e = {payload['y_e']:.6f}\n"
-        f"ln price = {payload['ln_price']:.4f}, ln quantity = {payload['ln_quantity']:.4f}, "
-        f"ln user cost = {payload['ln_user_cost']:.4f}\n"
-        f"price = {payload['price']:.6g}, quantity = {payload['quantity']:.6g}\n"
-        f"elasticities: supply {payload['elasticities']['supply']:.4f}, "
-        f"demand {payload['elasticities']['demand']:.4f}\n"
-    )
+    sys.stdout.write("\n".join(_equilibrium_text(payload)) + "\n")
     return 0
 
 
@@ -165,17 +145,7 @@ def _cmd_ci(args) -> int:
     if args.format == "json":
         sys.stdout.write(_json_dumps(payload))
         return 0
-    pct = int(round(report.level * 100))
-    names = list(unc.QUANTITY_NAMES)
-    out = [f"{pct}% confidence interval of estimates",
-           f"{'Between':<10}" + "".join(f"{n:>14}" for n in names)]
-    for which, idx in (("Minimum", 0), ("Maximum", 1)):
-        cells = []
-        for n in names:
-            v = report.bounds[n][idx]
-            cells.append(f"{100 * v:>13.1f}%" if n == "r_x" else f"{v:>14.3f}")
-        out.append(f"{which:<10}" + "".join(cells))
-    sys.stdout.write("\n".join(out) + "\n")
+    sys.stdout.write("\n".join(_intervals_text(payload)) + "\n")
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "lagged_instruments",
     "fit_to_dict",
     "control_fit_to_dict",
-    "render_control_fit_text",
 ]
 
 
@@ -388,7 +387,7 @@ def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
 
 
 # ---------------------------------------------------------------------------
-# Renderings
+# JSON-ready mappings (rendered by natbeta.pipeline)
 # ---------------------------------------------------------------------------
 
 
@@ -441,63 +440,3 @@ def control_fit_to_dict(cf: ControlFunctionFit) -> dict:
             "alpha": cf.normality.alpha,
         }
     return out
-
-
-_ROW_LABELS = {"price_dev": "y^(e)", "control_fn": "Control fn", "constant": "Constant"}
-
-
-def _stars(p: float) -> str:
-    if p < 0.01:
-        return "***"
-    if p < 0.05:
-        return "**"
-    if p < 0.1:
-        return "*"
-    return ""
-
-
-def _cell(x: float, width: int, prec: int) -> str:
-    if not np.isfinite(x):
-        return f"{x:>{width}}"
-    text = f"{x:.{prec}f}"
-    if len(text) > width - 1:
-        text = f"{x:.3g}"
-    return f"{text:>{width}}"
-
-
-def render_control_fit_text(cf: ControlFunctionFit) -> str:
-    """Plain-text regression table: coefficient rows then summary footer."""
-    fit = cf.second_stage
-    pct = int(round(fit.conf_level * 100))
-    lines = [
-        f"{'x^(e)':<12}{'Coef.':>10}{'St.Err.':>10}{'t-value':>10}"
-        f"{'p-value':>10}  [{pct}% Conf Interval]   Sig"
-    ]
-    for i, name in enumerate(fit.names):
-        label = _ROW_LABELS.get(name, name)
-        lines.append(
-            f"{label:<12}{_cell(fit.coefficients[i], 10, 3)}{_cell(fit.standard_errors[i], 10, 3)}"
-            f"{_cell(fit.t_values[i], 10, 2)}{_cell(fit.p_values[i], 10, 3)}"
-            f"   {_cell(fit.conf_intervals[i, 0], 8, 3)} {_cell(fit.conf_intervals[i, 1], 8, 3)}"
-            f"   {_stars(fit.p_values[i])}"
-        )
-    mean_dep = float(fit.regressand.mean())
-    sd_dep = float(fit.regressand.std(ddof=1)) if fit.n > 1 else 0.0
-    lines += [
-        f"Mean dependent var {_cell(mean_dep, 10, 3)}    SD dependent var  {_cell(sd_dep, 10, 3)}",
-        f"R-squared          {_cell(fit.r_squared, 10, 3)}    Number of obs     {fit.n:>10d}",
-        f"F-test             {_cell(fit.f_statistic, 10, 3)}    Prob > F          {_cell(fit.f_p_value, 10, 3)}",
-        f"Akaike crit. (AIC) {_cell(fit.aic, 10, 3)}    Bayesian crit. (BIC) {_cell(fit.bic, 10, 3)}",
-        "*** p<.01, ** p<.05, * p<.1",
-    ]
-    if cf.reset is not None:
-        lines.append(
-            f"RESET F = {cf.reset.statistic:.3f} (p = {cf.reset.p_value:.3f})"
-            f"{' [reject]' if cf.reset.rejected else ''}"
-        )
-    if cf.normality is not None:
-        lines.append(
-            f"Jarque-Bera = {cf.normality.statistic:.3f} (p = {cf.normality.p_value:.3f})"
-            f"{' [reject]' if cf.normality.rejected else ''}"
-        )
-    return "\n".join(lines) + "\n"

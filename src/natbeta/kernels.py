@@ -2,10 +2,9 @@
 
 Scalar routines (regularized incomplete beta/gamma, distribution tails,
 adaptive quadrature) follow the classic Cephes/continued-fraction
-constructions in double precision.  Batch routines exist in two variants:
-an explicit-loop version compiled by numba and a vectorized NumPy version;
-``NATBETA_NUMBA=0`` selects the NumPy path (see ``natbeta._backend``).
-``benchmarks/bench_backends.py`` compares the two.
+constructions in double precision, in plain Python.  The supply/demand
+equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
+arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
 """
 
 from __future__ import annotations
@@ -14,11 +13,7 @@ import math
 
 import numpy as np
 
-from ._backend import BACKEND, NUMBA_ENABLED, njit
-
 __all__ = [
-    "BACKEND",
-    "NUMBA_ENABLED",
     "reg_inc_beta",
     "reg_upper_gamma",
     "normal_upper_tail",
@@ -28,6 +23,7 @@ __all__ = [
     "f_upper_tail",
     "chi_square_upper_tail",
     "log_beta_weight_integral",
+    "solve_equilibrium",
     "propagate_beta_draws",
     "equilibria_from_shocks",
 ]
@@ -36,7 +32,6 @@ _MACHEP = 2.220446049250313e-16
 _MAX_CF_ITER = 300
 
 
-@njit(cache=True)
 def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for the incomplete beta integral, evaluated with
     # Lentz's algorithm.
@@ -76,7 +71,6 @@ def _betacf(a: float, b: float, x: float) -> float:
     return h
 
 
-@njit(cache=True)
 def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if x <= 0.0:
@@ -97,7 +91,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-@njit(cache=True)
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0."""
     if x <= 0.0:
@@ -139,13 +132,11 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return math.exp(ln_p) * h
 
 
-@njit(cache=True)
 def normal_upper_tail(z: float) -> float:
     """P(Z > z) for a standard normal variate."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-@njit(cache=True)
 def student_t_two_sided(t: float, df: float) -> float:
     """Two-sided p-value P(|T_df| > |t|)."""
     if t == 0.0:
@@ -153,7 +144,6 @@ def student_t_two_sided(t: float, df: float) -> float:
     return reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
 
 
-@njit(cache=True)
 def student_t_cdf(t: float, df: float) -> float:
     """CDF of the Student t distribution with df degrees of freedom."""
     p = student_t_two_sided(t, df)
@@ -162,7 +152,6 @@ def student_t_cdf(t: float, df: float) -> float:
     return 0.5 * p
 
 
-@njit(cache=True)
 def student_t_quantile(p: float, df: float) -> float:
     """Inverse Student-t CDF by bracketed bisection on the CDF."""
     if p == 0.5:
@@ -189,7 +178,6 @@ def student_t_quantile(p: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@njit(cache=True)
 def f_upper_tail(f: float, d1: float, d2: float) -> float:
     """P(F_{d1,d2} > f)."""
     if f <= 0.0:
@@ -197,7 +185,6 @@ def f_upper_tail(f: float, d1: float, d2: float) -> float:
     return reg_inc_beta(0.5 * d2, 0.5 * d1, d2 / (d2 + d1 * f))
 
 
-@njit(cache=True)
 def chi_square_upper_tail(x: float, k: float) -> float:
     """P(chi2_k > x)."""
     if x <= 0.0:
@@ -215,57 +202,27 @@ def chi_square_upper_tail(x: float, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
 def _cosh_weight(u: float) -> float:
     if u > 700.0 or u < -700.0:
         return 0.0
     return u / (math.exp(u) + math.exp(-u))
 
 
-@njit(cache=True)
 def _adaptive_simpson_cosh(a: float, b: float, tol: float) -> tuple[float, bool]:
-    # Iterative adaptive Simpson with an explicit interval stack.
+    # Iterative adaptive Simpson; each stack entry is
+    # (a, b, f(a), f(mid), f(b), Simpson estimate, tolerance).
     max_depth = 2048
-    stack_a = np.empty(max_depth)
-    stack_b = np.empty(max_depth)
-    stack_fa = np.empty(max_depth)
-    stack_fm = np.empty(max_depth)
-    stack_fb = np.empty(max_depth)
-    stack_s = np.empty(max_depth)
-    stack_tol = np.empty(max_depth)
-
     fa = _cosh_weight(a)
     fb = _cosh_weight(b)
-    m = 0.5 * (a + b)
-    fm = _cosh_weight(m)
-    s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    stack_a[0] = a
-    stack_b[0] = b
-    stack_fa[0] = fa
-    stack_fm[0] = fm
-    stack_fb[0] = fb
-    stack_s[0] = s
-    stack_tol[0] = tol
-    top = 1
-
+    fm = _cosh_weight(0.5 * (a + b))
+    stack = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol)]
     total = 0.0
     evals = 0
-    while top > 0:
-        top -= 1
-        a0 = stack_a[top]
-        b0 = stack_b[top]
-        fa0 = stack_fa[top]
-        fm0 = stack_fm[top]
-        fb0 = stack_fb[top]
-        s0 = stack_s[top]
-        tol0 = stack_tol[top]
-
+    while stack:
+        a0, b0, fa0, fm0, fb0, s0, tol0 = stack.pop()
         m0 = 0.5 * (a0 + b0)
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = _cosh_weight(lm)
-        frm = _cosh_weight(rm)
+        flm = _cosh_weight(0.5 * (a0 + m0))
+        frm = _cosh_weight(0.5 * (m0 + b0))
         evals += 2
         s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
         s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
@@ -274,25 +231,11 @@ def _adaptive_simpson_cosh(a: float, b: float, tol: float) -> tuple[float, bool]
         if abs(err) <= 15.0 * tol0 or (b0 - a0) < 1e-14:
             total += s2 + err / 15.0
             continue
-        if top + 2 > max_depth or evals > 2_000_000:
+        if len(stack) + 2 > max_depth or evals > 2_000_000:
             return total, False
         half_tol = 0.5 * tol0
-        stack_a[top] = a0
-        stack_b[top] = m0
-        stack_fa[top] = fa0
-        stack_fm[top] = flm
-        stack_fb[top] = fm0
-        stack_s[top] = s_left
-        stack_tol[top] = half_tol
-        top += 1
-        stack_a[top] = m0
-        stack_b[top] = b0
-        stack_fa[top] = fm0
-        stack_fm[top] = frm
-        stack_fb[top] = fb0
-        stack_s[top] = s_right
-        stack_tol[top] = half_tol
-        top += 1
+        stack.append((a0, m0, fa0, flm, fm0, s_left, half_tol))
+        stack.append((m0, b0, fm0, frm, fb0, s_right, half_tol))
     return total, True
 
 
@@ -313,69 +256,32 @@ def log_beta_weight_integral(upper: float, tol: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batch propagation kernels (numba loop vs vectorized NumPy).
+# Supply/demand equilibrium and the batch kernels built on it.
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _propagate_loop(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m, out):
-    n = betas.shape[0]
-    for i in range(n):
-        b = betas[i]
-        lnb = np.log(b)
-        y_e = lnb / (1.0 + b * b)
-        x_e = -b * y_e
-        ln_price = mean_ln_price + y_e
-        ln_quantity = mean_ln_flow + x_e
-        beta_xm = b * beta_qm
-        out[i, 0] = ln_price
-        out[i, 1] = ln_quantity
-        out[i, 2] = ln_price + ln_quantity
-        out[i, 3] = beta_xm
-        out[i, 4] = beta_xm * r_m
+def solve_equilibrium(beta, eps_s=0.0, eps_d=0.0):
+    """Equilibrium (x_e, y_e) of {y = b*x + ln b + eps_s, x = -b*y + eps_d}.
 
-
-def _propagate_numpy(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m, out):
-    lnb = np.log(betas)
-    y_e = lnb / (1.0 + betas * betas)
-    x_e = -betas * y_e
-    out[:, 0] = mean_ln_price + y_e
-    out[:, 1] = mean_ln_flow + x_e
-    out[:, 2] = out[:, 0] + out[:, 1]
-    out[:, 3] = betas * beta_qm
-    out[:, 4] = out[:, 3] * r_m
+    Arguments broadcast; with no shocks this is y_e = ln b / (1 + b^2),
+    x_e = -b * y_e.
+    """
+    y_e = (np.log(beta) + beta * eps_d + eps_s) / (1.0 + beta * beta)
+    return -beta * y_e + eps_d, y_e
 
 
 def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
     """Per-draw derived quantities, columns (ln_price, ln_quantity,
     ln_user_cost, beta_xm, r_x)."""
-    betas = np.ascontiguousarray(betas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
     out = np.empty((betas.shape[0], 5))
-    if NUMBA_ENABLED:
-        _propagate_loop(betas, float(mean_ln_flow), float(mean_ln_price),
-                        float(beta_qm), float(r_m), out)
-    else:
-        _propagate_numpy(betas, float(mean_ln_flow), float(mean_ln_price),
-                         float(beta_qm), float(r_m), out)
+    x_e, y_e = solve_equilibrium(betas)
+    out[:, 0] = float(mean_ln_price) + y_e
+    out[:, 1] = float(mean_ln_flow) + x_e
+    out[:, 2] = out[:, 0] + out[:, 1]
+    out[:, 3] = betas * float(beta_qm)
+    out[:, 4] = out[:, 3] * float(r_m)
     return out
-
-
-@njit(cache=True)
-def _equilibria_loop(beta, eps_s, eps_d, out_x, out_y):
-    lnb = np.log(beta)
-    denom = 1.0 + beta * beta
-    for i in range(eps_s.shape[0]):
-        y = (lnb + beta * eps_d[i] + eps_s[i]) / denom
-        out_y[i] = y
-        out_x[i] = -beta * y + eps_d[i]
-
-
-def _equilibria_numpy(beta, eps_s, eps_d, out_x, out_y):
-    lnb = np.log(beta)
-    denom = 1.0 + beta * beta
-    np.divide(lnb + beta * eps_d + eps_s, denom, out=out_y)
-    np.multiply(out_y, -beta, out=out_x)
-    out_x += eps_d
 
 
 def equilibria_from_shocks(beta, eps_s, eps_d):
@@ -383,12 +289,6 @@ def equilibria_from_shocks(beta, eps_s, eps_d):
 
     Returns (flow deviations, price deviations) before any re-centering.
     """
-    eps_s = np.ascontiguousarray(eps_s, dtype=np.float64)
-    eps_d = np.ascontiguousarray(eps_d, dtype=np.float64)
-    out_x = np.empty_like(eps_d)
-    out_y = np.empty_like(eps_d)
-    if NUMBA_ENABLED:
-        _equilibria_loop(float(beta), eps_s, eps_d, out_x, out_y)
-    else:
-        _equilibria_numpy(float(beta), eps_s, eps_d, out_x, out_y)
-    return out_x, out_y
+    eps_s = np.asarray(eps_s, dtype=np.float64)
+    eps_d = np.asarray(eps_d, dtype=np.float64)
+    return solve_equilibrium(float(beta), eps_s, eps_d)

@@ -107,9 +107,8 @@ class ShockModel:
 
 def equilibrium_deviation(beta_xq: float) -> tuple[float, float]:
     """Deviation-space equilibrium (x_e, y_e)."""
-    b = _check_beta(beta_xq)
-    y_e = math.log(b) / (1.0 + b * b)
-    return (-b * y_e, y_e)
+    x_e, y_e = kernels.solve_equilibrium(_check_beta(beta_xq))
+    return (float(x_e), float(y_e))
 
 
 def equilibrium_levels(beta_xq: float, mean_ln_flow: float, mean_ln_price: float) -> EquilibriumPoint:
@@ -119,13 +118,21 @@ def equilibrium_levels(beta_xq: float, mean_ln_flow: float, mean_ln_price: float
     x_e, y_e = equilibrium_deviation(beta_xq)
     ln_quantity = mean_ln_flow + x_e
     ln_price = mean_ln_price + y_e
+    try:
+        quantity = math.exp(ln_quantity)
+        price = math.exp(ln_price)
+    except OverflowError:
+        raise CurveError(
+            f"equilibrium level overflows: ln quantity {ln_quantity:.6g}, "
+            f"ln price {ln_price:.6g}"
+        ) from None
     return EquilibriumPoint(
         x_e=x_e,
         y_e=y_e,
         ln_quantity=ln_quantity,
         ln_price=ln_price,
-        quantity=math.exp(ln_quantity),
-        price=math.exp(ln_price),
+        quantity=quantity,
+        price=price,
         ln_user_cost=ln_quantity + ln_price,
     )
 
@@ -180,9 +187,8 @@ def shocked_equilibrium(beta_xq: float, eps_s: float, eps_d: float,
         eps_s = -eps_d
     elif mode != "general":
         raise CurveError(f"mode must be 'general' or 'paper', got {mode!r}")
-    y_e = (math.log(b) + b * eps_d + eps_s) / (1.0 + b * b)
-    x_e = -b * y_e + eps_d
-    return (x_e, y_e)
+    x_e, y_e = kernels.solve_equilibrium(b, eps_s, eps_d)
+    return (float(x_e), float(y_e))
 
 
 def observed_range_warnings(point: EquilibriumPoint,

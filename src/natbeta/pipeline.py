@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -141,6 +141,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     if draws < 0:
         raise StageError("uncertainty", f"draws must be >= 0, got {draws}",
                          hint="draws=0 skips the intervals")
+    if not 0.0 < level < 1.0:
+        raise StageError("uncertainty", f"level must be in (0, 1), got {level}")
 
     stub = slope is not None
     provenance: dict = {
@@ -286,15 +288,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             "beta_xm": betas.beta_xm,
         },
         returns={"r_m": returns.r_m, "r_q": returns.r_q, "r_x": returns.r_x},
-        equilibrium={
-            "x_e": point.x_e,
-            "y_e": point.y_e,
-            "ln_quantity": point.ln_quantity,
-            "ln_price": point.ln_price,
-            "quantity": point.quantity,
-            "price": point.price,
-            "ln_user_cost": point.ln_user_cost,
-        },
+        equilibrium=asdict(point),
         elasticities={"supply": supply_el, "demand": demand_el},
         intervals=intervals,
         warnings=tuple(warnings),
@@ -323,8 +317,7 @@ def _cell(x, width: int, prec: int = 3) -> str:
 
 
 def _descriptives_text(desc: Mapping) -> list[str]:
-    lines = ["Descriptive statistics",
-             f"{'Variable':<12}{'Obs':>5}{'Mean':>10}{'Std. Dev.':>11}{'Min':>9}{'Max':>9}"]
+    lines = [f"{'Variable':<12}{'Obs':>5}{'Mean':>10}{'Std. Dev.':>11}{'Min':>9}{'Max':>9}"]
     for name in ("ln_flow", "ln_price"):
         d = desc[name]
         lines.append(
@@ -378,6 +371,18 @@ def _intervals_text(iv: Mapping) -> list[str]:
     return lines
 
 
+def _equilibrium_text(eq: Mapping) -> list[str]:
+    """The ``equilibrium`` subcommand's table: deviations, levels, elasticities."""
+    el = eq["elasticities"]
+    return [
+        f"x_e = {eq['x_e']:.6f}, y_e = {eq['y_e']:.6f}",
+        f"ln price = {eq['ln_price']:.4f}, ln quantity = {eq['ln_quantity']:.4f}, "
+        f"ln user cost = {eq['ln_user_cost']:.4f}",
+        f"price = {eq['price']:.6g}, quantity = {eq['quantity']:.6g}",
+        f"elasticities: supply {el['supply']:.4f}, demand {el['demand']:.4f}",
+    ]
+
+
 def _flatten(obj, prefix=""):
     rows = []
     if isinstance(obj, Mapping):
@@ -409,6 +414,7 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
 
     lines: list[str] = []
     if report.descriptives is not None:
+        lines.append("Descriptive statistics")
         lines.extend(_descriptives_text(report.descriptives))
         lines.append("")
     if report.regression is not None:

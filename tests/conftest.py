@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from natbeta import econometrics as em
@@ -74,19 +73,3 @@ def estimate_beta_from_panel(panel):
 @pytest.fixture
 def simulated_panel():
     return synthesize_panel(make_config())
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the jitted kernels once so timed tests measure steady state."""
-    from natbeta import kernels
-
-    kernels.reg_inc_beta(2.0, 3.0, 0.5)
-    kernels.reg_upper_gamma(1.5, 2.0)
-    kernels.student_t_quantile(0.975, 16.0)
-    kernels.normal_upper_tail(1.0)
-    kernels.f_upper_tail(1.0, 2.0, 10.0)
-    kernels.chi_square_upper_tail(1.0, 2.0)
-    kernels.log_beta_weight_integral(2.0, 1e-8)
-    kernels.propagate_beta_draws(np.array([1.0]), 0.0, 0.0, 1.0, 0.01)
-    kernels.equilibria_from_shocks(1.0, np.zeros(1), np.zeros(1))

@@ -76,17 +76,24 @@ def test_estimate_stage_error_exit_code(tmp_path, capsys):
     assert "non-positive value at row 2" in err
 
 
-@pytest.mark.parametrize("argv", [
-    PAPER_STUB + ["--beta-qm", "nan"],
-    PAPER_STUB + ["--draws", "-5"],
-    ["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "inf",
-     "--r-m", "2.9%", "--mean-ln-flow", "2.113", "--mean-ln-price", "2.828",
-     "--draws", "2000", "--seed", "12"],
-], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf"])
-def test_non_finite_or_negative_inputs_exit_nonzero(capsys, argv):
+@pytest.mark.parametrize("argv,stage", [
+    (PAPER_STUB + ["--beta-qm", "nan"], "beta_algebra"),
+    (PAPER_STUB + ["--draws", "-5"], "uncertainty"),
+    (["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "inf",
+      "--r-m", "2.9%", "--mean-ln-flow", "2.113", "--mean-ln-price", "2.828",
+      "--draws", "2000", "--seed", "12"], "uncertainty"),
+    (["equilibrium", "--beta-xq", "0.5", "--mean-ln-price", "800"], "market_curves"),
+    (["curves", "--beta-xq", "0.5", "--mean-ln-price", "800"], "market_curves"),
+    (PAPER_STUB + ["--mean-ln-price", "800"], "market_curves"),
+    (PAPER_STUB + ["--draws", "0", "--level", "nan"], "uncertainty"),
+    (PAPER_STUB + ["--draws", "0", "--level", "1.5"], "uncertainty"),
+], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
+        "equilibrium-overflow", "curves-overflow", "estimate-overflow",
+        "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws"])
+def test_non_finite_or_negative_inputs_exit_nonzero(capsys, argv, stage):
     code, out, err = run_cli(capsys, argv)
     assert code != 0
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {stage}: ")
     assert "Traceback" not in err
 
 

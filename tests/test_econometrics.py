@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from natbeta import econometrics as em
 from natbeta import preprocess as pp
 from natbeta.beta_algebra import beta_from_slope
+from natbeta.pipeline import render_report, run_estimate
 
 from conftest import estimate_beta_from_panel, make_config
 from natbeta.simulator import synthesize_panel
@@ -260,7 +261,8 @@ def test_control_fit_report_layout(simulated_panel):
         assert set(row) == {"coef", "std_err", "t_value", "p_value", "ci_low", "ci_high"}
     for key in ("r_squared", "f_stat", "f_p", "aic", "bic", "n_obs"):
         assert key in table["second_stage"]
-    text = em.render_control_fit_text(cf)
+    report = run_estimate(simulated_panel, beta_qm=5.36, r_m=0.029, draws=0)
+    text = render_report(report, "text")
     for fragment in ("y^(e)", "Control fn", "Constant", "Mean dependent var",
                      "R-squared", "F-test", "Prob > F", "AIC", "BIC"):
         assert fragment in text

@@ -2,8 +2,8 @@
 
 Reference values come from mpmath: the regularized incomplete beta/gamma
 directly, the normal tail from the high-precision erfc, and the Student-t
-CDF from adaptive quadrature of the density.  The two batch backends
-(numba loop, vectorized NumPy) are compared against each other.
+CDF from adaptive quadrature of the density.  The vectorized batch kernels
+are compared bit for bit against plain per-element Python loops.
 """
 
 import math
@@ -95,25 +95,62 @@ def test_zero_sum_quadrature_wide_oracle():
     assert abs(kernels.log_beta_weight_integral(1e6, 1e-7)) <= 1e-6
 
 
-def test_propagate_backends_agree():
+def reference_propagate(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
+    """Per-draw loop over the closed-form equilibrium (the removed loop kernel)."""
+    out = np.empty((betas.shape[0], 5))
+    for i in range(betas.shape[0]):
+        b = betas[i]
+        y_e = np.log(b) / (1.0 + b * b)
+        x_e = -b * y_e
+        ln_price = mean_ln_price + y_e
+        ln_quantity = mean_ln_flow + x_e
+        beta_xm = b * beta_qm
+        out[i, 0] = ln_price
+        out[i, 1] = ln_quantity
+        out[i, 2] = ln_price + ln_quantity
+        out[i, 3] = beta_xm
+        out[i, 4] = beta_xm * r_m
+    return out
+
+
+def reference_equilibria(beta, eps_s, eps_d):
+    """Per-shock loop over the shocked solve (the removed loop kernel)."""
+    lnb = np.log(beta)
+    denom = 1.0 + beta * beta
+    out_x = np.empty_like(eps_s)
+    out_y = np.empty_like(eps_s)
+    for i in range(eps_s.shape[0]):
+        y = (lnb + beta * eps_d[i] + eps_s[i]) / denom
+        out_y[i] = y
+        out_x[i] = -beta * y + eps_d[i]
+    return out_x, out_y
+
+
+def test_propagate_matches_loop_reference():
     rng = np.random.default_rng(5)
     betas = np.exp(rng.normal(0.0, 0.4, size=4096))
-    out_loop = np.empty((betas.size, 5))
-    out_vec = np.empty((betas.size, 5))
-    kernels._propagate_loop(betas, 2.113, 2.828, 5.36, 0.029, out_loop)
-    kernels._propagate_numpy(betas, 2.113, 2.828, 5.36, 0.029, out_vec)
-    np.testing.assert_allclose(out_loop, out_vec, rtol=1e-13, atol=1e-15)
+    betas[0] = 1.0
+    expected = reference_propagate(betas, 2.113, 2.828, 5.36, 0.029)
+    assert np.array_equal(kernels.propagate_beta_draws(betas, 2.113, 2.828, 5.36, 0.029),
+                          expected)
 
 
-def test_equilibria_backends_agree():
+@pytest.mark.parametrize("beta", [0.919, 1 / 0.919, 2.0, 0.1, 1.0])
+def test_equilibria_match_loop_reference(beta):
     rng = np.random.default_rng(6)
     eps_s = rng.normal(0, 0.05, size=2048)
     eps_d = rng.normal(0, 0.05, size=2048)
-    x1 = np.empty_like(eps_s)
-    y1 = np.empty_like(eps_s)
-    x2 = np.empty_like(eps_s)
-    y2 = np.empty_like(eps_s)
-    kernels._equilibria_loop(0.919, eps_s, eps_d, x1, y1)
-    kernels._equilibria_numpy(0.919, eps_s, eps_d, x2, y2)
-    np.testing.assert_allclose(x1, x2, rtol=1e-13, atol=1e-16)
-    np.testing.assert_allclose(y1, y2, rtol=1e-13, atol=1e-16)
+    x_ref, y_ref = reference_equilibria(beta, eps_s, eps_d)
+    x, y = kernels.equilibria_from_shocks(beta, eps_s, eps_d)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(y, y_ref)
+
+
+def test_solve_equilibrium_broadcasts():
+    betas = np.array([0.1, 0.919, 1.0, 2.0])
+    eps_d = np.array([-0.1, 0.0, 0.05])
+    x_e, y_e = kernels.solve_equilibrium(betas[:, None], 0.02, eps_d)
+    assert x_e.shape == y_e.shape == (4, 3)
+    for i, b in enumerate(betas):
+        for j, d in enumerate(eps_d):
+            assert (x_e[i, j], y_e[i, j]) == kernels.solve_equilibrium(b, 0.02, d)
