@@ -33,7 +33,6 @@ from .econometrics import (
     ols,
     reset_test,
     t_confidence_interval,
-    tail_probability,
 )
 from .market_curves import (
     CurveError,
@@ -81,7 +80,7 @@ __all__ = [
     "build_beta_set", "build_return_set", "chain_to_market", "natural_return",
     "ControlFunctionFit", "FitResult", "NormalityResult", "RegressionError",
     "ResetResult", "control_function_fit", "jarque_bera", "lagged_instruments",
-    "ols", "reset_test", "t_confidence_interval", "tail_probability",
+    "ols", "reset_test", "t_confidence_interval",
     "CurveError", "CurveSpec", "EquilibriumPoint", "ShockModel",
     "curve_samples", "demand_curve", "elasticities", "equilibrium_deviation",
     "equilibrium_levels", "shocked_equilibrium", "supply_curve", "zero_sum_integral",

@@ -19,7 +19,7 @@ from . import preprocess as pp
 from . import uncertainty as unc
 from .panel_io import PanelFormatError, parse_panel, serialize_panel
 from .pipeline import (StageError, _descriptives_text, _equilibrium_text, _intervals_text,
-                       render_report, run_estimate)
+                       _require_positive, render_report, run_estimate)
 from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
 
 
@@ -69,6 +69,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_describe(args) -> int:
     panel = _load_panel(args.input)
+    _require_positive(panel)
     try:
         prices = pp.unit_price_series(panel.value, panel.flow)
         rows = {

@@ -32,7 +32,6 @@ __all__ = [
     "t_confidence_interval",
     "reset_test",
     "jarque_bera",
-    "tail_probability",
     "lagged_instruments",
     "fit_to_dict",
     "control_fit_to_dict",
@@ -115,41 +114,6 @@ class ControlFunctionFit:
         return self.second_stage.standard_error("price_dev")
 
 
-def tail_probability(statistic: float, distribution: tuple) -> float:
-    """Tail p-value for a test statistic.
-
-    ``distribution`` is one of ``("student_t", df)``, ``("f", d1, d2)``,
-    ``("chi_square", k)`` or ``("normal",)``.  Student-t p-values are
-    two-sided; F, chi-square and normal are upper-tail.
-    """
-    if not distribution:
-        raise ValueError("empty distribution spec")
-    kind, params = distribution[0], distribution[1:]
-    statistic = float(statistic)
-    if not np.isfinite(statistic):
-        raise ValueError("non-finite test statistic")
-    if kind == "student_t":
-        (df,) = params
-        if df < 1:
-            raise ValueError(f"invalid df {df}")
-        return float(kernels.student_t_two_sided(statistic, float(df)))
-    if kind == "f":
-        d1, d2 = params
-        if d1 < 1 or d2 < 1:
-            raise ValueError(f"invalid F dof ({d1}, {d2})")
-        return float(kernels.f_upper_tail(statistic, float(d1), float(d2)))
-    if kind == "chi_square":
-        (k,) = params
-        if k < 1:
-            raise ValueError(f"invalid chi-square dof {k}")
-        return float(kernels.chi_square_upper_tail(statistic, float(k)))
-    if kind == "normal":
-        if params:
-            raise ValueError("normal takes no parameters")
-        return float(kernels.normal_upper_tail(statistic))
-    raise ValueError(f"unknown distribution {kind!r}")
-
-
 def t_confidence_interval(coef: float, se: float, df: int, level: float) -> tuple[float, float]:
     """coef +/- t_{(1+level)/2, df} * se."""
     if not 0.0 < level < 1.0:
@@ -176,6 +140,17 @@ def _as_design(regressors: Mapping[str, Sequence], include_constant: bool, n: in
     return tuple(names), np.column_stack(cols)
 
 
+def _least_squares(y: np.ndarray, X: np.ndarray):
+    """QR solve of min |y - X b|; returns (b, R).  Raises on rank deficiency."""
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    scale = np.max(np.abs(X), axis=0)
+    scale[scale == 0.0] = 1.0
+    if np.any(diag <= 1e-12 * np.sqrt(X.shape[0]) * scale):
+        raise RegressionError("rank-deficient design matrix")
+    return np.linalg.solve(R, Q.T @ y), R
+
+
 def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool = True,
         conf_level: float = 0.95) -> FitResult:
     """Ordinary least squares via QR decomposition.
@@ -190,9 +165,11 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     conf_level : float
         Level for the per-coefficient Student-t confidence intervals.
 
-    Raises RegressionError on rank deficiency or when n does not exceed the
-    number of coefficients.
+    Raises RegressionError on rank deficiency, when n does not exceed the
+    number of coefficients, or when conf_level is outside (0, 1).
     """
+    if not 0.0 < conf_level < 1.0:
+        raise RegressionError(f"confidence level must be in (0, 1), got {conf_level}")
     y = np.asarray(regressand, dtype=np.float64)
     if y.ndim != 1:
         raise RegressionError("regressand must be 1-d")
@@ -202,14 +179,7 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     if n <= k:
         raise RegressionError(f"n={n} too small for {k} coefficients")
 
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    scale = np.max(np.abs(X), axis=0)
-    scale[scale == 0.0] = 1.0
-    if np.any(diag <= 1e-12 * np.sqrt(n) * scale):
-        raise RegressionError("rank-deficient design matrix")
-    coef = np.linalg.solve(R, Q.T @ y)
-
+    coef, R = _least_squares(y, X)
     fitted = X @ coef
     resid = y - fitted
     ssr = float(resid @ resid)
@@ -224,7 +194,7 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     for i in range(k):
         if se[i] > 0.0:
             t_vals[i] = coef[i] / se[i]
-            p_vals[i] = tail_probability(t_vals[i], ("student_t", df_resid))
+            p_vals[i] = kernels.student_t_two_sided(float(t_vals[i]), float(df_resid))
         elif coef[i] == 0.0:
             t_vals[i], p_vals[i] = 0.0, 1.0
         else:
@@ -245,7 +215,7 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
         r2 = 0.0
     if n_slopes > 0 and sst > 0.0 and ssr > 0.0:
         f_stat = ((sst - ssr) / n_slopes) / (ssr / df_resid)
-        f_p = tail_probability(f_stat, ("f", n_slopes, df_resid))
+        f_p = kernels.f_upper_tail(f_stat, float(n_slopes), float(df_resid))
     elif n_slopes > 0 and sst > 0.0 and ssr == 0.0:
         f_stat, f_p = float("inf"), 0.0
     else:
@@ -348,21 +318,20 @@ def reset_test(fit: FitResult, powers: Sequence[int] = (2, 3), alpha: float = 0.
     m = len(powers)
     if n - k - m < 1:
         raise RegressionError("sample too small for RESET augmentation")
-    aug = {f"x{i}": fit.design[:, i] for i in range(k)}
-    for p in powers:
-        aug[f"fitted_pow{p}"] = fit.fitted**p
+    X = np.column_stack([fit.design] + [fit.fitted**p for p in powers])
     try:
-        full = ols(fit.regressand, aug, include_constant=False)
+        coef, _ = _least_squares(fit.regressand, X)
     except RegressionError as exc:
         raise RegressionError(f"RESET augmentation is rank deficient: {exc}") from exc
+    resid = fit.regressand - X @ coef
     ssr_restricted = float(fit.residuals @ fit.residuals)
-    ssr_full = float(full.residuals @ full.residuals)
+    ssr_full = float(resid @ resid)
     df_full = n - k - m
     stat = ((ssr_restricted - ssr_full) / m) / (ssr_full / df_full)
     if not np.isfinite(stat):
         raise RegressionError("degenerate RESET statistic (zero residual variance)")
     stat = max(stat, 0.0)
-    p_value = tail_probability(stat, ("f", m, df_full))
+    p_value = kernels.f_upper_tail(stat, float(m), float(df_full))
     return ResetResult(statistic=float(stat), p_value=float(p_value),
                        rejected=bool(p_value < alpha), alpha=alpha, powers=powers)
 
@@ -380,7 +349,7 @@ def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
     skew = float(np.mean(e**3)) / m2**1.5
     kurt_excess = float(np.mean(e**4)) / m2**2 - 3.0
     stat = n / 6.0 * (skew**2 + 0.25 * kurt_excess**2)
-    p_value = tail_probability(stat, ("chi_square", 2))
+    p_value = kernels.chi_square_upper_tail(stat, 2.0)
     return NormalityResult(statistic=float(stat), p_value=float(p_value),
                            rejected=bool(p_value < alpha), alpha=alpha,
                            skewness=skew, kurtosis_excess=kurt_excess)

@@ -2,7 +2,8 @@
 
 Scalar routines (regularized incomplete beta/gamma, distribution tails,
 adaptive quadrature) follow the classic Cephes/continued-fraction
-constructions in double precision, in plain Python.  The supply/demand
+constructions in double precision, in plain Python; the Student-t quantile
+inverts the t CDF by Newton's method from the median.  The supply/demand
 equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
 arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
 """
@@ -153,29 +154,28 @@ def student_t_cdf(t: float, df: float) -> float:
 
 
 def student_t_quantile(p: float, df: float) -> float:
-    """Inverse Student-t CDF by bracketed bisection on the CDF."""
+    """Inverse Student-t CDF by Newton's method on ``student_t_cdf``.
+
+    Starting at the median t = 0, the iterates move monotonically towards the
+    root and, in exact arithmetic, never cross it: the CDF is concave above 0
+    and convex below, so each tangent step lands short of the root.
+    Iteration stops once the step is within the CDF's precision, or when
+    rounding in the CDF makes the step point back across the root.
+    """
     if p == 0.5:
         return 0.0
-    # bracket the root, doubling outward from +/-1
-    lo = -1.0
-    hi = 1.0
-    while student_t_cdf(lo, df) > p:
-        lo *= 2.0
-        if lo < -1e100:
+    ln_norm = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+               - 0.5 * math.log(df * math.pi))
+    t = 0.0
+    for _ in range(100):
+        density = math.exp(ln_norm - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+        step = (p - student_t_cdf(t, df)) / density
+        if step * (p - 0.5) <= 0.0:
             break
-    while student_t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e100:
+        t += step
+        if abs(step) <= 1e-14 * max(1.0, abs(t)):
             break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return t
 
 
 def f_upper_tail(f: float, d1: float, d2: float) -> float:

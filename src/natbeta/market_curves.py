@@ -118,14 +118,14 @@ def equilibrium_levels(beta_xq: float, mean_ln_flow: float, mean_ln_price: float
     x_e, y_e = equilibrium_deviation(beta_xq)
     ln_quantity = mean_ln_flow + x_e
     ln_price = mean_ln_price + y_e
+    logs = f"ln quantity {ln_quantity:.6g}, ln price {ln_price:.6g}"
     try:
         quantity = math.exp(ln_quantity)
         price = math.exp(ln_price)
     except OverflowError:
-        raise CurveError(
-            f"equilibrium level overflows: ln quantity {ln_quantity:.6g}, "
-            f"ln price {ln_price:.6g}"
-        ) from None
+        raise CurveError(f"equilibrium level overflows: {logs}") from None
+    if quantity == 0.0 or price == 0.0:
+        raise CurveError(f"equilibrium level underflows to 0: {logs}")
     return EquilibriumPoint(
         x_e=x_e,
         y_e=y_e,

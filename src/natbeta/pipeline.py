@@ -120,6 +120,18 @@ def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
     return {n: panel.instruments[n] for n in names}, 0, "panel columns " + ",".join(names)
 
 
+def _require_positive(panel: RawPanel) -> None:
+    """Raise the preprocess StageError naming the first non-positive panel value."""
+    report = validate_positive(panel)
+    if not report.ok:
+        first = report.issues[0]
+        raise StageError(
+            "preprocess",
+            f"non-positive value at row {first.row}, column {first.column} ({first.value})",
+            hint="drop or correct non-positive rows; values are never shifted",
+        )
+
+
 def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                  level: float = 0.90, draws: int = 100_000, seed: int | None = None,
                  instruments="auto", slope: float | None = None,
@@ -171,15 +183,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     descriptives = None
     observed_flow_range = observed_price_range = None
     if panel is not None:
-        report = validate_positive(panel)
-        if not report.ok:
-            first = report.issues[0]
-            raise StageError(
-                "preprocess",
-                f"non-positive value at row {first.row}, column {first.column} "
-                f"({first.value})",
-                hint="drop or correct non-positive rows; values are never shifted",
-            )
+        _require_positive(panel)
         try:
             prices = pp.unit_price_series(panel.value, panel.flow)
             flow_logs = pp.center_log(panel.flow)

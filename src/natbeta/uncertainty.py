@@ -168,9 +168,14 @@ def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
     if point_beta is None:
         point_beta = float(np.median(valid))
 
-    table = kernels.propagate_beta_draws(valid, mean_ln_flow, mean_ln_price, beta_qm, r_m)
     lo_q = 0.5 * (1.0 - level)
-    quants = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = kernels.propagate_beta_draws(valid, mean_ln_flow, mean_ln_price, beta_qm, r_m)
+        quants = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+    overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
+                  if not np.all(np.isfinite(quants[:, j]))]
+    if overflowed:
+        raise UncertaintyError(f"interval bounds of {', '.join(overflowed)} are not finite")
     bounds = {
         name: (float(quants[0, j]), float(quants[1, j]))
         for j, name in enumerate(QUANTITY_NAMES)

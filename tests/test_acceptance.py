@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines on the terminal.  Timed criteria measure steady-state behavior: the
-session fixture in conftest warms the JIT-compiled kernels first.
+lines on the terminal.  Timed criteria time plain NumPy/Python code with
+nothing to compile; criterion 1 runs its call once untimed first, so
+only the second call is timed.
 """
 
 import functools

@@ -76,6 +76,10 @@ def test_estimate_stage_error_exit_code(tmp_path, capsys):
     assert "non-positive value at row 2" in err
 
 
+# Stands for a panel file whose flow in row 1 is -1.0.
+BAD_PANEL = "<non-positive panel>"
+
+
 @pytest.mark.parametrize("argv,stage", [
     (PAPER_STUB + ["--beta-qm", "nan"], "beta_algebra"),
     (PAPER_STUB + ["--draws", "-5"], "uncertainty"),
@@ -87,10 +91,25 @@ def test_estimate_stage_error_exit_code(tmp_path, capsys):
     (PAPER_STUB + ["--mean-ln-price", "800"], "market_curves"),
     (PAPER_STUB + ["--draws", "0", "--level", "nan"], "uncertainty"),
     (PAPER_STUB + ["--draws", "0", "--level", "1.5"], "uncertainty"),
+    (["ci", "--beta-xq", "2", "--beta-xq-se", "0.1", "--beta-qm", "1e308",
+      "--r-m", "0.03", "--mean-ln-flow", "1", "--mean-ln-price", "1",
+      "--seed", "1", "--draws", "1000", "--format", "json"], "uncertainty"),
+    (["describe", "--input", BAD_PANEL, "--format", "json"], "preprocess"),
+    (["describe", "--input", BAD_PANEL, "--format", "text"], "preprocess"),
+    (["equilibrium", "--beta-xq", "0.5", "--mean-ln-price", "-800", "--format", "text"],
+     "market_curves"),
+    (["curves", "--beta-xq", "0.5", "--mean-ln-price", "-800"], "market_curves"),
+    (PAPER_STUB + ["--mean-ln-price", "-800"], "market_curves"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
-        "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws"])
-def test_non_finite_or_negative_inputs_exit_nonzero(capsys, argv, stage):
+        "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
+        "ci-beta-xm-overflow", "describe-non-positive-json", "describe-non-positive-text",
+        "equilibrium-underflow", "curves-underflow", "estimate-underflow"])
+def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
+    bad_panel = tmp_path / "bad.csv"
+    bad_panel.write_text("year,value,flow\n2001,2.5,-1.0\n2002,8.0,2.0\n2003,9.0,2.5\n"
+                         "2004,12.0,3.0\n2005,20.0,4.0\n2006,23.0,4.5\n")
+    argv = [str(bad_panel) if arg == BAD_PANEL else arg for arg in argv]
     code, out, err = run_cli(capsys, argv)
     assert code != 0
     assert err.startswith(f"error: {stage}: ")

@@ -1,9 +1,10 @@
 """Oracle tests for the numeric kernels.
 
 Reference values come from mpmath: the regularized incomplete beta/gamma
-directly, the normal tail from the high-precision erfc, and the Student-t
-CDF from adaptive quadrature of the density.  The vectorized batch kernels
-are compared bit for bit against plain per-element Python loops.
+directly, the normal tail from the high-precision erfc, the Student-t CDF
+from adaptive quadrature of the density, and the Student-t quantile from
+the root of the incomplete-beta form of the CDF.  The vectorized batch
+kernels are compared bit for bit against plain per-element Python loops.
 """
 
 import math
@@ -68,6 +69,27 @@ def test_student_t_cdf_quadrature(t, df):
 def test_student_t_quantile_inverts_cdf(p, df):
     q = kernels.student_t_quantile(p, df)
     assert kernels.student_t_cdf(q, df) == pytest.approx(p, abs=1e-12)
+
+
+def oracle_t_quantile(p, df):
+    # The CDF is strictly increasing, so its root is unique and starting the
+    # secant at the value under test cannot bias the reference.
+    start = mp.mpf(kernels.student_t_quantile(p, df))
+    p, df = mp.mpf(p), mp.mpf(df)
+
+    def cdf(t):
+        x = df / (df + t * t)
+        half_tail = mp.betainc(df / 2, mp.mpf(1) / 2, 0, x, regularized=True) / 2
+        return 1 - half_tail if t >= 0 else half_tail
+
+    return mp.findroot(lambda t: cdf(t) - p, start)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 16, 195, 495, 10000])
+@pytest.mark.parametrize("p", [0.0005, 0.05, 0.6, 0.9, 0.975, 0.995, 0.999999])
+def test_student_t_quantile_oracle(p, df):
+    ref = oracle_t_quantile(p, df)
+    assert kernels.student_t_quantile(p, df) == pytest.approx(float(ref), rel=1e-10)
 
 
 def test_f_upper_matches_beta_identity():
