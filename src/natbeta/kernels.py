@@ -146,7 +146,16 @@ def student_t_two_sided(t: float, df: float) -> float:
 
 
 def student_t_cdf(t: float, df: float) -> float:
-    """CDF of the Student t distribution with df degrees of freedom."""
+    """CDF of the Student t distribution with df degrees of freedom.
+
+    Near the median the central form ``0.5 +- 0.5 * I_x(1/2, df/2)`` with
+    ``x = t^2 / (df + t^2)`` keeps full relative precision; the tail form
+    ``1 - 0.5 * p`` would subtract a two-sided p close to 1.
+    """
+    x = t * t / (df + t * t)
+    if x < 0.5:
+        half = 0.5 * reg_inc_beta(0.5, 0.5 * df, x)
+        return 0.5 + half if t >= 0.0 else 0.5 - half
     p = student_t_two_sided(t, df)
     if t >= 0.0:
         return 1.0 - 0.5 * p
@@ -272,15 +281,21 @@ def solve_equilibrium(beta, eps_s=0.0, eps_d=0.0):
 
 def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
     """Per-draw derived quantities, columns (ln_price, ln_quantity,
-    ln_user_cost, beta_xm, r_x)."""
+    ln_user_cost, beta_xm, r_x).
+
+    The (n, 5) result is the transpose of a C-ordered (5, n) array, so each
+    column is contiguous: every column is computed straight into its slot
+    with unit stride and no length-n temporary, and a column sort needs no
+    gather.
+    """
     betas = np.asarray(betas, dtype=np.float64)
-    out = np.empty((betas.shape[0], 5))
+    out = np.empty((5, betas.shape[0])).T
     x_e, y_e = solve_equilibrium(betas)
-    out[:, 0] = float(mean_ln_price) + y_e
-    out[:, 1] = float(mean_ln_flow) + x_e
-    out[:, 2] = out[:, 0] + out[:, 1]
-    out[:, 3] = betas * float(beta_qm)
-    out[:, 4] = out[:, 3] * float(r_m)
+    np.add(float(mean_ln_price), y_e, out=out[:, 0])
+    np.add(float(mean_ln_flow), x_e, out=out[:, 1])
+    np.add(out[:, 0], out[:, 1], out=out[:, 2])
+    np.multiply(betas, float(beta_qm), out=out[:, 3])
+    np.multiply(out[:, 3], float(r_m), out=out[:, 4])
     return out
 
 

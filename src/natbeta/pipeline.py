@@ -32,6 +32,7 @@ __all__ = ["StageError", "EstimateReport", "run_estimate", "render_report"]
 
 SCHEMA_VERSION = 1
 MIN_PANEL_ROWS = 5
+MIN_TAIL_DRAWS = 10  # fewer draws beyond an interval endpoint earn a sparse_tail warning
 
 
 class StageError(RuntimeError):
@@ -278,6 +279,13 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             "n_redrawn": beta_draws.n_redrawn,
             "seed": interval_report.seed,
         }
+        tail_draws = 0.5 * (1.0 - level) * interval_report.draws_used
+        if tail_draws < MIN_TAIL_DRAWS:
+            warnings.append(
+                f"sparse_tail: {tail_draws:.3g} of {interval_report.draws_used} draws lie "
+                f"beyond each endpoint of the {level:g} interval (< {MIN_TAIL_DRAWS}); "
+                f"increase draws"
+            )
 
     return EstimateReport(
         provenance=provenance,

@@ -4,10 +4,11 @@ Betas are drawn from a normal distribution; non-positive draws are redrawn
 from per-index counter-based streams so the result is identical no matter
 how the work is split.  One Philox generator is re-keyed per rejected
 index, which gives the same streams as a fresh per-index Philox.  Derived
-quantities are evaluated per draw and the interval is formed from
-empirical quantiles (linear interpolation), never by mapping interval
-endpoints: the price map is not monotone in beta, so endpoint mapping
-would be wrong.
+quantities are evaluated per draw, each column of the draw table is sorted
+in place, and the interval endpoints are read from the sorted columns by
+NumPy's linear (Hyndman & Fan type-7) rule: two neighbouring order
+statistics per endpoint.  Interval endpoints are never mapped: the price
+map is not monotone in beta, so endpoint mapping would be wrong.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.
@@ -133,6 +134,32 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
                      mean=float(mean), se=float(se))
 
 
+def _sorted_quantile(table: np.ndarray, q: float) -> np.ndarray:
+    """Type-7 quantile ``q`` of each column of ``table``, sorted along axis 0.
+
+    Repeats the arithmetic of NumPy's ``linear`` method step for step (the
+    virtual index ``(n-1)*q``, its floor and the next row, and the two-sided
+    lerp), so the result equals NumPy's quantile along axis 0 bit for
+    bit on NaN-free columns that do not mix 0.0 and -0.0 (a sort and a
+    partition may order those two differently; no derived column mixes them).
+    """
+    n = table.shape[0]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        # NumPy pins both neighbours to row -1, so its weight is virtual - (-1)
+        below = above = n - 1
+        t = virtual + 1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+        t = virtual - below
+    a, b = table[below], table[above]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
+
+
 def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
                       mean_ln_price: float, level: float = 0.90,
                       seed: int | None = None,
@@ -171,13 +198,16 @@ def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
     lo_q = 0.5 * (1.0 - level)
     with np.errstate(over="ignore", invalid="ignore"):
         table = kernels.propagate_beta_draws(valid, mean_ln_flow, mean_ln_price, beta_qm, r_m)
-        quants = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+        table.sort(axis=0)  # NaNs sort to the last row
+        lows = _sorted_quantile(table, lo_q)
+        highs = _sorted_quantile(table, 1.0 - lo_q)
     overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
-                  if not np.all(np.isfinite(quants[:, j]))]
+                  if math.isnan(table[-1, j])
+                  or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
     if overflowed:
         raise UncertaintyError(f"interval bounds of {', '.join(overflowed)} are not finite")
     bounds = {
-        name: (float(quants[0, j]), float(quants[1, j]))
+        name: (float(lows[j]), float(highs[j]))
         for j, name in enumerate(QUANTITY_NAMES)
     }
     point_row = kernels.propagate_beta_draws(

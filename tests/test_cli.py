@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from natbeta import kernels, uncertainty
 from natbeta.cli import main, parse_rate
 from natbeta.panel_io import parse_panel, serialize_panel
 from natbeta.simulator import synthesize_panel
@@ -47,6 +50,38 @@ def test_estimate_byte_determinism(capsys):
     code2, out2, _ = run_cli(capsys, PAPER_STUB + ["--format", "json"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sparse_tail_warning(capsys):
+    code, out, err = run_cli(capsys, PAPER_STUB + ["--level", "0.999", "--draws", "10",
+                                                   "--format", "json"])
+    assert code == 0, err
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("sparse_tail:")
+
+
+def test_paper_stub_100k_json_matches_numpy_quantile_bounds(capsys, monkeypatch):
+    argv = PAPER_STUB + ["--draws", "100000", "--format", "json"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["warnings"] == []
+
+    sorted_bounds = uncertainty.derived_intervals
+
+    def quantile_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level):
+        report = sorted_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level=level)
+        table = kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price,
+                                             beta_qm, r_m)
+        lo_q = 0.5 * (1.0 - level)
+        q = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+        bounds = {name: (float(q[0, j]), float(q[1, j]))
+                  for j, name in enumerate(uncertainty.QUANTITY_NAMES)}
+        return dataclasses.replace(report, bounds=bounds)
+
+    monkeypatch.setattr(uncertainty, "derived_intervals", quantile_bounds)
+    code, reference, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out == reference
 
 
 def test_estimate_on_panel_file(tmp_path, capsys):

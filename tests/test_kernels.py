@@ -85,8 +85,12 @@ def oracle_t_quantile(p, df):
     return mp.findroot(lambda t: cdf(t) - p, start)
 
 
-@pytest.mark.parametrize("df", [1, 2, 3, 5, 16, 195, 495, 10000])
-@pytest.mark.parametrize("p", [0.0005, 0.05, 0.6, 0.9, 0.975, 0.995, 0.999999])
+@pytest.mark.parametrize("p,df", [
+    *((p, df) for df in [1, 2, 3, 5, 16, 195, 495, 10000]
+      for p in [0.0005, 0.05, 0.6, 0.9, 0.975, 0.995, 0.999999]),
+    # next to the median, where the CDF must not subtract from 1
+    (0.5 - 1e-7, 5), (0.5 + 1e-7, 5), (0.5 - 1e-7, 16), (0.5 + 1e-7, 16),
+])
 def test_student_t_quantile_oracle(p, df):
     ref = oracle_t_quantile(p, df)
     assert kernels.student_t_quantile(p, df) == pytest.approx(float(ref), rel=1e-10)

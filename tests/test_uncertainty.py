@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from natbeta import kernels
 from natbeta.uncertainty import (
     QUANTITY_NAMES,
     UncertaintyError,
@@ -234,3 +235,29 @@ def test_derived_intervals_validation(paper):
         derived_intervals(good, 1.0, 0.03, 0.0, 0.0, level=1.5)
     with pytest.raises(UncertaintyError):
         derived_intervals(np.array([-1.0, -2.0]), 1.0, 0.03, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 100_000])
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.99, 0.999999])
+# a negative rate makes r_x descending; -0.0 makes every r_x a negative zero
+@pytest.mark.parametrize("r_m", [0.029, 0.0, -0.03, -0.0])
+def test_sorted_column_bounds_equal_numpy_quantile(paper, n, level, r_m):
+    # N(1.9, 0.3) draws straddle the turning point of the ln-price map
+    draws = sample_betas(1.9, 0.3, n, seed=n)
+    args = (paper["mean_ln_flow"], paper["mean_ln_price"], paper["beta_qm"], r_m)
+    table = kernels.propagate_beta_draws(draws.values, *args)
+    assert table.shape == (n, 5)
+    lo_q = 0.5 * (1.0 - level)
+    expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+    report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
+                               paper["mean_ln_price"], level=level)
+    for j, name in enumerate(QUANTITY_NAMES):
+        # compared as bytes, so the sign of a zero bound counts
+        assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), name
+
+
+def test_nan_column_bounds_are_not_finite():
+    # inf * 0 puts one NaN in the r_x column; the sort moves it to the last row
+    betas = np.array([0.9] * 99 + [2.0])
+    with pytest.raises(UncertaintyError, match=r"^interval bounds of r_x are not finite$"):
+        derived_intervals(betas, 1e308, 0.0, 0.0, 0.0)
