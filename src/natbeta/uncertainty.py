@@ -112,7 +112,9 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
 
     budget = 0.5 * draws
     main = _stream(seed, -1)  # key (seed, 0) reserved for the base vector
-    values = mean + se * main.standard_normal(draws)
+    values = main.standard_normal(draws)
+    values *= se  # in place: the same mean + se * z, without two n-long temporaries
+    values += mean
     bad = np.flatnonzero(values <= 0.0)
     rejected = int(bad.size)
     if rejected > budget:

@@ -154,7 +154,8 @@ def reference_equilibria(beta, eps_s, eps_d):
 
 def test_propagate_matches_loop_reference():
     rng = np.random.default_rng(5)
-    betas = np.exp(rng.normal(0.0, 0.4, size=4096))
+    # two full row blocks of propagate_beta_draws and a partial third
+    betas = np.exp(rng.normal(0.0, 0.4, size=2 * 8192 + 37))
     betas[0] = 1.0
     expected = reference_propagate(betas, 2.113, 2.828, 5.36, 0.029)
     assert np.array_equal(kernels.propagate_beta_draws(betas, 2.113, 2.828, 5.36, 0.029),
