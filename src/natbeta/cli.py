@@ -16,10 +16,10 @@ from . import __version__
 from . import econometrics as em
 from . import market_curves as mc
 from . import preprocess as pp
-from . import uncertainty as unc
 from .panel_io import PanelFormatError, parse_panel, serialize_panel
 from .pipeline import (StageError, _descriptives_text, _equilibrium_text, _intervals_text,
-                       _require_positive, render_report, run_estimate)
+                       _require_positive, _uncertainty_stage, _warnings_text, render_report,
+                       run_estimate)
 from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
 
 
@@ -127,26 +127,16 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    try:
-        draws = unc.sample_betas(args.beta_xq, args.beta_xq_se, args.draws, args.seed)
-        report = unc.derived_intervals(
-            draws, args.beta_qm, args.r_m, args.mean_ln_flow, args.mean_ln_price,
-            level=args.level,
-        )
-    except unc.UncertaintyError as exc:
-        raise StageError("uncertainty", str(exc)) from exc
-    payload = {
-        "level": report.level,
-        "bounds": {k: list(v) for k, v in report.bounds.items()},
-        "point": dict(report.point),
-        "draws_used": report.draws_used,
-        "n_redrawn": draws.n_redrawn,
-        "seed": report.seed,
-    }
+    intervals, warnings = _uncertainty_stage(
+        args.beta_xq, args.beta_xq_se, draws=args.draws, seed=args.seed, level=args.level,
+        beta_qm=args.beta_qm, r_m=args.r_m, mean_ln_flow=args.mean_ln_flow,
+        mean_ln_price=args.mean_ln_price,
+    )
     if args.format == "json":
-        sys.stdout.write(_json_dumps(payload))
+        sys.stdout.write(_json_dumps({**intervals, "warnings": warnings}))
         return 0
-    sys.stdout.write("\n".join(_intervals_text(payload)) + "\n")
+    lines = _intervals_text(intervals) + _warnings_text(warnings)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -278,8 +268,8 @@ def main(argv=None) -> int:
         if exc.hint:
             sys.stderr.write(f"hint: {exc.hint}\n")
         return 1
-    except (em.RegressionError, mc.CurveError, unc.UncertaintyError,
-            SimulatorError, PanelFormatError, ValueError) as exc:
+    except (em.RegressionError, mc.CurveError, SimulatorError, PanelFormatError,
+            ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "reg_inc_beta",
     "reg_upper_gamma",
-    "normal_upper_tail",
     "student_t_two_sided",
     "student_t_cdf",
     "student_t_quantile",
@@ -134,11 +133,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
             break
     ln_p = a * math.log(x) - x - math.lgamma(a)
     return math.exp(ln_p) * h
-
-
-def normal_upper_tail(z: float) -> float:
-    """P(Z > z) for a standard normal variate."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def student_t_two_sided(t: float, df: float) -> float:

@@ -133,6 +133,45 @@ def _require_positive(panel: RawPanel) -> None:
         )
 
 
+def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
+                       level: float, beta_qm: float, r_m: float, mean_ln_flow: float,
+                       mean_ln_price: float) -> tuple[dict, list[str]]:
+    """Sample the beta, propagate the draws, and return the report's
+    ``intervals`` block and its warnings; ``run_estimate`` and ``ci`` share it.
+
+    NumPy's overflow and invalid warnings are silenced over the sampling,
+    the draw table and the point row: ``derived_intervals`` raises on every
+    non-finite bound instead, which ends here as a StageError.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta_draws = unc.sample_betas(beta_xq, beta_se, draws, seed)
+            report = unc.derived_intervals(beta_draws, beta_qm, r_m, mean_ln_flow,
+                                           mean_ln_price, level=level)
+    except unc.UncertaintyError as exc:
+        raise StageError("uncertainty", str(exc)) from exc
+    intervals = {
+        "level": report.level,
+        "bounds": {k: list(v) for k, v in report.bounds.items()},
+        "point": dict(report.point),
+        "draws_used": report.draws_used,
+        # sample_betas redraws every non-positive beta, so none is discarded;
+        # the field stays so that schema-1 JSON keeps its shape
+        "n_discarded": 0,
+        "n_redrawn": beta_draws.n_redrawn,
+        "seed": beta_draws.seed,
+    }
+    warnings = []
+    tail_draws = 0.5 * (1.0 - level) * report.draws_used
+    if tail_draws < MIN_TAIL_DRAWS:
+        warnings.append(
+            f"sparse_tail: {tail_draws:.3g} of {report.draws_used} draws lie "
+            f"beyond each endpoint of the {level:g} interval (< {MIN_TAIL_DRAWS}); "
+            f"increase draws"
+        )
+    return intervals, warnings
+
+
 def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                  level: float = 0.90, draws: int = 100_000, seed: int | None = None,
                  instruments="auto", slope: float | None = None,
@@ -241,8 +280,13 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         returns = ba.build_return_set(betas, float(r_m))
     except ba.BetaAlgebraError as exc:
         raise StageError("beta_algebra", str(exc)) from exc
-    # positive-branch reciprocal transform rescales the slope uncertainty
-    beta_se = float(slope_se) if slope < 0 else float(slope_se) / (slope * slope)
+    # positive-branch reciprocal transform rescales the slope uncertainty; a
+    # slope whose square underflows to 0 leaves it unbounded
+    if slope < 0:
+        beta_se = float(slope_se)
+    else:
+        slope_sq = slope * slope
+        beta_se = float(slope_se) / slope_sq if slope_sq else math.inf
 
     # market_curves stage
     try:
@@ -262,30 +306,11 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         if seed is None:
             raise StageError("uncertainty", "Monte Carlo intervals need a seed",
                              hint="pass seed=... or draws=0 to skip intervals")
-        try:
-            beta_draws = unc.sample_betas(beta_xq, beta_se, draws, seed)
-            interval_report = unc.derived_intervals(
-                beta_draws, beta_qm, float(r_m), mean_ln_flow, mean_ln_price,
-                level=level,
-            )
-        except unc.UncertaintyError as exc:
-            raise StageError("uncertainty", str(exc)) from exc
-        intervals = {
-            "level": interval_report.level,
-            "bounds": {k: list(v) for k, v in interval_report.bounds.items()},
-            "point": dict(interval_report.point),
-            "draws_used": interval_report.draws_used,
-            "n_discarded": interval_report.n_discarded,
-            "n_redrawn": beta_draws.n_redrawn,
-            "seed": interval_report.seed,
-        }
-        tail_draws = 0.5 * (1.0 - level) * interval_report.draws_used
-        if tail_draws < MIN_TAIL_DRAWS:
-            warnings.append(
-                f"sparse_tail: {tail_draws:.3g} of {interval_report.draws_used} draws lie "
-                f"beyond each endpoint of the {level:g} interval (< {MIN_TAIL_DRAWS}); "
-                f"increase draws"
-            )
+        intervals, tail_warnings = _uncertainty_stage(
+            beta_xq, beta_se, draws=draws, seed=seed, level=level, beta_qm=beta_qm,
+            r_m=float(r_m), mean_ln_flow=mean_ln_flow, mean_ln_price=mean_ln_price,
+        )
+        warnings.extend(tail_warnings)
 
     return EstimateReport(
         provenance=provenance,
@@ -341,7 +366,7 @@ def _descriptives_text(desc: Mapping) -> list[str]:
 
 def _regression_text(reg: Mapping) -> list[str]:
     second = reg["second_stage"]
-    pct = int(round(second["conf_level"] * 100))
+    pct = f"{100 * second['conf_level']:.10g}"
     labels = {"price_dev": "y^(e)", "control_fn": "Control fn", "constant": "Constant"}
     lines = ["Flow-on-price regression (control function)",
              f"{'x^(e)':<12}{'Coef.':>9}{'St.Err.':>9}{'t-value':>9}{'p-value':>9}"
@@ -370,7 +395,7 @@ def _regression_text(reg: Mapping) -> list[str]:
 
 
 def _intervals_text(iv: Mapping) -> list[str]:
-    pct = int(round(iv["level"] * 100))
+    pct = f"{100 * iv['level']:.10g}"
     names = list(unc.QUANTITY_NAMES)
     lines = [f"{pct}% confidence interval of estimates",
              f"{'Between':<10}" + "".join(f"{n:>14}" for n in names)]
@@ -381,6 +406,10 @@ def _intervals_text(iv: Mapping) -> list[str]:
             cells.append(f"{_pct(v):>14}" if n == "r_x" else f"{v:>14.3f}")
         lines.append(f"{which:<10}" + "".join(cells))
     return lines
+
+
+def _warnings_text(warnings) -> list[str]:
+    return [f"warning: {w}" for w in warnings]
 
 
 def _equilibrium_text(eq: Mapping) -> list[str]:
@@ -453,6 +482,5 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
     if report.intervals is not None:
         lines.append("")
         lines.extend(_intervals_text(report.intervals))
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
+    lines.extend(_warnings_text(report.warnings))
     return "\n".join(lines) + "\n"

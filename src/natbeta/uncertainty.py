@@ -11,7 +11,10 @@ statistics per endpoint.  Interval endpoints are never mapped: the price
 map is not monotone in beta, so endpoint mapping would be wrong.
 
 The market-referenced beta and the market rate are treated as fixed
-constants; only the resource-vs-firm beta is sampled.
+constants; only the resource-vs-firm beta is sampled.  Neither function
+silences NumPy's overflow warnings; ``derived_intervals`` raises on every
+non-finite bound instead.  ``natbeta.pipeline`` runs the two as one stage,
+for ``estimate`` and ``ci`` alike, with those warnings silenced.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ class IntervalReport:
     bounds: dict[str, tuple[float, float]]
     point: dict[str, float]
     draws_used: int
-    n_discarded: int
-    seed: int | None
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -162,27 +163,15 @@ def _sorted_quantile(table: np.ndarray, q: float) -> np.ndarray:
     return a + diff * t
 
 
-def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
-                      mean_ln_price: float, level: float = 0.90,
-                      seed: int | None = None,
-                      point_beta: float | None = None) -> IntervalReport:
+def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow: float,
+                      mean_ln_price: float, level: float = 0.90) -> IntervalReport:
     """Empirical ((1-level)/2, (1+level)/2) intervals of the derived quantities.
 
-    ``draws`` is a BetaDraws or a plain positive array.  Non-positive draws
-    in a plain array are discarded and counted.  The point column evaluates
-    the same maps at ``point_beta`` (defaulting to the sampling mean for
-    BetaDraws, the median draw otherwise).
+    ``draws`` comes from ``sample_betas``, so every beta is positive and all
+    of them are propagated.  The point column evaluates the same maps at the
+    sampling mean.  Raises when a bound, or the last sorted row of a column,
+    is not finite.
     """
-    if isinstance(draws, BetaDraws):
-        betas = draws.values
-        if seed is None:
-            seed = draws.seed
-        if point_beta is None:
-            point_beta = draws.mean
-    else:
-        betas = np.asarray(draws, dtype=np.float64)
-    if betas.ndim != 1 or betas.size == 0:
-        raise UncertaintyError("draws must be a non-empty 1-d sequence")
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
     if not 0.0 < level < 1.0:
@@ -190,19 +179,11 @@ def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
     if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price) and math.isfinite(r_m)):
         raise UncertaintyError("means and market rate must be finite")
 
-    valid = betas[betas > 0.0]
-    n_discarded = int(betas.size - valid.size)
-    if valid.size == 0:
-        raise UncertaintyError("no positive draws to propagate")
-    if point_beta is None:
-        point_beta = float(np.median(valid))
-
     lo_q = 0.5 * (1.0 - level)
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = kernels.propagate_beta_draws(valid, mean_ln_flow, mean_ln_price, beta_qm, r_m)
-        table.sort(axis=0)  # NaNs sort to the last row
-        lows = _sorted_quantile(table, lo_q)
-        highs = _sorted_quantile(table, 1.0 - lo_q)
+    table = kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price, beta_qm, r_m)
+    table.sort(axis=0)  # NaNs sort to the last row
+    lows = _sorted_quantile(table, lo_q)
+    highs = _sorted_quantile(table, 1.0 - lo_q)
     overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
                   if math.isnan(table[-1, j])
                   or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
@@ -213,9 +194,8 @@ def derived_intervals(draws, beta_qm: float, r_m: float, mean_ln_flow: float,
         for j, name in enumerate(QUANTITY_NAMES)
     }
     point_row = kernels.propagate_beta_draws(
-        np.array([float(point_beta)]), mean_ln_flow, mean_ln_price, beta_qm, r_m
+        np.array([draws.mean]), mean_ln_flow, mean_ln_price, beta_qm, r_m
     )[0]
     point = {name: float(point_row[j]) for j, name in enumerate(QUANTITY_NAMES)}
     return IntervalReport(level=float(level), bounds=bounds, point=point,
-                          draws_used=int(valid.size), n_discarded=n_discarded,
-                          seed=seed)
+                          draws_used=int(draws.values.size))

@@ -217,6 +217,61 @@ def test_curves_file_output(tmp_path, capsys):
     assert eq["elasticities"]["supply"] == pytest.approx(0.5)
 
 
+CI_PAPER = ["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "5.36",
+            "--r-m", "2.9%", "--mean-ln-flow", "2.113", "--mean-ln-price", "2.828"]
+
+
+@pytest.mark.parametrize("extra,codes", [
+    (["--seed", "17", "--draws", "20000"], []),
+    (["--seed", "1", "--level", "0.999", "--draws", "10"], ["sparse_tail"]),
+], ids=["20k-draws", "level-0.999-10-draws"])
+def test_ci_matches_estimate_intervals_and_warnings(capsys, extra, codes):
+    estimate = PAPER_STUB[:-4] + extra
+    code, est_text, err = run_cli(capsys, estimate)
+    assert code == 0, err
+    code, ci_text, err = run_cli(capsys, CI_PAPER + extra)
+    assert code == 0, err
+    # the interval block and the warning lines close the estimate report
+    block = ci_text.splitlines()
+    assert block[0].endswith("confidence interval of estimates")
+    assert est_text.splitlines()[-len(block):] == block
+
+    code, est_json, err = run_cli(capsys, estimate + ["--format", "json"])
+    assert code == 0, err
+    code, ci_json, err = run_cli(capsys, CI_PAPER + extra + ["--format", "json"])
+    assert code == 0, err
+    report = json.loads(est_json)
+    expected = {**report["intervals"], "warnings": report["warnings"]}
+    assert ci_json == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert [w.split(":")[0] for w in expected["warnings"]] == codes
+
+
+@pytest.mark.parametrize("argv", [
+    PAPER_STUB + ["--level", "0.999", "--draws", "10"],
+    CI_PAPER + ["--seed", "1", "--level", "0.999", "--draws", "10"],
+], ids=["estimate", "ci"])
+def test_interval_table_title_keeps_the_level_digits(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert "99.9% confidence interval of estimates" in out.splitlines()
+
+
+# Overflowing inputs: NumPy must not warn, whether the run ends in a report
+# or in an uncertainty error.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("se,exit_code", [("1e300", 0), ("1e308", 1)])
+def test_overflow_in_uncertainty_stage_does_not_warn(capsys, se, exit_code):
+    code, out, err = run_cli(capsys, [
+        "ci", "--beta-xq", "1e308", "--beta-xq-se", se, "--beta-qm", "1", "--r-m", "0.029",
+        "--mean-ln-flow", "2", "--mean-ln-price", "2", "--draws", "1000", "--seed", "1",
+    ])
+    assert code == exit_code
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: uncertainty: ")
+
+
 def test_ci_subcommand_text_and_json(capsys):
     base = [
         "ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018",

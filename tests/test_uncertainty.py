@@ -6,6 +6,7 @@ import pytest
 from natbeta import kernels
 from natbeta.uncertainty import (
     QUANTITY_NAMES,
+    BetaDraws,
     UncertaintyError,
     derived_intervals,
     sample_betas,
@@ -22,6 +23,13 @@ def normal_quantile(p):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def fixed_draws(values):
+    """BetaDraws holding the given positive betas, as sample_betas returns them."""
+    values = np.array(values, dtype=np.float64)
+    return BetaDraws(values=values, n_redrawn=0, seed=0, mean=float(values.mean()),
+                     se=float(values.std()))
 
 
 def test_zero_se_gives_constant_draws():
@@ -136,8 +144,8 @@ def test_sample_validation():
 
 def test_single_draw_degenerate_intervals(paper):
     report = derived_intervals(
-        np.array([0.919]), paper["beta_qm"], paper["r_m"],
-        paper["mean_ln_flow"], paper["mean_ln_price"], level=0.9, seed=0,
+        fixed_draws([0.919]), paper["beta_qm"], paper["r_m"],
+        paper["mean_ln_flow"], paper["mean_ln_price"], level=0.9,
     )
     assert report.draws_used == 1
     for name in QUANTITY_NAMES:
@@ -158,7 +166,7 @@ def test_paper_inputs_reproduce_interval_table(paper):
         lo, hi = report.bounds[name]
         assert lo == pytest.approx(lo_ref, abs=tol[name]), name
         assert hi == pytest.approx(hi_ref, abs=tol[name]), name
-    assert report.seed == 77
+    assert draws.seed == 77
     assert report.draws_used == 100_000
 
 
@@ -215,26 +223,12 @@ def test_non_monotone_price_map_needs_per_draw_evaluation(paper):
     assert empirical_hi <= peak + 1e-9
 
 
-def test_invalid_draws_are_discarded_and_counted(paper):
-    raw = np.array([0.9, -0.1, 1.1, 0.0, 0.95])
-    report = derived_intervals(
-        raw, paper["beta_qm"], paper["r_m"],
-        paper["mean_ln_flow"], paper["mean_ln_price"], level=0.5, seed=1,
-    )
-    assert report.draws_used == 3
-    assert report.n_discarded == 2
-
-
 def test_derived_intervals_validation(paper):
-    good = np.array([1.0, 1.1])
-    with pytest.raises(UncertaintyError):
-        derived_intervals(np.array([]), 1.0, 0.03, 0.0, 0.0)
+    good = fixed_draws([1.0, 1.1])
     with pytest.raises(UncertaintyError):
         derived_intervals(good, -1.0, 0.03, 0.0, 0.0)
     with pytest.raises(UncertaintyError):
         derived_intervals(good, 1.0, 0.03, 0.0, 0.0, level=1.5)
-    with pytest.raises(UncertaintyError):
-        derived_intervals(np.array([-1.0, -2.0]), 1.0, 0.03, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 100_000])
@@ -258,6 +252,7 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, n, level, r_m):
 
 def test_nan_column_bounds_are_not_finite():
     # inf * 0 puts one NaN in the r_x column; the sort moves it to the last row
-    betas = np.array([0.9] * 99 + [2.0])
-    with pytest.raises(UncertaintyError, match=r"^interval bounds of r_x are not finite$"):
-        derived_intervals(betas, 1e308, 0.0, 0.0, 0.0)
+    draws = fixed_draws([0.9] * 99 + [2.0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(UncertaintyError, match=r"^interval bounds of r_x are not finite$"):
+        derived_intervals(draws, 1e308, 0.0, 0.0, 0.0)
