@@ -282,7 +282,8 @@ def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
 
     The (n, 5) result is the transpose of a C-ordered (5, n) array, so each
     column is contiguous: every column is computed straight into its slot
-    with unit stride, and a column sort needs no gather.  Rows are computed
+    with unit stride, and selecting order statistics from a column needs
+    no gather.  Rows are computed
     in blocks of ``_PROPAGATE_BLOCK``, so the equilibrium's temporaries are
     block-sized and stay in cache instead of streaming n-long arrays through
     memory; the result is the same, element by element.

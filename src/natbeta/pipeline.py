@@ -253,8 +253,9 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     if stub:
         if slope_se is None:
             slope_se = 0.0
-        if slope_se < 0:
-            raise StageError("econometrics", f"slope se must be >= 0, got {slope_se}")
+        if not (math.isfinite(slope_se) and slope_se >= 0):
+            raise StageError("econometrics",
+                             f"slope se must be finite and >= 0, got {slope_se}")
     else:
         try:
             inst, offset, inst_desc = _select_instruments(panel, price_logs.deviations,

@@ -72,28 +72,39 @@ def _draw_shocks(config: ScenarioConfig, rng: np.random.Generator):
     return eps_s, eps_d
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_equilibria(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated (flow deviations, price deviations), re-centered to zero mean."""
+    """Simulated (flow deviations, price deviations), re-centered to zero mean.
+
+    Raises, without a NumPy warning, when a deviation is not finite: the
+    shock scales are so large that the draws or their equilibria overflow.
+    """
     try:
         rng = _rng(config)
         eps_s, eps_d = _draw_shocks(config, rng)
         x, y = kernels.equilibria_from_shocks(config.beta_xq, eps_s, eps_d)
     except CurveError as exc:
         raise SimulatorError(str(exc)) from exc
-    return x - x.mean(), y - y.mean()
+    x, y = x - x.mean(), y - y.mean()
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise SimulatorError("non-finite shocks or deviations: shock scales too large")
+    return x, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize_panel(config: ScenarioConfig) -> RawPanel:
     """Invert the preprocessing: exponentiate levels and emit a raw panel.
 
     value_t = price_t * flow_t, so re-running the pipeline recovers the
     simulated deviations exactly (the alignment cosine is absorbed by the
-    log centering).
+    log centering).  Raises, without a NumPy warning, when a level or an
+    instrument column is not finite.
     """
     x, y = simulate_equilibria(config)
     ln_flow = config.mean_ln_flow + x
     ln_price = config.mean_ln_price + y
-    if np.max(ln_flow) > 300.0 or np.max(ln_flow + ln_price) > 300.0:
+    # negated, so that a NaN level fails the check too
+    if not (np.max(ln_flow) <= 300.0 and np.max(ln_flow + ln_price) <= 300.0):
         raise SimulatorError("levels overflow: log means too extreme to exponentiate")
     flow = np.exp(ln_flow)
     price = np.exp(ln_price)
@@ -113,6 +124,11 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
         instruments[f"iv_lag{lag}"] = col
     for j in (1, 2):
         instruments[f"iv_sup{j}"] = eps_s + config.iv_noise_sd * rng.standard_normal(config.n)
+    overflowed = [name for name, col in {"value": value, **instruments}.items()
+                  if not np.all(np.isfinite(col))]
+    if overflowed:
+        raise SimulatorError(f"non-finite {', '.join(overflowed)}: "
+                             "level or noise scales too large")
 
     years = tuple(range(2000, 2000 + config.n))
     return RawPanel(years=years, value=value, flow=flow, instruments=instruments)

@@ -4,11 +4,11 @@ Betas are drawn from a normal distribution; non-positive draws are redrawn
 from per-index counter-based streams so the result is identical no matter
 how the work is split.  One Philox generator is re-keyed per rejected
 index, which gives the same streams as a fresh per-index Philox.  Derived
-quantities are evaluated per draw, each column of the draw table is sorted
-in place, and the interval endpoints are read from the sorted columns by
+quantities are evaluated per draw, and the interval endpoints follow
 NumPy's linear (Hyndman & Fan type-7) rule: two neighbouring order
-statistics per endpoint.  Interval endpoints are never mapped: the price
-map is not monotone in beta, so endpoint mapping would be wrong.
+statistics per endpoint, selected in place by partitioning each column of
+the draw table, never by sorting it.  Interval endpoints are never mapped:
+the price map is not monotone in beta, so endpoint mapping would be wrong.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.  Neither function
@@ -73,12 +73,16 @@ def _redraw_streams(seed: int, indices):
 
     A zero counter, an empty buffer and key (seed, index + 1) is exactly
     the state a fresh ``_stream`` starts in, so re-keying one Philox skips
-    the cost of building a generator per index.
+    the cost of building a generator per index.  The state is built from
+    plain Python ints and lists, which the state setter reads several
+    times faster than the NumPy arrays ``bitgen.state`` returns.
     """
-    bitgen = np.random.Philox(key=[seed & _MASK64, 0])
+    bitgen = np.random.Philox(key=0)  # every field is overwritten below
     gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter and buffer zero, buffer_pos 4
-    key = state["state"]["key"]
+    key = [seed & _MASK64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in indices:
         key[1] = (i + 1) & _MASK64
         bitgen.state = state
@@ -137,26 +141,32 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
                      mean=float(mean), se=float(se))
 
 
-def _sorted_quantile(table: np.ndarray, q: float) -> np.ndarray:
-    """Type-7 quantile ``q`` of each column of ``table``, sorted along axis 0.
+def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
+    """(below, above, weight) of NumPy's ``linear`` quantile ``q`` of ``n`` values.
 
-    Repeats the arithmetic of NumPy's ``linear`` method step for step (the
-    virtual index ``(n-1)*q``, its floor and the next row, and the two-sided
-    lerp), so the result equals NumPy's quantile along axis 0 bit for
-    bit on NaN-free columns that do not mix 0.0 and -0.0 (a sort and a
-    partition may order those two differently; no derived column mixes them).
+    The virtual index is ``(n-1)*q``; ``below`` is its floor, ``above`` the
+    next order statistic and the weight their distance.  Where the virtual
+    index reaches the last row, NumPy pins both neighbours to row -1, so
+    the weight is ``virtual - (-1)``.
     """
-    n = table.shape[0]
     virtual = (n - 1) * q
     if virtual >= n - 1:
-        # NumPy pins both neighbours to row -1, so its weight is virtual - (-1)
-        below = above = n - 1
-        t = virtual + 1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
-        t = virtual - below
-    a, b = table[below], table[above]
+        return n - 1, n - 1, virtual + 1
+    below = math.floor(virtual)
+    return below, below + 1, virtual - below
+
+
+def _lerp_rows(cols: np.ndarray, below: int, above: int, t: float) -> np.ndarray:
+    """Type-7 quantile of each row of ``cols`` from its ``_type7_rows``.
+
+    Every row must be partitioned at ``below``; the next order statistic is
+    then the smallest value after it.  The two-sided lerp repeats NumPy's
+    step for step, so the result equals ``np.quantile`` bit for bit on
+    NaN-free rows that do not mix 0.0 and -0.0 (two selections may return
+    either of those two; no derived column mixes them).
+    """
+    a = cols[:, below]
+    b = cols[:, below + 1:].min(axis=1) if above > below else a
     diff = b - a
     if t >= 0.5:
         return b - diff * (1 - t)
@@ -169,8 +179,8 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
 
     ``draws`` comes from ``sample_betas``, so every beta is positive and all
     of them are propagated.  The point column evaluates the same maps at the
-    sampling mean.  Raises when a bound, or the last sorted row of a column,
-    is not finite.
+    sampling mean.  Raises when a bound is not finite or a column holds a
+    NaN.
     """
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
@@ -181,12 +191,19 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
 
     lo_q = 0.5 * (1.0 - level)
     table = kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price, beta_qm, r_m)
-    table.sort(axis=0)  # NaNs sort to the last row
-    lows = _sorted_quantile(table, lo_q)
-    highs = _sorted_quantile(table, 1.0 - lo_q)
+    cols = table.T  # (5, n), C-contiguous: one row per quantity
+    lo = _type7_rows(cols.shape[1], lo_q)
+    hi = _type7_rows(cols.shape[1], 1.0 - lo_q)
+    # Two single-kth partitions put both `below` order statistics in place
+    # (lo's `below` never exceeds hi's); NaNs order last.
+    cols.partition(lo[0], axis=1)
+    if hi[0] > lo[0]:
+        cols[:, lo[0] + 1:].partition(hi[0] - lo[0] - 1, axis=1)
+    lows = _lerp_rows(cols, *lo)
+    highs = _lerp_rows(cols, *hi)
+    has_nan = np.isnan(cols.max(axis=1))
     overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
-                  if math.isnan(table[-1, j])
-                  or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
+                  if has_nan[j] or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
     if overflowed:
         raise UncertaintyError(f"interval bounds of {', '.join(overflowed)} are not finite")
     bounds = {

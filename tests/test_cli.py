@@ -135,11 +135,16 @@ BAD_PANEL = "<non-positive panel>"
      "market_curves"),
     (["curves", "--beta-xq", "0.5", "--mean-ln-price", "-800"], "market_curves"),
     (PAPER_STUB + ["--mean-ln-price", "-800"], "market_curves"),
+    (PAPER_STUB + ["--slope-se=nan", "--draws=0"], "econometrics"),
+    (PAPER_STUB + ["--slope-se=inf", "--draws=0"], "econometrics"),
+    (["simulate", "--beta-xq=1", "--sigma-s=1e308", "--seed=1", "--out=-"], "simulator"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
         "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
         "ci-beta-xm-overflow", "describe-non-positive-json", "describe-non-positive-text",
-        "equilibrium-underflow", "curves-underflow", "estimate-underflow"])
+        "equilibrium-underflow", "curves-underflow", "estimate-underflow",
+        "estimate-slope-se-nan-no-draws", "estimate-slope-se-inf-no-draws",
+        "simulate-shock-overflow"])
 def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
     bad_panel = tmp_path / "bad.csv"
     bad_panel.write_text("year,value,flow\n2001,2.5,-1.0\n2002,8.0,2.0\n2003,9.0,2.5\n"
@@ -148,7 +153,7 @@ def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stag
     code, out, err = run_cli(capsys, argv)
     assert code != 0
     assert err.startswith(f"error: {stage}: ")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_estimate_missing_file(capsys):

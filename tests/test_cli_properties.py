@@ -1,8 +1,10 @@
-"""Property test of the CLI boundary for ``ci`` and the ``estimate`` stub.
+"""Property test of the CLI boundary for ``ci``, the ``estimate`` stub and
+``equilibrium``.
 
-Every run either prints a report whose interval bounds and point values are
-finite floats, or exits nonzero with ``error: <stage>: `` and nothing else
-on stderr: no traceback and no warning.
+Every run either prints a report whose numbers are finite floats (interval
+bounds and point values; for ``estimate`` also the slope, its SE and every
+beta, return and equilibrium field), or exits nonzero with
+``error: <stage>: `` and nothing else on stderr: no traceback and no warning.
 """
 
 import contextlib
@@ -40,16 +42,30 @@ def run(argv):
     return code, out.getvalue(), err.getvalue() + shown
 
 
-def check(argv, intervals_of):
+def leaves(node):
+    """Every leaf value of a JSON object, depth first."""
+    if isinstance(node, dict):
+        return [leaf for child in node.values() for leaf in leaves(child)]
+    return [node]
+
+
+def interval_values(intervals):
+    if intervals is None:
+        return []
+    return [v for pair in intervals["bounds"].values() for v in pair] + leaves(intervals["point"])
+
+
+def report_values(doc):
+    return ([doc["slope"], doc["slope_se"]] + leaves(doc["betas"]) + leaves(doc["returns"])
+            + leaves(doc["equilibrium"]) + interval_values(doc["intervals"]))
+
+
+def check(argv, values_of):
     code, out, err = run(argv)
     if code == 0:
         assert err == ""
-        intervals = intervals_of(json.loads(out, parse_constant=reject_constant))
-        if intervals is None:
-            return
-        values = [v for pair in intervals["bounds"].values() for v in pair]
-        values += list(intervals["point"].values())
-        assert all(isinstance(v, float) and math.isfinite(v) for v in values), intervals
+        values = values_of(json.loads(out, parse_constant=reject_constant))
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values), values
     else:
         assert any(err.startswith(f"error: {stage}: ") for stage in STAGES), err
         assert "Traceback" not in err and "Warning" not in err, err
@@ -67,7 +83,7 @@ def flags(**values):
 @example(beta_xq=1e308, beta_xq_se=1e300, beta_qm=1.0, r_m=0.029, mean_ln_flow=2.0,
          mean_ln_price=2.0, level=0.9, draws=1000, seed=1)
 def test_ci_reports_finite_intervals_or_a_stage_error(**values):
-    check(["ci", "--format", "json"] + flags(**values), lambda doc: doc)
+    check(["ci", "--format", "json"] + flags(**values), interval_values)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -78,5 +94,14 @@ def test_ci_reports_finite_intervals_or_a_stage_error(**values):
          mean_ln_price=1.0, level=0.9, draws=0, seed=1)
 @example(slope=1e-200, slope_se=0.1, beta_qm=1.0, r_m=0.03, mean_ln_flow=1.0,
          mean_ln_price=1.0, level=0.9, draws=10, seed=1)
+# without draws nothing but the report's own slope_se field sees a NaN se
+@example(slope=-0.919, slope_se=math.nan, beta_qm=5.0, r_m=0.03, mean_ln_flow=1.0,
+         mean_ln_price=1.0, level=0.9, draws=0, seed=1)
 def test_estimate_stub_reports_finite_intervals_or_a_stage_error(**values):
-    check(["estimate", "--format", "json"] + flags(**values), lambda doc: doc["intervals"])
+    check(["estimate", "--format", "json"] + flags(**values), report_values)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(beta_xq=numbers, mean_ln_flow=numbers, mean_ln_price=numbers)
+def test_equilibrium_reports_finite_fields_or_a_stage_error(**values):
+    check(["equilibrium", "--format", "json"] + flags(**values), leaves)

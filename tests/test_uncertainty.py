@@ -93,6 +93,7 @@ def reference_sample_betas(mean, se, draws, seed):
     (0.1, 0.1, 20_000, 7),
     (0.5, 0.25, 50_000, 4),
     (0.043, 0.1, 10_000, 11),  # 4987 redraws of a 5000 budget
+    (0.1, 0.1, 20_000, 2**64 - 1),  # key word >= 2**63 in the re-keyed state
 ])
 def test_redraws_match_per_index_philox(mean, se, draws, seed):
     got = sample_betas(mean, se, draws, seed)
@@ -232,7 +233,8 @@ def test_derived_intervals_validation(paper):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 100_000])
-@pytest.mark.parametrize("level", [0.5, 0.9, 0.99, 0.999999])
+# both endpoints share their two rows at n = 2 (every level) and at n = 1000, level 0.0001
+@pytest.mark.parametrize("level", [0.0001, 0.5, 0.9, 0.99, 0.999999])
 # a negative rate makes r_x descending; -0.0 makes every r_x a negative zero
 @pytest.mark.parametrize("r_m", [0.029, 0.0, -0.03, -0.0])
 def test_sorted_column_bounds_equal_numpy_quantile(paper, n, level, r_m):
@@ -251,7 +253,7 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, n, level, r_m):
 
 
 def test_nan_column_bounds_are_not_finite():
-    # inf * 0 puts one NaN in the r_x column; the sort moves it to the last row
+    # inf * 0 puts one NaN in the r_x column
     draws = fixed_draws([0.9] * 99 + [2.0])
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(UncertaintyError, match=r"^interval bounds of r_x are not finite$"):
