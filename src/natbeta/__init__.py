@@ -36,26 +36,16 @@ from .econometrics import (
 )
 from .market_curves import (
     CurveError,
-    CurveSpec,
     EquilibriumPoint,
     ShockModel,
     curve_samples,
-    demand_curve,
     elasticities,
     equilibrium_deviation,
     equilibrium_levels,
     shocked_equilibrium,
-    supply_curve,
     zero_sum_integral,
 )
-from .panel_io import (
-    PanelFormatError,
-    RawPanel,
-    ValidationReport,
-    parse_panel,
-    serialize_panel,
-    validate_positive,
-)
+from .panel_io import PanelFormatError, RawPanel, parse_panel, serialize_panel
 from .pipeline import EstimateReport, StageError, render_report, run_estimate
 from .preprocess import (
     CenteredLogSeries,
@@ -81,11 +71,10 @@ __all__ = [
     "ControlFunctionFit", "FitResult", "NormalityResult", "RegressionError",
     "ResetResult", "control_function_fit", "jarque_bera", "lagged_instruments",
     "ols", "reset_test", "t_confidence_interval",
-    "CurveError", "CurveSpec", "EquilibriumPoint", "ShockModel",
-    "curve_samples", "demand_curve", "elasticities", "equilibrium_deviation",
-    "equilibrium_levels", "shocked_equilibrium", "supply_curve", "zero_sum_integral",
-    "PanelFormatError", "RawPanel", "ValidationReport", "parse_panel",
-    "serialize_panel", "validate_positive",
+    "CurveError", "EquilibriumPoint", "ShockModel", "curve_samples",
+    "elasticities", "equilibrium_deviation", "equilibrium_levels",
+    "shocked_equilibrium", "zero_sum_integral",
+    "PanelFormatError", "RawPanel", "parse_panel", "serialize_panel",
     "EstimateReport", "StageError", "render_report", "run_estimate",
     "CenteredLogSeries", "PreprocessError", "PriceSeries", "center_log",
     "describe_log_series", "unit_price_series",

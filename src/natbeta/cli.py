@@ -8,18 +8,15 @@ displays rates in percent.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
 from . import __version__
-from . import econometrics as em
 from . import market_curves as mc
-from . import preprocess as pp
 from .panel_io import PanelFormatError, parse_panel, serialize_panel
 from .pipeline import (StageError, _descriptives_text, _equilibrium_text, _intervals_text,
-                       _require_positive, _uncertainty_stage, _warnings_text, render_report,
-                       run_estimate)
+                       _json_text, _market_stage, _preprocess_stage, _uncertainty_stage,
+                       _warnings_text, render_report, run_estimate)
 from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
 
 
@@ -43,8 +40,15 @@ def _load_panel(path: str):
         raise StageError("panel_io", str(exc)) from exc
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(path: str, text: str) -> None:
+    try:
+        if path == "-":
+            sys.stdout.write(text)
+            return
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StageError("panel_io", f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_estimate(args) -> int:
@@ -68,61 +72,44 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    panel = _load_panel(args.input)
-    _require_positive(panel)
-    try:
-        prices = pp.unit_price_series(panel.value, panel.flow)
-        rows = {
-            "ln_flow": pp.describe_log_series(panel.flow),
-            "ln_price": pp.describe_log_series(prices.values),
-        }
-    except pp.PreprocessError as exc:
-        raise StageError("preprocess", str(exc)) from exc
+    descriptives, _, _ = _preprocess_stage(_load_panel(args.input))
+    rows = {name: descriptives[name] for name in ("ln_flow", "ln_price")}
     if args.format == "json":
-        sys.stdout.write(_json_dumps(rows))
+        sys.stdout.write(_json_text(rows))
         return 0
     sys.stdout.write("\n".join(_descriptives_text(rows)) + "\n")
     return 0
 
 
-def _equilibrium_payload(beta_xq: float, mean_ln_flow: float, mean_ln_price: float) -> dict:
-    point = mc.equilibrium_levels(beta_xq, mean_ln_flow, mean_ln_price)
-    supply_el, demand_el = mc.elasticities(beta_xq)
-    return {"beta_xq": beta_xq, **asdict(point),
-            "elasticities": {"supply": supply_el, "demand": demand_el}}
+def _market_payload(args, curves=None):
+    """The equilibrium JSON block of ``equilibrium`` and ``curves``, and the
+    sampled curves when ``curves`` gives an x range and a count."""
+    point, elasticities, samples = _market_stage(args.beta_xq, args.mean_ln_flow,
+                                                 args.mean_ln_price, curves)
+    return {"beta_xq": args.beta_xq, **asdict(point), "elasticities": elasticities}, samples
 
 
 def _cmd_equilibrium(args) -> int:
-    try:
-        payload = _equilibrium_payload(args.beta_xq, args.mean_ln_flow, args.mean_ln_price)
-    except mc.CurveError as exc:
-        raise StageError("market_curves", str(exc)) from exc
+    payload, _ = _market_payload(args)
     if args.format == "json":
-        sys.stdout.write(_json_dumps(payload))
+        sys.stdout.write(_json_text(payload))
         return 0
     sys.stdout.write("\n".join(_equilibrium_text(payload)) + "\n")
     return 0
 
 
 def _cmd_curves(args) -> int:
-    try:
-        supply = mc.curve_samples(mc.supply_curve(args.beta_xq), (args.x_min, args.x_max), args.count)
-        demand = mc.curve_samples(mc.demand_curve(args.beta_xq), (args.x_min, args.x_max), args.count)
-        payload = _equilibrium_payload(args.beta_xq, args.mean_ln_flow, args.mean_ln_price)
-    except mc.CurveError as exc:
-        raise StageError("market_curves", str(exc)) from exc
+    payload, samples = _market_payload(args, ((args.x_min, args.x_max), args.count))
     lines = ["curve,x,y"]
-    for name, table in (("supply", supply), ("demand", demand)):
-        for x, y in table:
-            lines.append(f"{name},{x:.17g},{y:.17g}")
+    for name, column in (("supply", 1), ("demand", 2)):
+        lines.extend(f"{name},{x:.17g},{y:.17g}" for x, y in samples[:, [0, column]])
     csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        sys.stdout.write(_json_dumps(payload))
+    if args.out and args.out != "-":
+        _write_text(args.out, csv_text)
+        sys.stdout.write(_json_text(payload))
         return 0
     # CSV table, blank line, then the equilibrium JSON block
-    sys.stdout.write(csv_text + "\n" + _json_dumps(payload))
+    sys.stdout.write(csv_text + "\n" + _json_text(payload))
     return 0
 
 
@@ -133,7 +120,7 @@ def _cmd_ci(args) -> int:
         mean_ln_price=args.mean_ln_price,
     )
     if args.format == "json":
-        sys.stdout.write(_json_dumps({**intervals, "warnings": warnings}))
+        sys.stdout.write(_json_text({**intervals, "warnings": warnings}))
         return 0
     lines = _intervals_text(intervals) + _warnings_text(warnings)
     sys.stdout.write("\n".join(lines) + "\n")
@@ -155,16 +142,9 @@ def _cmd_simulate(args) -> int:
         panel = synthesize_panel(config)
     except (SimulatorError, mc.CurveError) as exc:
         raise StageError("simulator", str(exc)) from exc
-    text = serialize_panel(panel)
-    truth = _json_dumps(ground_truth(config))
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        truth_path = args.truth_out or (args.out + ".truth.json")
-        with open(truth_path, "w", encoding="utf-8") as fh:
-            fh.write(truth)
+    _write_text(args.out, serialize_panel(panel))
+    if args.out != "-":
+        _write_text(args.truth_out or (args.out + ".truth.json"), _json_text(ground_truth(config)))
     return 0
 
 
@@ -219,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     cur.add_argument("--count", type=int, default=101)
     cur.add_argument("--mean-ln-flow", type=float, default=0.0, dest="mean_ln_flow")
     cur.add_argument("--mean-ln-price", type=float, default=0.0, dest="mean_ln_price")
-    cur.add_argument("--out", help="write the CSV here and the JSON block to stdout")
+    cur.add_argument("--out", help="write the CSV here ('-' for stdout, as without --out) "
+                                   "and the JSON block to stdout")
     cur.set_defaults(func=_cmd_curves)
 
     ci = sub.add_parser("ci", help="Monte Carlo confidence intervals")
@@ -268,8 +249,7 @@ def main(argv=None) -> int:
         if exc.hint:
             sys.stderr.write(f"hint: {exc.hint}\n")
         return 1
-    except (em.RegressionError, mc.CurveError, SimulatorError, PanelFormatError,
-            ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

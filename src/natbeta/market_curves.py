@@ -8,7 +8,8 @@ unit price.  The analytic equilibrium is
 
 so beta = 1 puts the equilibrium exactly at the stored means.  Level prices
 and quantities are recovered by shifting the deviations with those means;
-curves are never re-fit in level space.
+curves are never re-fit in level space.  ``curve_samples`` tabulates both
+curves over one x grid for plotting.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from . import kernels
 
 __all__ = [
     "CurveError",
-    "CurveSpec",
-    "supply_curve",
-    "demand_curve",
     "EquilibriumPoint",
     "ShockModel",
     "equilibrium_deviation",
@@ -37,6 +35,9 @@ __all__ = [
 ]
 
 
+MAX_CURVE_SAMPLES = 10**6  # largest count curve_samples tabulates
+
+
 class CurveError(ValueError):
     """Raised for invalid betas, ranges or shock configurations."""
 
@@ -46,37 +47,6 @@ def _check_beta(beta_xq: float) -> float:
     if not math.isfinite(beta_xq) or beta_xq <= 0.0:
         raise CurveError(f"beta must be a positive finite number, got {beta_xq}")
     return beta_xq
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """One curve, evaluated in deviation space."""
-
-    kind: str  # "supply" | "demand"
-    beta_xq: float
-
-    def __post_init__(self):
-        if self.kind not in ("supply", "demand"):
-            raise CurveError(f"kind must be 'supply' or 'demand', got {self.kind!r}")
-        _check_beta(self.beta_xq)
-
-    def y_of_x(self, x):
-        if self.kind == "supply":
-            return self.beta_xq * np.asarray(x, dtype=np.float64) + math.log(self.beta_xq)
-        return -np.asarray(x, dtype=np.float64) / self.beta_xq
-
-    def x_of_y(self, y):
-        if self.kind == "supply":
-            return (np.asarray(y, dtype=np.float64) - math.log(self.beta_xq)) / self.beta_xq
-        return -self.beta_xq * np.asarray(y, dtype=np.float64)
-
-
-def supply_curve(beta_xq: float) -> CurveSpec:
-    return CurveSpec(kind="supply", beta_xq=float(beta_xq))
-
-
-def demand_curve(beta_xq: float) -> CurveSpec:
-    return CurveSpec(kind="demand", beta_xq=float(beta_xq))
 
 
 @dataclass(frozen=True)
@@ -140,18 +110,34 @@ def equilibrium_levels(beta_xq: float, mean_ln_flow: float, mean_ln_price: float
 def elasticities(beta_xq: float) -> tuple[float, float]:
     """(supply elasticity, demand elasticity) = (1/beta, beta), as magnitudes."""
     b = _check_beta(beta_xq)
-    return (1.0 / b, b)
+    supply = 1.0 / b
+    if math.isinf(supply):
+        raise CurveError(f"supply elasticity 1/beta overflows at beta {b}")
+    return (supply, b)
 
 
-def curve_samples(curve: CurveSpec, x_range: tuple[float, float], count: int) -> np.ndarray:
-    """Evenly spaced (x, y) pairs along a curve; shape (count, 2)."""
+@np.errstate(over="ignore", invalid="ignore")
+def curve_samples(beta_xq: float, x_range: tuple[float, float], count: int) -> np.ndarray:
+    """Evenly spaced x with the supply and the demand y at each x.
+
+    Rows are (x, supply y, demand y); shape (count, 3).  Raises, without a
+    NumPy warning, when a sample is not finite: the range or the beta is so
+    large that the grid or a curve overflows.
+    """
+    b = _check_beta(beta_xq)
     lo, hi = float(x_range[0]), float(x_range[1])
     if count < 2:
         raise CurveError("count must be >= 2")
+    if count > MAX_CURVE_SAMPLES:
+        raise CurveError(f"count must be <= {MAX_CURVE_SAMPLES}, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise CurveError(f"invalid x range ({lo}, {hi})")
     x = np.linspace(lo, hi, count)
-    return np.column_stack([x, curve.y_of_x(x)])
+    table = np.column_stack([x, b * x + math.log(b), -x / b])
+    if not np.all(np.isfinite(table)):
+        raise CurveError(f"curve samples are not finite over x range ({lo}, {hi}) "
+                         f"at beta {b}")
+    return table
 
 
 def zero_sum_integral(upper: float, tolerance: float = 1e-8) -> float:

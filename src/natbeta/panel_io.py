@@ -19,11 +19,8 @@ import numpy as np
 __all__ = [
     "PanelFormatError",
     "RawPanel",
-    "ValidationIssue",
-    "ValidationReport",
     "parse_panel",
     "serialize_panel",
-    "validate_positive",
 ]
 
 REQUIRED_COLUMNS = ("year", "value", "flow")
@@ -83,22 +80,6 @@ class RawPanel:
             and list(self.instruments) == list(other.instruments)
             and all(np.array_equal(v, other.instruments[k]) for k, v in self.instruments.items())
         )
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    row: int  # 1-based data row
-    column: str
-    value: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
 
 
 def _parse_year(cell: str, line_no: int) -> int:
@@ -185,12 +166,3 @@ def serialize_panel(panel: RawPanel) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def validate_positive(panel: RawPanel) -> ValidationReport:
-    """Locate every non-positive value/flow entry (log transform requires > 0)."""
-    issues = []
-    for column, series in (("value", panel.value), ("flow", panel.flow)):
-        for i in np.flatnonzero(series <= 0.0):
-            issues.append(ValidationIssue(row=int(i) + 1, column=column, value=float(series[i])))
-    issues.sort(key=lambda it: (it.row, it.column))
-    return ValidationReport(issues=tuple(issues))

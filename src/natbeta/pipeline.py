@@ -3,6 +3,11 @@
 Stages run in a fixed order (panel_io, preprocess, econometrics,
 beta_algebra, market_curves, uncertainty); failures are wrapped in a
 StageError naming the failing stage and, where possible, a remedy hint.
+The preprocess, market_curves and uncertainty stages are functions of
+their own (``_preprocess_stage``, ``_market_stage``, ``_uncertainty_stage``)
+that ``run_estimate`` and the ``describe``, ``equilibrium``, ``curves`` and
+``ci`` subcommands share, so each command checks its inputs and reports
+its failures the same way.
 
 A regression stub (``slope``/``slope_se``) can replace the econometrics
 stage to reproduce published downstream figures when the generating panel
@@ -26,7 +31,7 @@ from . import econometrics as em
 from . import market_curves as mc
 from . import preprocess as pp
 from . import uncertainty as unc
-from .panel_io import RawPanel, validate_positive
+from .panel_io import RawPanel
 
 __all__ = ["StageError", "EstimateReport", "run_estimate", "render_report"]
 
@@ -121,16 +126,52 @@ def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
     return {n: panel.instruments[n] for n in names}, 0, "panel columns " + ",".join(names)
 
 
-def _require_positive(panel: RawPanel) -> None:
-    """Raise the preprocess StageError naming the first non-positive panel value."""
-    report = validate_positive(panel)
-    if not report.ok:
-        first = report.issues[0]
+def _preprocess_stage(panel: RawPanel) -> tuple[dict, pp.CenteredLogSeries,
+                                                 pp.CenteredLogSeries]:
+    """The report's ``descriptives`` block and the centered log flow and
+    price series of a panel; ``run_estimate`` and ``describe`` share it.
+
+    The first non-positive entry (lowest row, ``flow`` before ``value``)
+    is reported by row and column; values are never shifted.
+    """
+    bad_rows = np.flatnonzero((panel.flow <= 0.0) | (panel.value <= 0.0))
+    if bad_rows.size:
+        i = int(bad_rows[0])
+        column = "flow" if panel.flow[i] <= 0.0 else "value"
         raise StageError(
             "preprocess",
-            f"non-positive value at row {first.row}, column {first.column} ({first.value})",
+            f"non-positive value at row {i + 1}, column {column} "
+            f"({float(getattr(panel, column)[i])})",
             hint="drop or correct non-positive rows; values are never shifted",
         )
+    try:
+        prices = pp.unit_price_series(panel.value, panel.flow)
+        flow_logs = pp.center_log(panel.flow)
+        price_logs = pp.center_log(prices.values)
+    except pp.PreprocessError as exc:
+        raise StageError("preprocess", str(exc)) from exc
+    descriptives = {
+        "ln_flow": pp.describe_log_series(panel.flow),
+        "ln_price": pp.describe_log_series(prices.values),
+        "alignment_cosine": prices.cosine,
+    }
+    return descriptives, flow_logs, price_logs
+
+
+def _market_stage(beta_xq: float, mean_ln_flow: float, mean_ln_price: float,
+                  curves: tuple[tuple[float, float], int] | None = None
+                  ) -> tuple[mc.EquilibriumPoint, dict, np.ndarray | None]:
+    """The equilibrium point, the elasticities and, when ``curves`` gives an
+    x range and a count, the sampled curves (else None); ``run_estimate``,
+    ``equilibrium`` and ``curves`` share it.
+    """
+    try:
+        samples = None if curves is None else mc.curve_samples(beta_xq, *curves)
+        point = mc.equilibrium_levels(beta_xq, mean_ln_flow, mean_ln_price)
+        supply_el, demand_el = mc.elasticities(beta_xq)
+    except mc.CurveError as exc:
+        raise StageError("market_curves", str(exc)) from exc
+    return point, {"supply": supply_el, "demand": demand_el}, samples
 
 
 def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
@@ -221,24 +262,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # preprocess stage
     descriptives = None
-    observed_flow_range = observed_price_range = None
     if panel is not None:
-        _require_positive(panel)
-        try:
-            prices = pp.unit_price_series(panel.value, panel.flow)
-            flow_logs = pp.center_log(panel.flow)
-            price_logs = pp.center_log(prices.values)
-        except pp.PreprocessError as exc:
-            raise StageError("preprocess", str(exc)) from exc
-        descriptives = {
-            "ln_flow": pp.describe_log_series(panel.flow),
-            "ln_price": pp.describe_log_series(prices.values),
-            "alignment_cosine": prices.cosine,
-        }
-        ln_flow_all = np.log(panel.flow)
-        ln_price_all = np.log(prices.values)
-        observed_flow_range = (float(ln_flow_all.min()), float(ln_flow_all.max()))
-        observed_price_range = (float(ln_price_all.min()), float(ln_price_all.max()))
+        descriptives, flow_logs, price_logs = _preprocess_stage(panel)
         if mean_ln_flow is None:
             mean_ln_flow = flow_logs.mean
         if mean_ln_price is None:
@@ -290,16 +315,12 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         beta_se = float(slope_se) / slope_sq if slope_sq else math.inf
 
     # market_curves stage
-    try:
-        point = mc.equilibrium_levels(beta_xq, mean_ln_flow, mean_ln_price)
-        supply_el, demand_el = mc.elasticities(beta_xq)
-    except mc.CurveError as exc:
-        raise StageError("market_curves", str(exc)) from exc
+    point, elasticities, _ = _market_stage(beta_xq, mean_ln_flow, mean_ln_price)
     warnings: list[str] = []
-    if observed_flow_range is not None:
-        warnings.extend(
-            mc.observed_range_warnings(point, observed_flow_range, observed_price_range)
-        )
+    if descriptives is not None:
+        flow, price = descriptives["ln_flow"], descriptives["ln_price"]
+        warnings.extend(mc.observed_range_warnings(
+            point, (flow["min"], flow["max"]), (price["min"], price["max"])))
 
     # uncertainty stage
     intervals = None
@@ -327,7 +348,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         },
         returns={"r_m": returns.r_m, "r_q": returns.r_q, "r_x": returns.r_x},
         equilibrium=asdict(point),
-        elasticities={"supply": supply_el, "demand": demand_el},
+        elasticities=elasticities,
         intervals=intervals,
         warnings=tuple(warnings),
     )
@@ -336,6 +357,11 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
+
+
+def _json_text(obj) -> str:
+    """The one JSON layout of every report, table and sidecar natbeta writes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _pct(x: float) -> str:
@@ -443,7 +469,7 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
     """Render an EstimateReport as 'json', 'text' or 'csv'."""
     data = report.to_jsonable()
     if format == "json":
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return _json_text(data)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -9,6 +9,7 @@ value and the flow units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,13 @@ class CenteredLogSeries:
         return np.exp(self.mean + self.deviations)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def unit_price_series(value, flow) -> PriceSeries:
     """Build the per-unit price series from aligned value and flow series.
 
     values_t = [v.q / (|v| |q|)] * v_t / q_t.  Flow entries must be nonzero
-    and both series must have positive norm.
+    and both series must have positive norm.  Raises, without a NumPy
+    warning, when a norm, the dot product or a price overflows.
     """
     v = np.asarray(value, dtype=np.float64)
     q = np.asarray(flow, dtype=np.float64)
@@ -63,8 +66,15 @@ def unit_price_series(value, flow) -> PriceSeries:
     zero_flows = np.flatnonzero(q == 0.0)
     if zero_flows.size:
         raise PreprocessError(f"zero flow entry at data row {int(zero_flows[0]) + 1}")
-    cosine = float(np.dot(v, q) / (nv * nq))
-    return PriceSeries(values=cosine * v / q, cosine=cosine)
+    dot = np.dot(v, q)
+    if not (math.isfinite(nv) and math.isfinite(nq) and math.isfinite(dot)):
+        raise PreprocessError("norm or dot product of value and flow overflows")
+    cosine = float(dot / (nv * nq))
+    values = cosine * v / q
+    overflowed = np.flatnonzero(~np.isfinite(values))
+    if overflowed.size:
+        raise PreprocessError(f"price overflows at data row {int(overflowed[0]) + 1}")
+    return PriceSeries(values=values, cosine=cosine)
 
 
 def center_log(series) -> CenteredLogSeries:
@@ -73,7 +83,8 @@ def center_log(series) -> CenteredLogSeries:
     bad = np.flatnonzero(s <= 0.0)
     if bad.size:
         i = int(bad[0])
-        raise PreprocessError(f"non-positive entry {s[i]!r} at data row {i + 1}; log undefined")
+        raise PreprocessError(f"non-positive entry {float(s[i])!r} at data row {i + 1}; "
+                              "log undefined")
     logs = np.log(s)
     mean = float(logs.mean())
     return CenteredLogSeries(deviations=logs - mean, mean=mean)

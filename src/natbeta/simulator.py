@@ -31,7 +31,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class SimulatorError(ValueError):
-    """Raised for invalid scenario configurations or overflowing levels."""
+    """Raised for invalid scenario configurations or levels that overflow or underflow."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
     value_t = price_t * flow_t, so re-running the pipeline recovers the
     simulated deviations exactly (the alignment cosine is absorbed by the
     log centering).  Raises, without a NumPy warning, when a level or an
-    instrument column is not finite.
+    instrument column is not finite, or when a level underflows to 0.
     """
     x, y = simulate_equilibria(config)
     ln_flow = config.mean_ln_flow + x
@@ -109,6 +109,8 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
     flow = np.exp(ln_flow)
     price = np.exp(ln_price)
     value = price * flow
+    if not (np.all(flow > 0.0) and np.all(value > 0.0)):
+        raise SimulatorError("levels underflow to 0: log means too extreme to exponentiate")
 
     # instruments: lags of the price deviations (noise-padded head) and
     # noisy supply shifters; a separate stream keeps them independent of

@@ -111,8 +111,11 @@ def test_estimate_stage_error_exit_code(tmp_path, capsys):
     assert "non-positive value at row 2" in err
 
 
-# Stands for a panel file whose flow in row 1 is -1.0.
+# Stand for panel files, one whose flow in row 1 is -1.0 and one whose
+# value and flow norms overflow, and for a path in a missing directory.
 BAD_PANEL = "<non-positive panel>"
+OVERFLOW_PANEL = "<overflowing panel>"
+UNWRITABLE = "<unwritable path>"
 
 
 @pytest.mark.parametrize("argv,stage", [
@@ -138,18 +141,36 @@ BAD_PANEL = "<non-positive panel>"
     (PAPER_STUB + ["--slope-se=nan", "--draws=0"], "econometrics"),
     (PAPER_STUB + ["--slope-se=inf", "--draws=0"], "econometrics"),
     (["simulate", "--beta-xq=1", "--sigma-s=1e308", "--seed=1", "--out=-"], "simulator"),
+    (["describe", "--input", OVERFLOW_PANEL, "--format", "json"], "preprocess"),
+    (["estimate", "--input", OVERFLOW_PANEL, "--beta-qm=1", "--r-m=0.03", "--draws=0"],
+     "preprocess"),
+    (["curves", "--beta-xq=0.5", "--x-min=-1e308", "--x-max=1e308"], "market_curves"),
+    (["curves", "--beta-xq=1e300", "--x-min=-1e10", "--x-max=1e10"], "market_curves"),
+    (["curves", "--beta-xq=1", "--count=100000000000"], "market_curves"),
+    (["curves", "--beta-xq=1", "--count=100000000000000000000"], "market_curves"),
+    (["simulate", "--beta-xq=1", "--mean-ln-flow=-800", "--seed=1", "--out=-"], "simulator"),
+    (["simulate", "--beta-xq=1", "--seed=1", "--out", UNWRITABLE], "panel_io"),
+    (["curves", "--beta-xq=1", "--out", UNWRITABLE], "panel_io"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
         "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
         "ci-beta-xm-overflow", "describe-non-positive-json", "describe-non-positive-text",
         "equilibrium-underflow", "curves-underflow", "estimate-underflow",
         "estimate-slope-se-nan-no-draws", "estimate-slope-se-inf-no-draws",
-        "simulate-shock-overflow"])
+        "simulate-shock-overflow", "describe-norm-overflow", "estimate-norm-overflow",
+        "curves-grid-overflow", "curves-sample-overflow", "curves-count-above-cap",
+        "curves-count-beyond-int64", "simulate-level-underflow", "simulate-unwritable-out",
+        "curves-unwritable-out"])
 def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
-    bad_panel = tmp_path / "bad.csv"
-    bad_panel.write_text("year,value,flow\n2001,2.5,-1.0\n2002,8.0,2.0\n2003,9.0,2.5\n"
-                         "2004,12.0,3.0\n2005,20.0,4.0\n2006,23.0,4.5\n")
-    argv = [str(bad_panel) if arg == BAD_PANEL else arg for arg in argv]
+    paths = {UNWRITABLE: tmp_path / "missing" / "x.csv"}
+    for placeholder, text in (
+            (BAD_PANEL, "year,value,flow\n2001,2.5,-1.0\n2002,8.0,2.0\n2003,9.0,2.5\n"
+                        "2004,12.0,3.0\n2005,20.0,4.0\n2006,23.0,4.5\n"),
+            (OVERFLOW_PANEL, "year,value,flow\n2001,1e308,1e308\n2002,1e308,1\n"
+                             "2003,1,1e308\n2004,2,2\n2005,3,3\n")):
+        paths[placeholder] = tmp_path / f"panel{len(paths)}.csv"
+        paths[placeholder].write_text(text)
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     code, out, err = run_cli(capsys, argv)
     assert code != 0
     assert err.startswith(f"error: {stage}: ")
@@ -220,6 +241,17 @@ def test_curves_file_output(tmp_path, capsys):
     assert out_path.read_text().startswith("curve,x,y")
     eq = json.loads(out)
     assert eq["elasticities"]["supply"] == pytest.approx(0.5)
+
+
+def test_curves_out_dash_prints_what_plain_curves_prints(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["curves", "--beta-xq", "2.0", "--count", "11"]
+    code, plain, err = run_cli(capsys, argv)
+    assert code == 0, err
+    code, dashed, err = run_cli(capsys, argv + ["--out=-"])
+    assert code == 0, err
+    assert dashed == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 CI_PAPER = ["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "5.36",

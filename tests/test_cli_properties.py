@@ -1,10 +1,13 @@
-"""Property test of the CLI boundary for ``ci``, the ``estimate`` stub and
-``equilibrium``.
+"""Property test of the CLI boundary for ``ci``, the ``estimate`` stub,
+``equilibrium``, ``describe``, ``simulate`` and ``curves``.
 
 Every run either prints a report whose numbers are finite floats (interval
 bounds and point values; for ``estimate`` also the slope, its SE and every
-beta, return and equilibrium field), or exits nonzero with
-``error: <stage>: `` and nothing else on stderr: no traceback and no warning.
+beta, return, equilibrium and elasticity field; every statistic of
+``describe``; every panel cell of ``simulate``, whose value and flow are
+also positive; every curve sample and equilibrium field of ``curves``), or
+exits nonzero with ``error: <stage>: `` and nothing else on stderr: no
+traceback and no warning.
 """
 
 import contextlib
@@ -12,14 +15,16 @@ import io
 import json
 import math
 import warnings
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natbeta.cli import main
+from natbeta.panel_io import parse_panel
 
 STAGES = ("panel_io", "preprocess", "econometrics", "beta_algebra", "market_curves",
-          "uncertainty")
+          "uncertainty", "simulator")
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 1e-308, -1e-308]
 
 numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(-10.0, 10.0))
@@ -28,13 +33,21 @@ draws = st.integers(0, 2000)
 seeds = st.integers(-1, 2**64)
 
 
+def mostly(ordinary, odds=4):
+    """``ordinary``, but a SPECIAL value about once in ``odds`` draws, so that
+    a command with many such arguments still often exits 0."""
+    return st.integers(1, odds).flatmap(
+        lambda k: st.sampled_from(SPECIAL) if k == 1 else ordinary)
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def run(argv):
+def run(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
+            mock.patch("sys.stdin", io.StringIO(stdin)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
@@ -57,14 +70,40 @@ def interval_values(intervals):
 
 def report_values(doc):
     return ([doc["slope"], doc["slope_se"]] + leaves(doc["betas"]) + leaves(doc["returns"])
-            + leaves(doc["equilibrium"]) + interval_values(doc["intervals"]))
+            + leaves(doc["equilibrium"]) + leaves(doc["elasticities"])
+            + interval_values(doc["intervals"]))
 
 
-def check(argv, values_of):
-    code, out, err = run(argv)
+def describe_values(doc):
+    return [v for row in doc.values() for key, v in row.items() if key != "n_obs"]
+
+
+def describe_text_values(out):
+    """Mean, SD, min and max of each row of the text table."""
+    return [float(cell) for line in out.splitlines()[1:] for cell in line.split()[2:]]
+
+
+def curves_values(out):
+    """Every curve sample of the CSV table and every equilibrium field."""
+    table, block = out.split("\n\n")
+    samples = [float(cell) for line in table.splitlines()[1:] for cell in line.split(",")[1:]]
+    return samples + leaves(json.loads(block, parse_constant=reject_constant))
+
+
+def simulate_values(out):
+    """Every panel cell; value and flow must also be positive."""
+    panel = parse_panel(out)
+    assert (panel.value > 0).all() and (panel.flow > 0).all()
+    return [float(v) for column in (panel.value, panel.flow, *panel.instruments.values())
+            for v in column]
+
+
+def check(argv, values_of, stdin="", parse=lambda out: json.loads(
+        out, parse_constant=reject_constant)):
+    code, out, err = run(argv, stdin)
     if code == 0:
         assert err == ""
-        values = values_of(json.loads(out, parse_constant=reject_constant))
+        values = values_of(parse(out))
         assert all(isinstance(v, float) and math.isfinite(v) for v in values), values
     else:
         assert any(err.startswith(f"error: {stage}: ") for stage in STAGES), err
@@ -89,6 +128,9 @@ def test_ci_reports_finite_intervals_or_a_stage_error(**values):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(slope=numbers, slope_se=numbers, beta_qm=numbers, r_m=numbers,
        mean_ln_flow=numbers, mean_ln_price=numbers, level=levels, draws=draws, seed=seeds)
+# the supply elasticity 1/beta overflows
+@example(slope=-5e-324, slope_se=0.0, beta_qm=1.0, r_m=0.03, mean_ln_flow=0.0,
+         mean_ln_price=0.0, level=0.9, draws=0, seed=1)
 # a positive slope whose square underflows to 0 rescales the se by 1/0
 @example(slope=1e-200, slope_se=0.1, beta_qm=1.0, r_m=0.03, mean_ln_flow=1.0,
          mean_ln_price=1.0, level=0.9, draws=0, seed=1)
@@ -105,3 +147,52 @@ def test_estimate_stub_reports_finite_intervals_or_a_stage_error(**values):
 @given(beta_xq=numbers, mean_ln_flow=numbers, mean_ln_price=numbers)
 def test_equilibrium_reports_finite_fields_or_a_stage_error(**values):
     check(["equilibrium", "--format", "json"] + flags(**values), leaves)
+
+
+# duplicate or unsorted years and non-finite cells must end as panel_io errors,
+# non-positive or overflowing ones as preprocess errors
+cells = mostly(st.floats(0.0, 1e3), odds=12)
+panel_rows = st.lists(st.tuples(st.integers(1998, 2005), cells, cells), max_size=6)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(rows=panel_rows, ordered=st.booleans(), fmt=st.sampled_from(["json", "text"]))
+# both norms overflow
+@example(rows=[(2001, 1e308, 1e308), (2002, 1e308, 1.0), (2003, 1.0, 1e308)], ordered=False,
+         fmt="json")
+def test_describe_reports_finite_statistics_or_a_stage_error(rows, ordered, fmt):
+    if ordered:
+        rows = sorted({year: (year, v, q) for year, v, q in rows}.values())
+    text = "year,value,flow\n" + "".join(f"{y},{v!r},{q!r}\n" for y, v, q in rows)
+    if fmt == "json":
+        check(["describe", "--input=-", "--format=json"], describe_values, stdin=text)
+    else:
+        check(["describe", "--input=-"], describe_text_values, stdin=text, parse=str)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(beta_xq=mostly(st.floats(0.01, 10.0)), mean_ln_flow=mostly(st.floats(-10.0, 10.0)),
+       mean_ln_price=mostly(st.floats(-10.0, 10.0)), sigma_s=mostly(st.floats(0.0, 1.0)),
+       sigma_d=mostly(st.floats(0.0, 1.0)), iv_noise_sd=mostly(st.floats(0.0, 1.0)),
+       n=st.integers(4, 40), seed=seeds, shock_mode=st.sampled_from(["general", "paper"]))
+# the levels underflow to 0
+@example(beta_xq=1.0, mean_ln_flow=-800.0, mean_ln_price=0.0, sigma_s=0.0, sigma_d=0.05,
+         iv_noise_sd=0.02, n=19, seed=1, shock_mode="general")
+def test_simulate_prints_a_positive_finite_panel_or_a_stage_error(shock_mode, **values):
+    check(["simulate", "--out=-", f"--shock-mode={shock_mode}"] + flags(**values),
+          simulate_values, parse=str)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(beta_xq=mostly(st.floats(0.01, 10.0)), x_min=mostly(st.floats(-10.0, 0.0)),
+       x_max=mostly(st.floats(0.0, 10.0)),
+       count=st.one_of(st.integers(1, 60), st.sampled_from([10**6 + 1, 10**11, 10**20])),
+       mean_ln_flow=mostly(st.floats(-10.0, 10.0)),
+       mean_ln_price=mostly(st.floats(-10.0, 10.0)))
+# the grid step overflows; a supply y overflows
+@example(beta_xq=0.5, x_min=-1e308, x_max=1e308, count=5, mean_ln_flow=0.0,
+         mean_ln_price=0.0)
+@example(beta_xq=1e300, x_min=-1e10, x_max=1e10, count=5, mean_ln_flow=0.0,
+         mean_ln_price=0.0)
+def test_curves_print_finite_samples_or_a_stage_error(**values):
+    check(["curves"] + flags(**values), curves_values, parse=str)

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from natbeta.market_curves import (
     CurveError,
     EquilibriumPoint,
+    MAX_CURVE_SAMPLES,
     curve_samples,
-    demand_curve,
     elasticities,
     equilibrium_deviation,
     equilibrium_levels,
     observed_range_warnings,
     shocked_equilibrium,
-    supply_curve,
     zero_sum_integral,
 )
 
@@ -101,27 +100,32 @@ def test_elasticities_values(paper):
 
 
 def test_curve_specs_and_samples():
-    table = curve_samples(supply_curve(1.0), (-1.0, 1.0), 3)
-    np.testing.assert_allclose(table, [[-1, -1], [0, 0], [1, 1]], atol=1e-15)
-    dem = demand_curve(2.0)
-    assert dem.y_of_x(1.0) == pytest.approx(-0.5)
-    assert dem.x_of_y(-0.5) == pytest.approx(1.0)
+    table = curve_samples(1.0, (-1.0, 1.0), 3)
+    np.testing.assert_allclose(table[:, :2], [[-1, -1], [0, 0], [1, 1]], atol=1e-15)
+    x, _, demand_y = curve_samples(2.0, (-1.0, 1.0), 3)[2]
+    assert (x, demand_y) == (1.0, pytest.approx(-0.5))
 
 
 def test_curve_samples_validation():
     with pytest.raises(CurveError):
-        curve_samples(supply_curve(1.0), (0.0, 0.0), 5)
+        curve_samples(1.0, (0.0, 0.0), 5)
     with pytest.raises(CurveError):
-        curve_samples(supply_curve(1.0), (-1.0, 1.0), 1)
+        curve_samples(1.0, (-1.0, 1.0), 1)
+    with pytest.raises(CurveError, match="count must be <="):
+        curve_samples(1.0, (-1.0, 1.0), MAX_CURVE_SAMPLES + 1)
+    # the grid step overflows, then a supply y; no NumPy warning either way
+    with pytest.raises(CurveError, match="not finite"):
+        curve_samples(0.5, (-1e308, 1e308), 5)
+    with pytest.raises(CurveError, match="not finite"):
+        curve_samples(1e300, (-1e10, 1e10), 5)
 
 
 def test_sampled_curves_intersect_at_equilibrium():
     # linear-interpolation intersection oracle on dense samples
     beta = 0.919
     x_e, y_e = equilibrium_deviation(beta)
-    sup = curve_samples(supply_curve(beta), (x_e - 0.1, x_e + 0.1), 201)
-    dem = curve_samples(demand_curve(beta), (x_e - 0.1, x_e + 0.1), 201)
-    gap = sup[:, 1] - dem[:, 1]
+    sup = curve_samples(beta, (x_e - 0.1, x_e + 0.1), 201)
+    gap = sup[:, 1] - sup[:, 2]
     sign_change = np.flatnonzero(np.diff(np.sign(gap)))
     assert sign_change.size >= 1
     i = int(sign_change[0])

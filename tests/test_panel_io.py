@@ -8,7 +8,6 @@ from natbeta.panel_io import (
     RawPanel,
     parse_panel,
     serialize_panel,
-    validate_positive,
 )
 
 
@@ -94,34 +93,6 @@ def test_round_trip_property(values, start_year):
         flow=np.array(flow),
     )
     assert parse_panel(serialize_panel(panel)) == panel
-
-
-def test_validate_positive_pass():
-    panel = parse_panel("year,value,flow\n2001,2,1\n2002,8,2\n")
-    assert validate_positive(panel).ok
-
-
-def test_validate_positive_zero_flow():
-    panel = parse_panel("year,value,flow\n2001,2,0\n2002,8,2\n")
-    report = validate_positive(panel)
-    assert not report.ok
-    assert report.issues[0].row == 1
-    assert report.issues[0].column == "flow"
-
-
-def test_validate_positive_negative_value():
-    panel = parse_panel("year,value,flow\n2001,2,1\n2002,-1,2\n")
-    report = validate_positive(panel)
-    assert not report.ok
-    assert (report.issues[0].row, report.issues[0].column) == (2, "value")
-
-
-def test_validate_verdict_order_independent():
-    a = parse_panel("year,value,flow\n2001,-2,1\n2002,8,-2\n")
-    b = parse_panel("year,value,flow\n2001,8,-2\n2002,-2,1\n")
-    assert {(i.column, i.value) for i in validate_positive(a).issues} == {
-        (i.column, i.value) for i in validate_positive(b).issues
-    }
 
 
 def test_non_finite_rejected_at_construction():

@@ -61,14 +61,21 @@ def test_all_stub_and_panel_paths_share_field_names(paper):
     }
 
 
-def test_zero_flow_panel_reports_preprocess_stage():
-    panel = parse_panel(
-        "year,value,flow\n2001,2,1\n2002,8,0\n2003,9,2\n2004,12,3\n2005,20,4\n"
-    )
+# The first non-positive entry is reported: lowest row first, flow before
+# value within a row.
+@pytest.mark.parametrize("rows,expected", [
+    ("2001,2,1\n2002,8,0\n", "row 2, column flow (0.0)"),
+    ("2001,2,1\n2002,-8,2\n", "row 2, column value (-8.0)"),
+    ("2001,-2,-1\n2002,8,2\n", "row 1, column flow (-1.0)"),
+    ("2001,-2,1\n2002,8,-2\n", "row 1, column value (-2.0)"),
+], ids=["zero-flow-row-2", "negative-value-row-2", "value-and-flow-row-1",
+        "value-row-1-flow-row-2"])
+def test_zero_flow_panel_reports_preprocess_stage(rows, expected):
+    panel = parse_panel("year,value,flow\n" + rows + "2003,9,2\n2004,12,3\n2005,20,4\n")
     with pytest.raises(StageError) as err:
         run_estimate(panel, beta_qm=5.36, r_m=0.029, draws=0)
     assert err.value.stage == "preprocess"
-    assert "non-positive value at row 2" in str(err.value)
+    assert f"non-positive value at {expected}" in str(err.value)
 
 
 def test_small_panel_reports_panel_stage():

@@ -71,6 +71,17 @@ def test_zero_norm_rejected():
         unit_price_series([0.0, 0.0], [1.0, 2.0])
 
 
+# RuntimeWarnings are errors in this suite, so these also check that no
+# NumPy overflow warning escapes
+@pytest.mark.parametrize("v,q,message", [
+    ([1e308, 1e308, 1.0], [1e308, 1.0, 1e308], "norm or dot product"),
+    ([1e150, 1e150], [1e-200, 1e100], "price overflows at data row 1"),
+], ids=["norm", "price"])
+def test_overflow_rejected(v, q, message):
+    with pytest.raises(PreprocessError, match=message):
+        unit_price_series(v, q)
+
+
 def test_center_log_constant_e():
     cls = center_log([math.e, math.e, math.e])
     assert cls.mean == pytest.approx(1.0, abs=1e-15)
@@ -84,7 +95,8 @@ def test_center_log_symmetric_pair():
 
 
 def test_center_log_rejects_non_positive_with_index():
-    with pytest.raises(PreprocessError, match="row 2"):
+    # the entry prints as a plain float, not as np.float64(0.0)
+    with pytest.raises(PreprocessError, match=r"entry 0\.0 at data row 2;"):
         center_log([1.0, 0.0, 2.0])
 
 
