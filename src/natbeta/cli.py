@@ -40,13 +40,14 @@ def _load_panel(path: str):
         raise StageError("panel_io", str(exc)) from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, blocks) -> None:
+    """Write the strings of ``blocks`` in order to ``path``, or to stdout for '-'."""
     try:
         if path == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
             return
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except OSError as exc:
         raise StageError("panel_io", f"cannot write {path}: {exc}") from exc
 
@@ -98,18 +99,24 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
+CSV_BLOCK_ROWS = 4096  # curve samples formatted per written block
+
+
+def _curves_csv(samples):
+    """The curves CSV, its rows formatted ``CSV_BLOCK_ROWS`` at a time."""
+    yield "curve,x,y\n"
+    for name, column in (("supply", 1), ("demand", 2)):
+        for start in range(0, len(samples), CSV_BLOCK_ROWS):
+            rows = samples[start:start + CSV_BLOCK_ROWS, [0, column]].tolist()
+            yield "".join(f"{name},{x:.17g},{y:.17g}\n" for x, y in rows)
+
+
 def _cmd_curves(args) -> int:
     payload, samples = _market_payload(args, ((args.x_min, args.x_max), args.count))
-    lines = ["curve,x,y"]
-    for name, column in (("supply", 1), ("demand", 2)):
-        lines.extend(f"{name},{x:.17g},{y:.17g}" for x, y in samples[:, [0, column]])
-    csv_text = "\n".join(lines) + "\n"
-    if args.out and args.out != "-":
-        _write_text(args.out, csv_text)
-        sys.stdout.write(_json_text(payload))
-        return 0
-    # CSV table, blank line, then the equilibrium JSON block
-    sys.stdout.write(csv_text + "\n" + _json_text(payload))
+    out = args.out or "-"
+    _write_text(out, _curves_csv(samples))
+    # on stdout the CSV table, a blank line, then the equilibrium JSON block
+    sys.stdout.write(("\n" if out == "-" else "") + _json_text(payload))
     return 0
 
 
@@ -142,9 +149,10 @@ def _cmd_simulate(args) -> int:
         panel = synthesize_panel(config)
     except (SimulatorError, mc.CurveError) as exc:
         raise StageError("simulator", str(exc)) from exc
-    _write_text(args.out, serialize_panel(panel))
+    _write_text(args.out, [serialize_panel(panel)])
     if args.out != "-":
-        _write_text(args.truth_out or (args.out + ".truth.json"), _json_text(ground_truth(config)))
+        _write_text(args.truth_out or (args.out + ".truth.json"),
+                    [_json_text(ground_truth(config))])
     return 0
 
 

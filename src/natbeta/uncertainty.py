@@ -1,9 +1,8 @@
 """Monte Carlo propagation of the beta uncertainty to derived quantities.
 
 Betas are drawn from a normal distribution; non-positive draws are redrawn
-from per-index counter-based streams so the result is identical no matter
-how the work is split.  One Philox generator is re-keyed per rejected
-index, which gives the same streams as a fresh per-index Philox.  Derived
+in whole-array rounds from the same Philox stream as the first pass, so
+the result depends only on the inputs and the seed.  Derived
 quantities are evaluated per draw, and the interval endpoints follow
 NumPy's linear (Hyndman & Fan type-7) rule: two neighbouring order
 statistics per endpoint, selected in place by partitioning each column of
@@ -31,12 +30,14 @@ __all__ = [
     "BetaDraws",
     "IntervalReport",
     "QUANTITY_NAMES",
+    "MAX_DRAWS",
     "sample_betas",
     "derived_intervals",
 ]
 
 QUANTITY_NAMES = ("ln_price", "ln_quantity", "ln_user_cost", "beta_xm", "r_x")
 
+MAX_DRAWS = 10**7  # largest draw count sample_betas allocates
 _MASK64 = (1 << 64) - 1
 
 
@@ -63,45 +64,22 @@ class IntervalReport:
     draws_used: int
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, (index + 1) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _redraw_streams(seed: int, indices):
-    """Yield (index, generator) with the generator in ``_stream(seed, index)``'s state.
-
-    A zero counter, an empty buffer and key (seed, index + 1) is exactly
-    the state a fresh ``_stream`` starts in, so re-keying one Philox skips
-    the cost of building a generator per index.  The state is built from
-    plain Python ints and lists, which the state setter reads several
-    times faster than the NumPy arrays ``bitgen.state`` returns.
-    """
-    bitgen = np.random.Philox(key=0)  # every field is overwritten below
-    gen = np.random.Generator(bitgen)
-    key = [seed & _MASK64, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i in indices:
-        key[1] = (i + 1) & _MASK64
-        bitgen.state = state
-        yield i, gen
-
-
 def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     """Draw positive betas from N(mean, se), redrawing non-positive values.
 
-    Redraws use per-index counter-based streams, so the output depends only
-    on (mean, se, draws, seed).  The streams come from one Philox generator
-    re-keyed to (seed, index + 1) for each rejected index, which draws the
-    same numbers as a fresh Philox built per index.  Raises when the
-    cumulative number of rejected draws exceeds half the requested draws:
-    the normal is then too inconsistent with the positivity restriction to
-    represent the beta.
+    Every draw, first pass and redraws alike, comes from one Philox stream
+    keyed (seed, 0), so the output depends only on (mean, se, draws, seed).
+    The non-positive draws are redrawn together in rounds: each round draws
+    one normal per index still non-positive, in index order, until none is
+    left.  ``n_redrawn`` counts every rejected candidate, so the stream
+    yields exactly ``draws + n_redrawn`` normals.  Raises when that count
+    exceeds half the requested draws: the normal is then too inconsistent
+    with the positivity restriction to represent the beta.
     """
     if draws < 1:
         raise UncertaintyError(f"draws must be >= 1, got {draws}")
+    if draws > MAX_DRAWS:
+        raise UncertaintyError(f"draws must be <= {MAX_DRAWS}, got {draws}")
     if se < 0:
         raise UncertaintyError(f"se must be >= 0, got {se}")
     if not (math.isfinite(mean) and math.isfinite(se)):
@@ -116,7 +94,8 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
                          seed=seed, mean=float(mean), se=0.0)
 
     budget = 0.5 * draws
-    main = _stream(seed, -1)  # key (seed, 0) reserved for the base vector
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    main = np.random.Generator(np.random.Philox(key=key))
     values = main.standard_normal(draws)
     values *= se  # in place: the same mean + se * z, without two n-long temporaries
     values += mean
@@ -126,17 +105,17 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
         raise UncertaintyError(
             f"excessive truncation: {rejected} of {draws} draws non-positive"
         )
-    for i, sub in _redraw_streams(seed, bad.tolist()):
-        while True:
-            candidate = mean + se * sub.standard_normal()
-            if candidate > 0.0:
-                values[i] = candidate
-                break
-            rejected += 1
-            if rejected > budget:
-                raise UncertaintyError(
-                    f"excessive truncation: more than half of {draws} draws rejected"
-                )
+    while bad.size:
+        fresh = main.standard_normal(bad.size)
+        fresh *= se
+        fresh += mean
+        values[bad] = fresh
+        bad = bad[fresh <= 0.0]
+        rejected += bad.size
+        if rejected > budget:
+            raise UncertaintyError(
+                f"excessive truncation: more than half of {draws} draws rejected"
+            )
     return BetaDraws(values=values, n_redrawn=rejected, seed=seed,
                      mean=float(mean), se=float(se))
 

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from natbeta import kernels, uncertainty
+import natbeta
+from natbeta import cli, kernels, market_curves, uncertainty
 from natbeta.cli import main, parse_rate
 from natbeta.panel_io import parse_panel, serialize_panel
 from natbeta.simulator import synthesize_panel
@@ -28,6 +33,18 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_test_or_scipy_modules():
+    # importing scipy.special alone adds about 0.33 s of CPU to a cold start
+    src = str(Path(natbeta.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import natbeta.cli, sys; "
+            "print(sorted({'scipy', 'mpmath', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_parse_rate_forms():
@@ -151,6 +168,10 @@ UNWRITABLE = "<unwritable path>"
     (["simulate", "--beta-xq=1", "--mean-ln-flow=-800", "--seed=1", "--out=-"], "simulator"),
     (["simulate", "--beta-xq=1", "--seed=1", "--out", UNWRITABLE], "panel_io"),
     (["curves", "--beta-xq=1", "--out", UNWRITABLE], "panel_io"),
+    (["ci", "--beta-xq", "0.9", "--beta-xq-se", "0.01", "--beta-qm", "5", "--r-m", "0.03",
+      "--mean-ln-flow", "1", "--mean-ln-price", "1", "--seed", "1",
+      "--draws", "100000000000"], "uncertainty"),
+    (PAPER_STUB + ["--draws", "100000000000"], "uncertainty"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
         "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
@@ -160,7 +181,7 @@ UNWRITABLE = "<unwritable path>"
         "simulate-shock-overflow", "describe-norm-overflow", "estimate-norm-overflow",
         "curves-grid-overflow", "curves-sample-overflow", "curves-count-above-cap",
         "curves-count-beyond-int64", "simulate-level-underflow", "simulate-unwritable-out",
-        "curves-unwritable-out"])
+        "curves-unwritable-out", "ci-draws-above-cap", "estimate-draws-above-cap"])
 def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
     paths = {UNWRITABLE: tmp_path / "missing" / "x.csv"}
     for placeholder, text in (
@@ -252,6 +273,34 @@ def test_curves_out_dash_prints_what_plain_curves_prints(tmp_path, monkeypatch, 
     assert code == 0, err
     assert dashed == plain
     assert list(tmp_path.iterdir()) == []
+
+
+def test_curves_csv_bytes_are_the_same_on_every_path(tmp_path, capsys):
+    # three blocks, the last holding one row
+    count = 2 * cli.CSV_BLOCK_ROWS + 1
+    argv = ["curves", "--beta-xq", "0.7", "--x-min=-3", "--x-max", "2", "--count", str(count)]
+    code, plain, err = run_cli(capsys, argv)
+    assert code == 0, err
+    code, dashed, err = run_cli(capsys, argv + ["--out=-"])
+    assert code == 0, err
+    out_path = tmp_path / "curves.csv"
+    code, block, err = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert code == 0, err
+    csv_text = out_path.read_text()
+    assert plain == dashed == csv_text + "\n" + block
+    samples = market_curves.curve_samples(0.7, (-3.0, 2.0), count)
+    lines = ["curve,x,y"] + [f"{name},{x:.17g},{y:.17g}"
+                             for name, column in (("supply", 1), ("demand", 2))
+                             for x, y in samples[:, [0, column]]]
+    assert csv_text == "\n".join(lines) + "\n"
+
+
+def test_curves_unwritable_out_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "missing" / "curves.csv"
+    code, out, err = run_cli(capsys, ["curves", "--beta-xq=1", "--count=5000", "--out", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: panel_io: cannot write {path}: ")
 
 
 CI_PAPER = ["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "5.36",

@@ -5,6 +5,7 @@ import pytest
 
 from natbeta import kernels
 from natbeta.uncertainty import (
+    MAX_DRAWS,
     QUANTITY_NAMES,
     BetaDraws,
     UncertaintyError,
@@ -59,47 +60,38 @@ def test_mild_truncation_redraws_and_counts():
     assert 0 < draws.n_redrawn < 0.5 * 50_000
 
 
-def reference_sample_betas(mean, se, draws, seed):
-    """Oracle: the redraw loop with a fresh Philox built for every rejected index."""
-    mask = (1 << 64) - 1
-
-    def stream(index):
-        key = np.array([seed & mask, (index + 1) & mask], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-    values = mean + se * stream(-1).standard_normal(draws)
-    bad = np.flatnonzero(values <= 0.0)
-    rejected = int(bad.size)
-    if rejected > 0.5 * draws:
-        raise UncertaintyError(
-            f"excessive truncation: {rejected} of {draws} draws non-positive"
-        )
-    for i in bad:
-        sub = stream(int(i))
-        while True:
-            candidate = mean + se * sub.standard_normal()
-            if candidate > 0.0:
-                values[i] = candidate
-                break
-            rejected += 1
-            if rejected > 0.5 * draws:
-                raise UncertaintyError(
-                    f"excessive truncation: more than half of {draws} draws rejected"
-                )
-    return values, rejected
+def base_normals(seed, n):
+    """The first ``n`` normals of the Philox stream keyed (seed, 0)."""
+    key = np.array([seed & ((1 << 64) - 1), 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
 
 
-@pytest.mark.parametrize("mean, se, draws, seed", [
+REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
     (0.1, 0.1, 20_000, 7),
     (0.5, 0.25, 50_000, 4),
-    (0.043, 0.1, 10_000, 11),  # 4987 redraws of a 5000 budget
-    (0.1, 0.1, 20_000, 2**64 - 1),  # key word >= 2**63 in the re-keyed state
+    (0.043, 0.1, 10_000, 11),  # near the budget of 5000 redraws
+    (0.1, 0.1, 20_000, 2**64 - 1),  # key word >= 2**63
 ])
-def test_redraws_match_per_index_philox(mean, se, draws, seed):
+
+
+@REDRAW_CASES
+def test_positive_first_pass_draws_keep_their_bits(mean, se, draws, seed):
     got = sample_betas(mean, se, draws, seed)
-    values, n_redrawn = reference_sample_betas(mean, se, draws, seed)
-    assert got.values.tobytes() == values.tobytes()
-    assert got.n_redrawn == n_redrawn > 0
+    first = mean + se * base_normals(seed, draws)
+    kept = first > 0.0
+    assert got.values[kept].tobytes() == first[kept].tobytes()
+    assert got.n_redrawn > 0
+
+
+@REDRAW_CASES
+def test_redraws_continue_the_base_stream(mean, se, draws, seed):
+    got = sample_betas(mean, se, draws, seed)
+    candidates = mean + se * base_normals(seed, draws + got.n_redrawn)
+    assert np.all(got.values > 0.0)
+    redrawn = candidates[:draws] <= 0.0
+    assert np.isin(got.values[redrawn], candidates[draws:]).all()
+    # every positive candidate is kept and every other one counted as rejected
+    assert np.count_nonzero(candidates > 0.0) == draws
 
 
 def test_redraws_near_budget_case_is_near_budget():
@@ -107,20 +99,41 @@ def test_redraws_near_budget_case_is_near_budget():
     assert 0.9 * 5_000 <= n_redrawn <= 5_000
 
 
-def test_redraw_keys_are_masked_to_64_bits():
+def test_redrawn_betas_follow_the_truncated_normal():
+    mean, se, n = 0.1, 0.1, 200_000
+    values = np.sort(sample_betas(mean, se, n, seed=7).values)
+
+    def upper_tail(x):
+        return 0.5 * math.erfc((x - mean) / (se * math.sqrt(2)))
+
+    mass = upper_tail(0.0)
+    cdf = np.array([1.0 - upper_tail(x) / mass for x in values.tolist()])
+    ranks = np.arange(1, n + 1) / n
+    d = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+    assert d < 1.628 / math.sqrt(n)  # Kolmogorov-Smirnov, 1% level
+
+
+def test_seeds_are_masked_to_64_bits():
     got = sample_betas(0.1, 0.1, 20_000, 2**64 + 5)
-    values, n_redrawn = reference_sample_betas(0.1, 0.1, 20_000, 5)
-    assert got.values.tobytes() == values.tobytes()
-    assert got.n_redrawn == n_redrawn
+    ref = sample_betas(0.1, 0.1, 20_000, 5)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.n_redrawn == ref.n_redrawn
+    assert np.all(sample_betas(0.1, 0.1, 20_000, 2**64 - 1).values > 0.0)
 
 
 def test_redraw_abort_matches_per_index_philox():
-    with pytest.raises(UncertaintyError) as ref:
-        reference_sample_betas(0.01, 0.1, 10_000, 3)
+    # the first pass rejects fewer than half the draws; the redraw rounds
+    # then cross the budget and abort with the message the per-index
+    # redraw loop gave for these arguments
     with pytest.raises(UncertaintyError) as got:
         sample_betas(0.01, 0.1, 10_000, 3)
-    assert str(got.value) == str(ref.value)
-    assert "more than half" in str(got.value)  # the abort inside the redraw loop
+    assert str(got.value) == "excessive truncation: more than half of 10000 draws rejected"
+
+
+def test_draws_above_the_cap_raise_before_allocating():
+    for draws in (MAX_DRAWS + 1, 10**11):
+        with pytest.raises(UncertaintyError, match=rf"^draws must be <= {MAX_DRAWS}, got {draws}$"):
+            sample_betas(0.9, 0.1, draws, seed=1)
 
 
 def test_determinism_bitwise():
