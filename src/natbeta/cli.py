@@ -34,7 +34,7 @@ def _load_panel(path: str):
             return parse_panel(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return parse_panel(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StageError("panel_io", f"cannot read {path}: {exc}") from exc
     except PanelFormatError as exc:
         raise StageError("panel_io", str(exc)) from exc

@@ -2,8 +2,10 @@
 
 CSV schema: UTF-8, comma separated, ``.`` decimal point, header exactly
 ``year,value,flow`` followed by zero or more ``iv_<name>`` instrument
-columns.  Serialization emits 17 significant digits so a parse/serialize
-round trip is bit exact.
+columns.  Both directions work a column at a time: the parser maps each
+column into one row of a ``(k, n)`` float array and checks cells one by
+one only to name the first fault of a bad file; the serializer formats
+each row with one ``%.17g`` template, so a round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -82,21 +84,31 @@ class RawPanel:
         )
 
 
-def _parse_year(cell: str, line_no: int) -> int:
-    try:
-        return int(cell.strip())
-    except ValueError:
-        raise PanelFormatError(f"line {line_no}: non-integer year {cell!r}") from None
-
-
-def _parse_float(cell: str, column: str, line_no: int) -> float:
-    try:
-        v = float(cell.strip())
-    except ValueError:
-        raise PanelFormatError(f"line {line_no}: non-numeric cell {cell!r} in column '{column}'") from None
-    if math.isnan(v) or math.isinf(v):
-        raise PanelFormatError(f"line {line_no}: non-finite cell in column '{column}'")
-    return v
+def _first_fault(rows, names) -> None:
+    """Raise the first fault of the numbered ``rows`` in file order: a ragged
+    row, a non-integer or duplicate year, or a non-numeric or non-finite cell."""
+    seen_years: set[int] = set()
+    for line_no, row in rows:
+        if len(row) != len(names):
+            raise PanelFormatError(
+                f"line {line_no}: expected {len(names)} columns, got {len(row)} (ragged row)"
+            )
+        try:
+            year = int(row[0])
+        except ValueError:
+            raise PanelFormatError(f"line {line_no}: non-integer year {row[0]!r}") from None
+        if year in seen_years:
+            raise PanelFormatError(f"line {line_no}: duplicate year {year}")
+        seen_years.add(year)
+        for name, cell in zip(names[1:], row[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise PanelFormatError(
+                    f"line {line_no}: non-numeric cell {cell!r} in column '{name}'"
+                ) from None
+            if not math.isfinite(v):
+                raise PanelFormatError(f"line {line_no}: non-finite cell in column '{name}'")
 
 
 def parse_panel(source: str | TextIO | Iterable[str]) -> RawPanel:
@@ -108,6 +120,8 @@ def parse_panel(source: str | TextIO | Iterable[str]) -> RawPanel:
         header = next(reader)
     except StopIteration:
         raise PanelFormatError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise PanelFormatError(f"line 1: {exc}") from None
     header = [h.strip() for h in header]
     if tuple(header[:3]) != REQUIRED_COLUMNS:
         raise PanelFormatError(
@@ -120,49 +134,34 @@ def parse_panel(source: str | TextIO | Iterable[str]) -> RawPanel:
     if len(set(iv_names)) != len(iv_names):
         raise PanelFormatError("duplicate instrument column names")
 
-    years: list[int] = []
-    value: list[float] = []
-    flow: list[float] = []
-    ivs: dict[str, list[float]] = {name: [] for name in iv_names}
-    seen_years: set[int] = set()
-    width = len(header)
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # tolerate blank lines
-        if len(row) != width:
-            raise PanelFormatError(
-                f"line {line_no}: expected {width} columns, got {len(row)} (ragged row)"
-            )
-        year = _parse_year(row[0], line_no)
-        if year in seen_years:
-            raise PanelFormatError(f"line {line_no}: duplicate year {year}")
-        seen_years.add(year)
-        years.append(year)
-        value.append(_parse_float(row[1], "value", line_no))
-        flow.append(_parse_float(row[2], "flow", line_no))
-        for name, cell in zip(iv_names, row[3:]):
-            ivs[name].append(_parse_float(cell, name, line_no))
-    if not years:
+    rows = []  # (line number, cells) of each non-blank row
+    line_no = 1
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) > 1 or (row and row[0].strip()):
+                rows.append((line_no, row))
+    except csv.Error as exc:
+        _first_fault(rows, header)
+        raise PanelFormatError(f"line {line_no + 1}: {exc}") from None
+    if not rows:
         raise PanelFormatError("no data rows")
-    return RawPanel(
-        years=tuple(years),
-        value=np.array(value),
-        flow=np.array(flow),
-        instruments={k: np.array(v) for k, v in ivs.items()},
-    )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    # whole columns at a time; on any fault the row loop names the first one
+    try:
+        year_cells, *cells = zip(*(row for _, row in rows))
+        years = tuple(map(int, year_cells))
+        table = np.array([list(map(float, column)) for column in cells])
+    except ValueError:
+        table = None
+    if (table is None or any(len(row) != len(header) for _, row in rows)
+            or len(set(years)) != len(years) or not np.isfinite(table).all()):
+        _first_fault(rows, header)
+    return RawPanel(years, table[0], table[1], dict(zip(iv_names, table[2:])))
 
 
 def serialize_panel(panel: RawPanel) -> str:
     """Emit the panel in the CSV schema with full float precision."""
-    header = ",".join(REQUIRED_COLUMNS + tuple(panel.instruments))
-    lines = [header]
-    for i, year in enumerate(panel.years):
-        cells = [str(year), _fmt(panel.value[i]), _fmt(panel.flow[i])]
-        cells.extend(_fmt(panel.instruments[name][i]) for name in panel.instruments)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
+    columns = [panel.value, panel.flow, *panel.instruments.values()]
+    row = "%s" + ",%.17g" * len(columns) + "\n"
+    lines = [",".join(REQUIRED_COLUMNS + tuple(panel.instruments)) + "\n"]
+    lines.extend(row % cells for cells in zip(panel.years, *(c.tolist() for c in columns)))
+    return "".join(lines)

@@ -291,6 +291,12 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                 inst,
                 level=regression_level,
             )
+            # a standard error that is 0 (or underflows) leaves a t-value unbounded
+            for label, fit in (("first-stage", cf.first_stage), ("second-stage", cf.second_stage)):
+                for name, t, se in zip(fit.names, fit.t_values, fit.standard_errors):
+                    if not math.isfinite(t):
+                        raise em.RegressionError(f"{label} coefficient '{name}' has standard "
+                                                 f"error {se:g}, so its t-value is unbounded")
         except em.RegressionError as exc:
             raise StageError("econometrics", str(exc),
                              hint="check instrument selection and sample size") from exc

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -205,6 +206,47 @@ def test_estimate_missing_file(capsys):
     ])
     assert code == 1
     assert "panel_io" in err
+
+
+def test_too_long_panel_field_is_a_panel_io_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("year,value,flow\n2001,1," + "9" * 200_000 + "\n")
+    code, out, err = run_cli(capsys, ["describe", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: panel_io: line 2: field larger than field limit (131072)\n"
+
+
+BAD_UTF8 = b"year,value,flow\n2001,1,\xff\n"
+
+
+def test_panel_file_that_is_not_utf8_is_a_panel_io_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(BAD_UTF8)
+    code, out, err = run_cli(capsys, ["describe", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: panel_io: cannot read {path}: 'utf-8' codec can't decode "
+                          "byte 0xff")
+
+
+def test_panel_on_stdin_that_is_not_utf8_is_a_panel_io_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BAD_UTF8), encoding="utf-8"))
+    code, out, err = run_cli(capsys, ["estimate", "--input", "-", "--beta-qm", "1",
+                                      "--r-m", "0.02", "--draws", "0"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: panel_io: cannot read -: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_unbounded_t_value_is_an_econometrics_error(tmp_path, capsys):
+    # iv_b's 1e308 cell makes its standard error underflow to 0
+    path = tmp_path / "p.csv"
+    path.write_text("year,value,flow,iv_a,iv_b\n" + "".join(
+        f"{2000 + i},{10.5 + i % 4},{3.25 + i % 3},{0.1 * (i + 1)},{iv_b}\n"
+        for i, iv_b in enumerate([0.8, 0.7, 0.6, 1e308, 0.4, 0.3, 0.2, 0.1])))
+    code, out, err = run_cli(capsys, ["estimate", "--input", str(path), "--beta-qm", "5.36",
+                                      "--r-m", "0.029", "--draws", "0", "--format", "json"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: econometrics: first-stage coefficient 'iv_b' has standard "
+                          "error 0, so its t-value is unbounded\n")
 
 
 def test_describe(tmp_path, capsys):

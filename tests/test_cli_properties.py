@@ -1,9 +1,11 @@
 """Property test of the CLI boundary for ``ci``, the ``estimate`` stub,
-``equilibrium``, ``describe``, ``simulate`` and ``curves``.
+``estimate --input``, ``equilibrium``, ``describe``, ``simulate`` and
+``curves``.
 
 Every run either prints a report whose numbers are finite floats (interval
 bounds and point values; for ``estimate`` also the slope, its SE and every
-beta, return, equilibrium and elasticity field; every statistic of
+beta, return, equilibrium and elasticity field, and with ``--input`` every
+field of the report, none of them null; every statistic of
 ``describe``; every panel cell of ``simulate``, whose value and flow are
 also positive; every curve sample and equilibrium field of ``curves``), or
 exits nonzero with ``error: <stage>: `` and nothing else on stderr: no
@@ -32,11 +34,11 @@ draws = st.integers(0, 2000)
 seeds = st.integers(-1, 2**64)
 
 
-def mostly(ordinary, odds=4):
-    """``ordinary``, but a SPECIAL value about once in ``odds`` draws, so that
-    a command with many such arguments still often exits 0."""
+def mostly(ordinary, odds=4, special=SPECIAL):
+    """``ordinary``, but a ``special`` value about once in ``odds`` draws, so
+    that a command with many such arguments still often exits 0."""
     return st.integers(1, odds).flatmap(
-        lambda k: st.sampled_from(SPECIAL) if k == 1 else ordinary)
+        lambda k: st.sampled_from(special) if k == 1 else ordinary)
 
 
 def reject_constant(name):
@@ -212,3 +214,57 @@ def test_simulate_prints_a_positive_finite_panel_or_a_stage_error(shock_mode, **
          mean_ln_price=0.0)
 def test_curves_print_finite_samples_or_a_stage_error(**values):
     check(["curves"] + flags(**values), curves_values, parse=str)
+
+
+def full_report_values(doc):
+    """Every float of an ``estimate --input`` report, the regression block
+    included; no field but ``intervals`` (without draws) may be null."""
+    if doc["intervals"] is None:
+        del doc["intervals"]
+    found = leaves(doc)
+    assert None not in found, doc
+    return [v for v in found if isinstance(v, float)]
+
+
+# panels on stdin for ``estimate --input``: years consecutive, value and flow
+# mostly positive and instrument cells mostly ordinary; a cell is SPECIAL
+# (subnormals included) about once in 12 or in 1000 draws, so that a panel of
+# up to 30 rows still often reaches the control-function fit
+PANEL_SPECIAL = SPECIAL + [5e-324, -5e-324]
+
+
+@st.composite
+def estimate_inputs(draw):
+    """Panel text and an instrument selection: ``auto``, ``lags:0`` to
+    ``lags:4`` or a subset of the panel's ``iv_`` columns."""
+    names = ["iv_a", "iv_b", "iv_c"][:draw(st.integers(0, 3))]
+    odds = draw(st.sampled_from([12, 1000]))
+    positive = mostly(st.floats(0.01, 1e3), odds, PANEL_SPECIAL)
+    ordinary = mostly(st.floats(-10.0, 10.0), odds, PANEL_SPECIAL)
+    n = draw(st.integers(0, 30))
+    start = draw(st.integers(1950, 2000))
+    rows = draw(st.lists(st.tuples(positive, positive, *[ordinary] * len(names)),
+                         min_size=n, max_size=n))
+    text = ",".join(["year", "value", "flow"] + names) + "\n" + "".join(
+        ",".join([str(start + i)] + [repr(v) for v in cells]) + "\n"
+        for i, cells in enumerate(rows))
+    instruments = draw(st.one_of(
+        st.sampled_from(["auto"] + [f"lags:{k}" for k in range(5)]),
+        st.lists(st.sampled_from(names or ["iv_a"]), min_size=1, unique=True).map(",".join)))
+    return text, instruments
+
+
+NULL_T_PANEL = ("year,value,flow,iv_a,iv_b\n2000,10.5,3.25,0.1,0.1\n2001,13.5,4.25,0.4,0.8\n"
+                "2002,16.5,5.25,0.7,0.5\n2003,12.5,6.25,0.1,1e308\n2004,15.5,3.25,0.3,0.9\n"
+                "2005,11.5,4.25,0.6,0.6\n2006,14.5,5.25,0.9,0.3\n2007,10.5,6.25,0.2,0.1\n")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=estimate_inputs(), draws=st.sampled_from([0, 200]))
+# the standard error of iv_b underflows to 0, so its t-value is unbounded
+@example(case=(NULL_T_PANEL, "auto"), draws=0)
+def test_estimate_input_reports_finite_fields_or_a_stage_error(case, draws):
+    text, instruments = case
+    check(["estimate", "--input=-", "--format=json", "--beta-qm=5.36", "--r-m=0.029",
+           "--seed=1", f"--draws={draws}", f"--instruments={instruments}"],
+          full_report_values, stdin=text)
