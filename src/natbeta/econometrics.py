@@ -166,9 +166,11 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
         Level for the per-coefficient Student-t confidence intervals.
 
     Raises RegressionError on rank deficiency, when n does not exceed the
-    number of coefficients, or when conf_level is outside (0, 1).
+    number of coefficients, or when conf_level is outside (0, 1) or so close
+    to 1 that (1 + conf_level) / 2 rounds to 1.
     """
-    if not 0.0 < conf_level < 1.0:
+    # the t quantile's probability; the largest double below 1 rounds it to 1
+    if not 0.5 < 0.5 * (1.0 + conf_level) < 1.0:
         raise RegressionError(f"confidence level must be in (0, 1), got {conf_level}")
     y = np.asarray(regressand, dtype=np.float64)
     if y.ndim != 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -59,14 +60,16 @@ class RawPanel:
                 raise PanelFormatError(
                     f"column '{name}' has length {s.shape[0] if s.ndim == 1 else '?'}, expected {n}"
                 )
-            if not np.all(np.isfinite(s)):
-                bad = int(np.flatnonzero(~np.isfinite(s))[0])
+            finite = np.isfinite(s)
+            if not finite.all():
+                bad = int(np.flatnonzero(~finite)[0])
                 raise PanelFormatError(f"non-finite entry in column '{name}' at data row {bad + 1}")
-        for i in range(1, n):
-            if self.years[i] <= self.years[i - 1]:
-                raise PanelFormatError(
-                    f"years must be strictly increasing ({self.years[i - 1]} then {self.years[i]})"
-                )
+        out_of_order = list(map(operator.le, self.years[1:], self.years))
+        if any(out_of_order):
+            i = out_of_order.index(True) + 1
+            raise PanelFormatError(
+                f"years must be strictly increasing ({self.years[i - 1]} then {self.years[i]})"
+            )
 
     @property
     def n(self) -> int:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Mapping
 
 import numpy as np
@@ -366,8 +366,61 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
 
 def _json_text(obj) -> str:
-    """The one JSON layout of every report, table and sidecar natbeta writes."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The one JSON layout of every report, table and sidecar natbeta writes.
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte
+    for byte, written in one recursive pass: the standard library (3.11)
+    falls back to its pure-Python encoder whenever ``indent`` is set, which
+    yields every token through nested generators.  Strings go through
+    ``json.encoder.encode_basestring_ascii`` and finite floats (``np.float64``
+    among them) through ``float.__repr__``; non-finite floats read ``NaN``
+    and ``Infinity``, tuples are lists, and keys follow ``json``'s rules.
+    Any other type raises ``TypeError`` as ``json.dumps`` does.  A container
+    that holds itself is not detected: it ends in ``RecursionError``, where
+    ``json.dumps`` raises ``ValueError``.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """JSON text of ``obj``, whose closing bracket follows ``newline``."""
+    if isinstance(obj, float):
+        if -math.inf < obj < math.inf:
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0.0 else "-Infinity"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            f"{_json_key(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items())
+        ]) + newline + "}"
+    if isinstance(obj, str):
+        return _encode_string(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON text: strings as they are, and float, bool, None
+    and int keys as the string of their JSON value."""
+    if isinstance(key, str):
+        return _encode_string(key)
+    if key is None or isinstance(key, (float, int)):
+        return '"' + _json_value(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _pct(x: float) -> str:

@@ -73,21 +73,27 @@ def _draw_shocks(config: ScenarioConfig, rng: np.random.Generator):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def simulate_equilibria(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated (flow deviations, price deviations), re-centered to zero mean.
-
-    Raises, without a NumPy warning, when a deviation is not finite: the
-    shock scales are so large that the draws or their equilibria overflow.
-    """
+def _shocked_deviations(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-centered (flow deviations, price deviations) and the supply shocks
+    that moved them; ``simulate_equilibria`` documents the errors."""
     try:
-        rng = _rng(config)
-        eps_s, eps_d = _draw_shocks(config, rng)
+        eps_s, eps_d = _draw_shocks(config, _rng(config))
         x, y = kernels.equilibria_from_shocks(config.beta_xq, eps_s, eps_d)
     except CurveError as exc:
         raise SimulatorError(str(exc)) from exc
     x, y = x - x.mean(), y - y.mean()
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise SimulatorError("non-finite shocks or deviations: shock scales too large")
+    return x, y, eps_s
+
+
+def simulate_equilibria(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated (flow deviations, price deviations), re-centered to zero mean.
+
+    Raises, without a NumPy warning, when a deviation is not finite: the
+    shock scales are so large that the draws or their equilibria overflow.
+    """
+    x, y, _eps_s = _shocked_deviations(config)
     return x, y
 
 
@@ -100,7 +106,7 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
     log centering).  Raises, without a NumPy warning, when a level or an
     instrument column is not finite, or when a level underflows to 0.
     """
-    x, y = simulate_equilibria(config)
+    x, y, eps_s = _shocked_deviations(config)
     ln_flow = config.mean_ln_flow + x
     ln_price = config.mean_ln_price + y
     # negated, so that a NaN level fails the check too
@@ -116,7 +122,6 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
     # noisy supply shifters; a separate stream keeps them independent of
     # the shock draws
     rng = _rng(config, stream=1)
-    eps_s, _eps_d = _draw_shocks(config, _rng(config))
     pad_sd = config.iv_noise_sd if config.iv_noise_sd > 0 else 1.0
     instruments: dict[str, np.ndarray] = {}
     for lag in (1, 2):

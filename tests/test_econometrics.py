@@ -127,7 +127,7 @@ def test_ols_sample_too_small():
         em.ols([1.0, 2.0], {"a": [1.0, 2.0]})
 
 
-@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan"), math.nextafter(1.0, 0.0)])
 def test_ols_rejects_confidence_level_outside_unit_interval(level):
     with pytest.raises(em.RegressionError, match="confidence level"):
         em.ols(np.arange(10.0) ** 2, {"x": np.arange(10.0)}, conf_level=level)

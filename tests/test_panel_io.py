@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,30 @@ def test_non_finite_rejected_at_construction():
 def test_length_mismatch_rejected():
     with pytest.raises(PanelFormatError, match="length"):
         RawPanel(years=(2001, 2002), value=np.array([1.0]), flow=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("years,columns,message", [
+    # the first faulty column in order, its length before its values
+    ((2001, 2002, 2003), {"value": [1, math.nan, 1], "flow": [1, 2]},
+     "non-finite entry in column 'value' at data row 2"),
+    ((2001, 2002, 2003), {"value": [1, 2], "flow": [math.inf, 1, 1]},
+     "column 'value' has length 2, expected 3"),
+    ((2001, 2002, 2003), {"value": [1, 2, 3], "flow": [1, 2, 3], "iv_a": [1, 2],
+                          "iv_b": [math.nan] * 3}, "column 'iv_a' has length 2, expected 3"),
+    ((2001, 2002, 2003), {"value": [1, 2, 3], "flow": [1, 2, 3], "iv_a": [1, 2, -math.inf]},
+     "non-finite entry in column 'iv_a' at data row 3"),
+    # years only once every column is sound; the first pair out of order
+    ((2001, 2001, 2000), {"value": [1, 2, 3], "flow": [1, math.nan, 3]},
+     "non-finite entry in column 'flow' at data row 2"),
+    ((2001, 2003, 2002, 2002), {"value": [1, 2, 3, 4], "flow": [1, 2, 3, 4]},
+     "years must be strictly increasing (2003 then 2002)"),
+    ((2001, 2002, 2003, 2003), {"value": [1, 2, 3, 4], "flow": [1, 2, 3, 4]},
+     "years must be strictly increasing (2003 then 2003)"),
+])
+def test_construction_names_the_first_fault(years, columns, message):
+    value, flow, instruments = columns.pop("value"), columns.pop("flow"), columns
+    with pytest.raises(PanelFormatError, match=f"^{re.escape(message)}$"):
+        RawPanel(years=years, value=value, flow=flow, instruments=instruments)
 
 
 def test_too_long_field_is_a_format_error():

@@ -1,10 +1,14 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from natbeta.panel_io import parse_panel
-from natbeta.pipeline import StageError, render_report, run_estimate
+from natbeta.pipeline import StageError, _json_text, render_report, run_estimate
 from natbeta.simulator import synthesize_panel
 
 from conftest import make_config
@@ -200,3 +204,42 @@ def test_report_numeric_fields_finite(paper):
             assert np.isfinite(obj)
 
     walk(data)
+
+
+JSON_FLOATS = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]
+json_scalars = (st.none() | st.booleans()
+                | st.integers() | st.sampled_from([10**40, -(2**64)])
+                | st.floats() | st.sampled_from(JSON_FLOATS)
+                | st.floats().map(np.float64)
+                | st.text(st.characters(max_codepoint=0x2FFF), max_size=6))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": (), "d": [{}, [[]]]})
+@example(["\u00e9\u2603", "\x00\x1f\"\\\n", "\ud83d\ude00"])
+@example([10**40, -(2**64), True, False, None, 0])
+@example({"x": JSON_FLOATS})
+@example({"z": 1, "a": {"y": 2.5, "b": [1e-7, 123456789.0]}})
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(3), {"a": np.float32(1.0)}, [np.bool_(True)], {(1,): 2}, {1: "a", "b": 2},
+    {1.5: 1, True: 2, -(10**30): 3, math.inf: 4}, {None: 1}, {False: None},
+    {b"k": 1}, object(),
+])
+def test_json_text_keeps_json_dumps_types_and_errors(obj):
+    try:
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+            _json_text(obj)
+    else:
+        assert _json_text(obj) == expected

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from natbeta import preprocess as pp
+from natbeta import simulator
 from natbeta.market_curves import ShockModel, equilibrium_deviation
 from natbeta.panel_io import serialize_panel
 from natbeta.simulator import (
@@ -72,6 +73,32 @@ def test_seed_determinism_bytes():
     assert serialize_panel(synthesize_panel(cfg)) == serialize_panel(synthesize_panel(cfg))
     other = serialize_panel(synthesize_panel(make_config(beta=0.919, n=19, seed=124)))
     assert serialize_panel(synthesize_panel(cfg)) != other
+
+
+@pytest.mark.parametrize("mode,sigma_s", [("general", 0.0), ("general", 0.05),
+                                           ("general", 0.3), ("paper", 0.0)])
+def test_supply_shifters_carry_the_shocks_drawn_once(monkeypatch, mode, sigma_s):
+    draws = []
+    draw = simulator._draw_shocks
+
+    def counting_draw(config, rng):
+        draws.append(config)
+        return draw(config, rng)
+
+    monkeypatch.setattr(simulator, "_draw_shocks", counting_draw)
+    for seed in range(4):
+        cfg = make_config(sigma_s=sigma_s, n=19, seed=seed, mode=mode)
+        panel = synthesize_panel(cfg)
+        # the shocks the equilibria saw, redrawn from a fresh stream 0, and
+        # the shifter noise of stream 1 after the two lag columns' pads
+        eps_s, _ = draw(cfg, simulator._rng(cfg))
+        noise = simulator._rng(cfg, stream=1)
+        noise.standard_normal(1)
+        noise.standard_normal(2)
+        for j in (1, 2):
+            expected = eps_s + cfg.iv_noise_sd * noise.standard_normal(cfg.n)
+            assert np.array_equal(panel.instruments[f"iv_sup{j}"], expected)
+    assert len(draws) == 4
 
 
 def test_panel_has_four_instruments():
