@@ -7,6 +7,9 @@ inverts the t CDF by Newton's method from a Cornish-Fisher start, so a
 typical 95% interval costs two to four CDF evaluations.  The supply/demand
 equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
 arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
+``propagate_beta_draws`` evaluates it per Monte Carlo draw for the three
+quantities that are not monotone in beta; the monotone products
+``beta_xm`` and ``r_x`` never reach a per-draw kernel.
 """
 
 from __future__ import annotations
@@ -220,7 +223,9 @@ def student_t_quantile(p: float, df: float) -> float:
     CDF's precision, or when rounding in the CDF makes the step point back
     across the root.
 
-    Raises ValueError unless 0 < p < 1 and df is finite and positive.
+    Raises ValueError unless 0 < p < 1 and df is finite and positive, and
+    when 100 Newton steps do not reach the root: far in a heavy tail, such
+    as p = 1e-60 at df = 3, each step closes only a fixed share of the gap.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {p}")
@@ -250,6 +255,8 @@ def student_t_quantile(p: float, df: float) -> float:
         if abs(step) <= 1e-14 * max(1.0, abs(t)):
             break
         step = newton_step(t)
+    else:
+        raise ValueError(f"t quantile did not converge in 100 Newton steps for p={p}, df={df}")
     return t
 
 
@@ -335,30 +342,42 @@ def log_beta_weight_integral(upper: float, tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_equilibrium(beta, eps_s=0.0, eps_d=0.0):
+def solve_equilibrium(beta, eps_s=None, eps_d=None):
     """Equilibrium (x_e, y_e) of {y = b*x + ln b + eps_s, x = -b*y + eps_d}.
 
     Arguments broadcast; with no shocks this is y_e = ln b / (1 + b^2),
-    x_e = -b * y_e.
+    x_e = -b * y_e.  A shock left out is skipped rather than added as a
+    zero, which gives the same bits for positive b (x_e = +0.0 at b = 1,
+    as ``-b*y_e + 0.0`` gives it) without the two extra array passes.
     """
-    y_e = (np.log(beta) + beta * eps_d + eps_s) / (1.0 + beta * beta)
+    num = np.log(beta)
+    if eps_d is not None:
+        num = num + beta * eps_d
+    if eps_s is not None:
+        num = num + eps_s
+    y_e = num / (1.0 + beta * beta)
+    if eps_d is None:
+        return 0.0 - beta * y_e, y_e
     return -beta * y_e + eps_d, y_e
 
 
-def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
-    """Per-draw derived quantities, columns (ln_price, ln_quantity,
-    ln_user_cost, beta_xm, r_x).
+def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price):
+    """Per-draw equilibrium quantities, columns (ln_price, ln_quantity,
+    ln_user_cost).
 
-    The (n, 5) result is the transpose of a C-ordered (5, n) array, so each
-    column is contiguous: every column is computed straight into its slot
-    with unit stride, and selecting order statistics from a column needs
-    no gather.  Rows are computed
-    in blocks of ``_PROPAGATE_BLOCK``, so the equilibrium's temporaries are
-    block-sized and stay in cache instead of streaming n-long arrays through
-    memory; the result is the same, element by element.
+    These are the quantities not monotone in beta; ``beta_xm`` and ``r_x``
+    are, so ``natbeta.uncertainty`` maps their order statistics from the
+    beta's instead of evaluating them per draw.  The (n, 3) result is the
+    transpose of a C-ordered (3, n) array, so each column is contiguous:
+    every column is computed straight into its slot with unit stride, and
+    selecting order statistics from a column needs no gather.  Rows are
+    computed in blocks of ``_PROPAGATE_BLOCK``, so the equilibrium's
+    temporaries are block-sized and stay in cache instead of streaming
+    n-long arrays through memory; the result is the same, element by
+    element.
     """
     betas = np.asarray(betas, dtype=np.float64)
-    out = np.empty((5, betas.shape[0])).T
+    out = np.empty((3, betas.shape[0])).T
     for start in range(0, betas.shape[0], _PROPAGATE_BLOCK):
         b = betas[start:start + _PROPAGATE_BLOCK]
         rows = out[start:start + _PROPAGATE_BLOCK]
@@ -366,8 +385,6 @@ def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
         np.add(float(mean_ln_price), y_e, out=rows[:, 0])
         np.add(float(mean_ln_flow), x_e, out=rows[:, 1])
         np.add(rows[:, 0], rows[:, 1], out=rows[:, 2])
-        np.multiply(b, float(beta_qm), out=rows[:, 3])
-        np.multiply(rows[:, 3], float(r_m), out=rows[:, 4])
     return out
 
 

@@ -2,12 +2,16 @@
 
 Betas are drawn from a normal distribution; non-positive draws are redrawn
 in whole-array rounds from the same Philox stream as the first pass, so
-the result depends only on the inputs and the seed.  Derived
-quantities are evaluated per draw, and the interval endpoints follow
-NumPy's linear (Hyndman & Fan type-7) rule: two neighbouring order
-statistics per endpoint, selected in place by partitioning each column of
-the draw table, never by sorting it.  Interval endpoints are never mapped:
-the price map is not monotone in beta, so endpoint mapping would be wrong.
+the result depends only on the inputs and the seed.  The interval
+endpoints follow NumPy's linear (Hyndman & Fan type-7) rule: two
+neighbouring order statistics per endpoint, selected in place by
+partitioning, never by sorting.  The equilibrium quantities (log price,
+log quantity, log user cost) are not monotone in beta, so they are
+evaluated per draw and their own order statistics selected.  ``beta_xm``
+and ``r_x`` are monotone products of the beta, so their order statistics
+are the beta's, mapped: the same bits as selecting from per-draw values,
+without computing them.  Interval endpoints themselves are never mapped,
+only order statistics: endpoint mapping would be wrong for the price map.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.  Neither function
@@ -135,17 +139,44 @@ def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
     return below, below + 1, virtual - below
 
 
-def _lerp_rows(cols: np.ndarray, below: int, above: int, t: float) -> np.ndarray:
-    """Type-7 quantile of each row of ``cols`` from its ``_type7_rows``.
+def _order_stats(rows: np.ndarray, ranks) -> dict[int, np.ndarray]:
+    """Order statistics ``ranks`` of every row of ``rows``, selected in place.
 
-    Every row must be partitioned at ``below``; the next order statistic is
-    then the smallest value after it.  The two-sided lerp repeats NumPy's
-    step for step, so the result equals ``np.quantile`` bit for bit on
-    NaN-free rows that do not mix 0.0 and -0.0 (two selections may return
-    either of those two; no derived column mixes them).
+    Each step partitions a span of the rows at the needed rank nearest its
+    middle, then treats the two sides the same way; a side that needs only
+    its own smallest or largest ranks takes them by a min or max scan.  For
+    type-7 endpoints the spans left are the short ones beyond each
+    endpoint, so the work is two single-``kth`` partitions and three scans
+    of the tails.  Rank ``n - 1`` is NaN in a row that holds one: NaNs
+    order last in a partition, and min and max propagate them.
     """
-    a = cols[:, below]
-    b = cols[:, below + 1:].min(axis=1) if above > below else a
+    stats: dict[int, np.ndarray] = {}
+    spans = [(0, rows.shape[1], sorted(set(ranks)))]
+    while spans:
+        start, stop, need = spans.pop()
+        span = rows[:, start:stop]
+        if not set(need) - {start, stop - 1}:
+            if start in need:
+                stats[start] = span.min(axis=1)
+            if stop - 1 in need:
+                stats[stop - 1] = span.max(axis=1)
+            continue
+        k = min(need, key=lambda r: abs(2 * r - start - stop + 1))
+        span.partition(k - start, axis=1)
+        stats[k] = rows[:, k]
+        spans.append((start, k, [r for r in need if r < k]))
+        spans.append((k + 1, stop, [r for r in need if r > k]))
+    return stats
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """Type-7 quantile between the order statistics ``a`` and ``b``.
+
+    The two-sided lerp repeats NumPy's step for step, so the result equals
+    ``np.quantile`` bit for bit on NaN-free columns that do not mix 0.0 and
+    -0.0 (two selections may return either of those two; no derived column
+    mixes them).
+    """
     diff = b - a
     if t >= 0.5:
         return b - diff * (1 - t)
@@ -158,8 +189,8 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
 
     ``draws`` comes from ``sample_betas``, so every beta is positive and all
     of them are propagated.  The point column evaluates the same maps at the
-    sampling mean.  Raises when a bound is not finite or a column holds a
-    NaN.
+    sampling mean.  Raises when a bound is not finite or a quantity is NaN
+    for some draw.
     """
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
@@ -168,19 +199,30 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price) and math.isfinite(r_m)):
         raise UncertaintyError("means and market rate must be finite")
 
+    n = draws.values.size
     lo_q = 0.5 * (1.0 - level)
-    table = kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price, beta_qm, r_m)
-    cols = table.T  # (5, n), C-contiguous: one row per quantity
-    lo = _type7_rows(cols.shape[1], lo_q)
-    hi = _type7_rows(cols.shape[1], 1.0 - lo_q)
-    # Two single-kth partitions put both `below` order statistics in place
-    # (lo's `below` never exceeds hi's); NaNs order last.
-    cols.partition(lo[0], axis=1)
-    if hi[0] > lo[0]:
-        cols[:, lo[0] + 1:].partition(hi[0] - lo[0] - 1, axis=1)
-    lows = _lerp_rows(cols, *lo)
-    highs = _lerp_rows(cols, *hi)
-    has_nan = np.isnan(cols.max(axis=1))
+    lo = _type7_rows(n, lo_q)
+    hi = _type7_rows(n, 1.0 - lo_q)
+    ranks = {lo[0], lo[1], hi[0], hi[1], n - 1}
+    # r_x = beta_xm * r_m descends in beta when r_m is negative: its rank k
+    # is the beta's rank n-1-k.  At r_m = -0.0 every finite r_x is -0.0, so
+    # either order gives the same bits.
+    mirror = (lambda k: n - 1 - k) if r_m < 0.0 else (lambda k: k)
+    equilibrium = _order_stats(
+        kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price).T, ranks)
+    beta = _order_stats(draws.values.copy()[np.newaxis],
+                        ranks | {mirror(k) for k in (*lo[:2], *hi[:2])})
+
+    def quantities(k: int) -> np.ndarray:
+        # rank k of every quantity, in QUANTITY_NAMES order
+        return np.concatenate([equilibrium[k], beta[k] * beta_qm,
+                               beta[mirror(k)] * beta_qm * r_m])
+
+    lows = _lerp(quantities(lo[0]), quantities(lo[1]), lo[2])
+    highs = _lerp(quantities(hi[0]), quantities(hi[1]), hi[2])
+    # A NaN orders last; in r_x one (inf * 0) can only come from the largest beta.
+    top = beta[n - 1] * beta_qm
+    has_nan = np.isnan(np.concatenate([equilibrium[n - 1], top, top * r_m]))
     overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
                   if has_nan[j] or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
     if overflowed:
@@ -189,9 +231,10 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         name: (float(lows[j]), float(highs[j]))
         for j, name in enumerate(QUANTITY_NAMES)
     }
-    point_row = kernels.propagate_beta_draws(
-        np.array([draws.mean]), mean_ln_flow, mean_ln_price, beta_qm, r_m
-    )[0]
+    mean = np.array([draws.mean])
+    point_row = np.concatenate([
+        kernels.propagate_beta_draws(mean, mean_ln_flow, mean_ln_price)[0],
+        mean * beta_qm, mean * beta_qm * r_m])
     point = {name: float(point_row[j]) for j, name in enumerate(QUANTITY_NAMES)}
     return IntervalReport(level=float(level), bounds=bounds, point=point,
-                          draws_used=int(draws.values.size))
+                          draws_used=int(n))

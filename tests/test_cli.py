@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -88,8 +89,10 @@ def test_paper_stub_100k_json_matches_numpy_quantile_bounds(capsys, monkeypatch)
 
     def quantile_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level):
         report = sorted_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level=level)
-        table = kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price,
-                                             beta_qm, r_m)
+        beta_xm = draws.values * beta_qm
+        table = np.column_stack([
+            kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price),
+            beta_xm, beta_xm * r_m])
         lo_q = 0.5 * (1.0 - level)
         q = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
         bounds = {name: (float(q[0, j]), float(q[1, j]))
@@ -100,6 +103,42 @@ def test_paper_stub_100k_json_matches_numpy_quantile_bounds(capsys, monkeypatch)
     code, reference, err = run_cli(capsys, argv)
     assert code == 0, err
     assert out == reference
+
+
+STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price", "2.828"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919",
+                  "--slope-se", "0.018", "--seed", "7", "--draws", "100000"],
+                 "780347b55c4f01fff7a8bc97b2daa248ef2c0d7c0039efdb40a4ad4db2eb5bcb",
+                 id="paper-stub-100k"),
+    # the inputs of the truncated_20k benchmark workload: ~16% redrawn
+    pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.1",
+                  "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
+                 "8f0bbd867027f35d0987d4c7961a3bedc0b3e02d43c8befbab88cb90db363438",
+                 id="truncated-20k"),
+    pytest.param(["estimate", *STUB_MARKET, "--r-m=-3%", "--slope", "-0.919",
+                  "--slope-se", "0.018", "--seed", "7", "--draws", "20000"],
+                 "2ac64635632b82c0878ff5d37c345fe749f495cbd58c656e9acdaf07b9bfb271",
+                 id="negative-r-m"),
+    pytest.param(["estimate", "--input", "panel.csv", "--beta-qm", "5.36", "--r-m", "0.029",
+                  "--seed", "2"],
+                 "ac937c7448ea97e74012dcf680dd5f75c3bb3085712eee56dcc578809eddcf25",
+                 id="panel-input"),
+    pytest.param(["equilibrium", "--beta-xq", "1"],
+                 "cbf1852613e9a5f4ef315a7a52952aab8197f4d61b5d7bbcfdf24e8a52bab3d0",
+                 id="equilibrium-unit-beta"),
+])
+def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    # SHA-256 of reports written before the Monte Carlo stage stopped
+    # evaluating beta_xm and r_x per draw; any change of a bit fails here
+    monkeypatch.chdir(tmp_path)
+    panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))
+    (tmp_path / "panel.csv").write_text(serialize_panel(panel))
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_estimate_on_panel_file(tmp_path, capsys):

@@ -130,6 +130,13 @@ def test_student_t_quantile_rejects_bad_input(p, df):
         kernels.student_t_quantile(p, df)
 
 
+def test_student_t_quantile_raises_when_newton_does_not_converge():
+    # far in the df-3 tail each Newton step closes only a share of the gap:
+    # the 100th iterate is about -3.25e18, while the root is about -1.03e20
+    with pytest.raises(ValueError, match=r"did not converge .* p=1e-60, df=3$"):
+        kernels.student_t_quantile(1e-60, 3)
+
+
 def test_f_upper_matches_beta_identity():
     # F tail written through the t: F(1, df) tail at t^2 equals two-sided t
     for t_val, df in [(1.3, 9), (2.7, 21)]:
@@ -155,21 +162,18 @@ def test_zero_sum_quadrature_wide_oracle():
     assert abs(kernels.log_beta_weight_integral(1e6, 1e-7)) <= 1e-6
 
 
-def reference_propagate(betas, mean_ln_flow, mean_ln_price, beta_qm, r_m):
+def reference_propagate(betas, mean_ln_flow, mean_ln_price):
     """Per-draw loop over the closed-form equilibrium (the removed loop kernel)."""
-    out = np.empty((betas.shape[0], 5))
+    out = np.empty((betas.shape[0], 3))
     for i in range(betas.shape[0]):
         b = betas[i]
         y_e = np.log(b) / (1.0 + b * b)
         x_e = -b * y_e
         ln_price = mean_ln_price + y_e
         ln_quantity = mean_ln_flow + x_e
-        beta_xm = b * beta_qm
         out[i, 0] = ln_price
         out[i, 1] = ln_quantity
         out[i, 2] = ln_price + ln_quantity
-        out[i, 3] = beta_xm
-        out[i, 4] = beta_xm * r_m
     return out
 
 
@@ -191,9 +195,23 @@ def test_propagate_matches_loop_reference():
     # two full row blocks of propagate_beta_draws and a partial third
     betas = np.exp(rng.normal(0.0, 0.4, size=2 * 8192 + 37))
     betas[0] = 1.0
-    expected = reference_propagate(betas, 2.113, 2.828, 5.36, 0.029)
-    assert np.array_equal(kernels.propagate_beta_draws(betas, 2.113, 2.828, 5.36, 0.029),
-                          expected)
+    expected = reference_propagate(betas, 2.113, 2.828)
+    assert np.array_equal(kernels.propagate_beta_draws(betas, 2.113, 2.828), expected)
+
+
+def test_unshocked_equilibrium_equals_zero_shocks_bitwise():
+    # b = 1 gives a zero x_e (+0.0 either way); 1e200 underflows y_e to
+    # +0.0 with b*b overflowing; 1e-300 makes b*b underflow
+    betas = np.concatenate([[1.0, 1e-300, 1e200, 1e-200, 1e154, 1e155],
+                            np.exp(np.linspace(-40.0, 40.0, 4001))])
+    with np.errstate(over="ignore", under="ignore"):
+        unshocked = kernels.solve_equilibrium(betas)
+        shocked = kernels.solve_equilibrium(betas, 0.0, 0.0)
+        scalars = [(kernels.solve_equilibrium(b), kernels.solve_equilibrium(b, 0.0, 0.0))
+                   for b in (1.0, 1e-300, 1e200)]
+    for got, want in [*zip(unshocked, shocked), *scalars]:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert unshocked[0][0].tobytes() == np.float64(0.0).tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.919, 1 / 0.919, 2.0, 0.1, 1.0])

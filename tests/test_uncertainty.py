@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -206,17 +207,20 @@ def test_intervals_widen_with_level(paper):
 
 
 def test_monotone_map_equals_mapped_quantiles(paper):
-    # r_x is linear in beta, so its interval is the mapped beta interval
+    # beta_xm and r_x are monotone in beta, so each endpoint is the lerp of
+    # the beta's mapped order statistics, bit for bit; a negative rate
+    # reverses the order of r_x
     draws = sample_betas(0.919, 0.018, 200_000, seed=8)
-    report = derived_intervals(
-        draws, paper["beta_qm"], paper["r_m"],
-        paper["mean_ln_flow"], paper["mean_ln_price"], level=0.90,
-    )
-    beta_lo, beta_hi = np.quantile(draws.values, [0.05, 0.95])
-    factor = paper["beta_qm"] * paper["r_m"]
-    assert report.bounds["r_x"][0] == pytest.approx(beta_lo * factor, rel=1e-10)
-    assert report.bounds["r_x"][1] == pytest.approx(beta_hi * factor, rel=1e-10)
-    assert report.bounds["beta_xm"][0] == pytest.approx(beta_lo * paper["beta_qm"], rel=1e-10)
+    lo_q = 0.5 * (1.0 - 0.90)
+    beta_xm = np.sort(draws.values) * paper["beta_qm"]
+    for r_m in (paper["r_m"], -0.03):
+        report = derived_intervals(
+            draws, paper["beta_qm"], r_m,
+            paper["mean_ln_flow"], paper["mean_ln_price"], level=0.90,
+        )
+        for name, mapped in (("beta_xm", beta_xm), ("r_x", beta_xm * r_m)):
+            expected = tuple(float(q) for q in np.quantile(mapped, [lo_q, 1.0 - lo_q]))
+            assert report.bounds[name] == expected, (name, r_m)
 
 
 def test_non_monotone_price_map_needs_per_draw_evaluation(paper):
@@ -245,17 +249,25 @@ def test_derived_intervals_validation(paper):
         derived_intervals(good, 1.0, 0.03, 0.0, 0.0, level=1.5)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000, 100_000])
-# both endpoints share their two rows at n = 2 (every level) and at n = 1000, level 0.0001
-@pytest.mark.parametrize("level", [0.0001, 0.5, 0.9, 0.99, 0.999999])
+@pytest.mark.parametrize("level,n", [
+    *itertools.product([0.0001, 0.5, 0.9, 0.99, 0.999999], [1, 2, 3, 1000, 100_000]),
+    # both endpoints share their two rows at n = 2 (every level) and at
+    # n = 1000, level 0.0001.  At n = 5, level 0.5 the virtual indices are
+    # the integers 1 and 3, so a descending r_x needs the beta's rank 0,
+    # which no ascending endpoint selects; at n = 101, level 0.9 they fall
+    # a rounding step from the integers 5 and 95.
+    (0.5, 5), (0.9, 101),
+])
 # a negative rate makes r_x descending; -0.0 makes every r_x a negative zero
 @pytest.mark.parametrize("r_m", [0.029, 0.0, -0.03, -0.0])
-def test_sorted_column_bounds_equal_numpy_quantile(paper, n, level, r_m):
+def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
     # N(1.9, 0.3) draws straddle the turning point of the ln-price map
     draws = sample_betas(1.9, 0.3, n, seed=n)
-    args = (paper["mean_ln_flow"], paper["mean_ln_price"], paper["beta_qm"], r_m)
-    table = kernels.propagate_beta_draws(draws.values, *args)
-    assert table.shape == (n, 5)
+    table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
+                                         paper["mean_ln_price"])
+    assert table.shape == (n, 3)
+    beta_xm = draws.values * paper["beta_qm"]
+    table = np.column_stack([table, beta_xm, beta_xm * r_m])
     lo_q = 0.5 * (1.0 - level)
     expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
     report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
@@ -266,8 +278,29 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, n, level, r_m):
 
 
 def test_nan_column_bounds_are_not_finite():
-    # inf * 0 puts one NaN in the r_x column
+    # inf * 0 (or * -0.0) puts one NaN in the r_x column, at the largest beta
     draws = fixed_draws([0.9] * 99 + [2.0])
+    for r_m in (0.0, -0.0):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(UncertaintyError, match=r"^interval bounds of r_x are not finite$"):
+            derived_intervals(draws, 1e308, r_m, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("r_m", [-0.03, 0.0, -0.0])
+def test_overflowed_endpoints_are_not_finite(r_m):
+    # beta_xm overflows at the six largest betas, past the upper endpoint's
+    # rows; r_x follows it to -inf, NaN or NaN
+    draws = fixed_draws([0.9] * 94 + [2.0] * 6)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(UncertaintyError, match=r"^interval bounds of r_x are not finite$"):
-        derived_intervals(draws, 1e308, 0.0, 0.0, 0.0)
+            pytest.raises(UncertaintyError,
+                          match=r"^interval bounds of beta_xm, r_x are not finite$"):
+        derived_intervals(draws, 1e308, r_m, 0.0, 0.0)
+
+
+def test_overflow_beyond_the_endpoints_leaves_descending_bounds_finite():
+    # one overflowed beta_xm is r_x's -inf minimum, outside both endpoints
+    draws = fixed_draws([0.9] * 99 + [2.0])
+    with np.errstate(over="ignore"):
+        report = derived_intervals(draws, 1e308, -0.03, 0.0, 0.0)
+    assert report.bounds["beta_xm"] == (0.9 * 1e308,) * 2
+    assert report.bounds["r_x"] == (0.9 * 1e308 * -0.03,) * 2
