@@ -8,7 +8,7 @@ typical 95% interval costs two to four CDF evaluations.  The supply/demand
 equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
 arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it per Monte Carlo draw for the three
-quantities that are not monotone in beta; the monotone products
+quantities that are not monotone in beta everywhere; the monotone products
 ``beta_xm`` and ``r_x`` never reach a per-draw kernel.
 """
 
@@ -157,12 +157,18 @@ def student_t_cdf(t: float, df: float) -> float:
 
     Near the median the central form ``0.5 +- 0.5 * I_x(1/2, df/2)`` with
     ``x = t^2 / (df + t^2)`` keeps full relative precision; the tail form
-    ``1 - 0.5 * p`` would subtract a two-sided p close to 1.
+    ``1 - 0.5 * p`` would subtract a two-sided p close to 1.  Below the
+    median the central form cancels as the result falls, so once it is
+    under 1/4 the tail form ``0.5 * p`` replaces it; at large df that
+    happens while x is still below 0.5.
     """
     x = t * t / (df + t * t)
     if x < 0.5:
         half = 0.5 * reg_inc_beta(0.5, 0.5 * df, x)
-        return 0.5 + half if t >= 0.0 else 0.5 - half
+        if t >= 0.0:
+            return 0.5 + half
+        if half < 0.25:
+            return 0.5 - half
     p = student_t_two_sided(t, df)
     if t >= 0.0:
         return 1.0 - 0.5 * p
@@ -361,23 +367,30 @@ def solve_equilibrium(beta, eps_s=None, eps_d=None):
     return -beta * y_e + eps_d, y_e
 
 
-def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price):
+def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, out=None):
     """Per-draw equilibrium quantities, columns (ln_price, ln_quantity,
     ln_user_cost).
 
-    These are the quantities not monotone in beta; ``beta_xm`` and ``r_x``
-    are, so ``natbeta.uncertainty`` maps their order statistics from the
-    beta's instead of evaluating them per draw.  The (n, 3) result is the
-    transpose of a C-ordered (3, n) array, so each column is contiguous:
-    every column is computed straight into its slot with unit stride, and
-    selecting order statistics from a column needs no gather.  Rows are
-    computed in blocks of ``_PROPAGATE_BLOCK``, so the equilibrium's
-    temporaries are block-sized and stay in cache instead of streaming
-    n-long arrays through memory; the result is the same, element by
-    element.
+    These are the quantities not monotone in beta everywhere; ``beta_xm``
+    and ``r_x`` are, so ``natbeta.uncertainty`` maps their order statistics
+    from the beta's instead of evaluating them per draw.  The (n, 3) result
+    is the transpose of a C-ordered (3, n) array, so each column is
+    contiguous: every column is computed straight into its slot with unit
+    stride, and selecting order statistics from a column needs no gather.
+    Rows are computed in blocks of ``_PROPAGATE_BLOCK``, so the
+    equilibrium's temporaries are block-sized and stay in cache instead of
+    streaming n-long arrays through memory; the result is the same, element
+    by element.  Every step is elementwise, so the rows of permuted betas
+    are the same rows, permuted, bit for bit: ``natbeta.uncertainty``
+    passes the betas in partitioned order and relies on it.
+
+    ``out``, when given, is the (n, 3) array written and returned.
+    ``betas`` may be one of its columns: each block of betas is read in
+    full before the block's rows are written.
     """
     betas = np.asarray(betas, dtype=np.float64)
-    out = np.empty((3, betas.shape[0])).T
+    if out is None:
+        out = np.empty((3, betas.shape[0])).T
     for start in range(0, betas.shape[0], _PROPAGATE_BLOCK):
         b = betas[start:start + _PROPAGATE_BLOCK]
         rows = out[start:start + _PROPAGATE_BLOCK]

@@ -423,20 +423,32 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+def _compact(x: float, prec: int = 3, width: int = 12) -> str:
+    """``x`` with ``prec`` decimals, or with three significant digits when
+    that would take more than ``width`` characters."""
+    text = f"{x:.{prec}f}"
+    return text if len(text) <= width else f"{x:.3g}"
+
+
 def _pct(x: float) -> str:
-    return f"{100.0 * x:.1f}%"
+    """``x`` as a percentage in ``_compact`` form, with one decimal.
+
+    Past about 1.8e306 the product ``100 * x`` overflows; the exponent of
+    ``x``'s own compact form is raised by two instead, so a finite rate
+    never reads ``inf%``.
+    """
+    percent = 100.0 * x
+    if math.isinf(percent) and math.isfinite(x):
+        mantissa, exponent = f"{x:.3g}".split("e")
+        return f"{mantissa}e{int(exponent) + 2:+03d}%"
+    return _compact(percent, 1) + "%"
 
 
 def _cell(x, width: int, prec: int = 3) -> str:
     """Fixed format, falling back to compact notation for oversized values."""
     if x is None:
         return f"{'--':>{width}}"
-    if not math.isfinite(x):
-        return f"{x:>{width}}"
-    text = f"{x:.{prec}f}"
-    if len(text) > width - 1:
-        text = f"{x:.3g}"
-    return f"{text:>{width}}"
+    return f"{_compact(x, prec, width - 1):>{width}}"
 
 
 def _descriptives_text(desc: Mapping) -> list[str]:
@@ -489,7 +501,7 @@ def _intervals_text(iv: Mapping) -> list[str]:
         cells = []
         for n in names:
             v = iv["bounds"][n][idx]
-            cells.append(f"{_pct(v):>14}" if n == "r_x" else f"{v:>14.3f}")
+            cells.append(f"{_pct(v):>14}" if n == "r_x" else _cell(v, 14))
         lines.append(f"{which:<10}" + "".join(cells))
     return lines
 
@@ -552,8 +564,8 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
         lines.append("")
     b, r = report.betas, report.returns
     lines += [
-        f"beta_xq = {b['beta_xq']:.3f}   beta_qx = {b['beta_qx']:.3f}   "
-        f"beta_qm = {b['beta_qm']:.3f}   beta_xm = {b['beta_xm']:.3f}",
+        f"beta_xq = {_compact(b['beta_xq'])}   beta_qx = {_compact(b['beta_qx'])}   "
+        f"beta_qm = {_compact(b['beta_qm'])}   beta_xm = {_compact(b['beta_xm'])}",
         f"r_m = {_pct(r['r_m'])}   r_q = {_pct(r['r_q'])}   r_x = {_pct(r['r_x'])}",
         "",
     ]

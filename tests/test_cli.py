@@ -129,10 +129,22 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
     pytest.param(["equilibrium", "--beta-xq", "1"],
                  "cbf1852613e9a5f4ef315a7a52952aab8197f4d61b5d7bbcfdf24e8a52bab3d0",
                  id="equilibrium-unit-beta"),
+    # draws that straddle the turning point of ln_price (b ~ 1.895), and of
+    # ln_quantity and ln_user_cost (b ~ 0.301 and 1) with r_x descending
+    pytest.param(["ci", "--beta-xq", "1.9", "--beta-xq-se", "0.3", *STUB_MARKET,
+                  "--r-m", "2.9%", "--seed", "7", "--draws", "100000"],
+                 "c2ce3bb37dcf917ff941720850e1623944ad13980f0167f0ae789d734d41a7cc",
+                 id="ci-price-turning-point"),
+    pytest.param(["ci", "--beta-xq", "1.0", "--beta-xq-se", "0.05", *STUB_MARKET,
+                  "--r-m=-3%", "--seed", "7", "--draws", "100000"],
+                 "3c3733fa945369971594d6013c66a20f2d98d6fdc4d384e5b01a0d40ec5ee9a2",
+                 id="ci-user-cost-turning-point"),
 ])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     # SHA-256 of reports written before the Monte Carlo stage stopped
-    # evaluating beta_xm and r_x per draw; any change of a bit fails here
+    # evaluating beta_xm and r_x per draw, and before it selected the
+    # equilibrium endpoints inside the beta's tail blocks; any change of a
+    # bit fails here
     monkeypatch.chdir(tmp_path)
     panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))
     (tmp_path / "panel.csv").write_text(serialize_panel(panel))
@@ -437,6 +449,32 @@ def test_overflow_in_uncertainty_stage_does_not_warn(capsys, se, exit_code):
         assert err == ""
     else:
         assert err.startswith("error: uncertainty: ")
+
+
+def test_estimate_text_shows_huge_finite_betas_and_rates_compactly(capsys):
+    # 100 * r_q overflows a double; the JSON holds the finite 3e+306
+    argv = ["estimate", "--slope", "-0.919", "--slope-se", "0.018", "--mean-ln-flow", "2",
+            "--mean-ln-price", "2", "--beta-qm", "1e308", "--r-m", "0.03", "--draws", "0"]
+    code, out, err = run_cli(capsys, argv + ["--format", "text"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "beta_xq = 0.919   beta_qx = 1.088   beta_qm = 1e+308   beta_xm = 9.19e+307" in lines
+    assert "r_m = 3.0%   r_q = 3e+308%   r_x = 2.76e+308%" in lines
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert json.loads(out)["returns"]["r_q"] == 3e306
+
+
+def test_ci_text_shows_huge_finite_rate_bounds_compactly(capsys):
+    argv = ["ci", "--beta-xq", "1", "--beta-xq-se", "0.1", "--beta-qm", "5", "--r-m", "1e307",
+            "--mean-ln-flow", "2", "--mean-ln-price", "2", "--draws", "1000", "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert "inf" not in out
+    lows, highs = out.splitlines()[2:4]
+    assert lows.endswith("     4.2e+309%") and highs.endswith("    5.87e+309%")
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    r_x = json.loads(out)["bounds"]["r_x"]
+    assert r_x[0] == pytest.approx(4.2e307, rel=1e-3) and r_x[1] == pytest.approx(5.87e307, rel=1e-3)
 
 
 def test_ci_subcommand_text_and_json(capsys):

@@ -55,6 +55,26 @@ def test_student_t_cdf_quadrature(t, df):
     assert kernels.student_t_cdf(t, df) == pytest.approx(oracle_t_cdf(t, df), abs=1e-10)
 
 
+def oracle_t_lower_tail(t, df):
+    """P(T_df <= t) for t < 0, from the incomplete-beta form."""
+    t, df = mp.mpf(t), mp.mpf(df)
+    return mp.betainc(df / 2, mp.mpf(1) / 2, 0, df / (df + t * t), regularized=True) / 2
+
+
+@pytest.mark.parametrize("df", [1, 5, 16, 195, 1000])
+def test_student_t_cdf_negative_tail_relative_error(df):
+    # the central form 0.5 - 0.5*I_x(1/2, df/2) cancels in the lower tail:
+    # at df 195, t = -7.516 it was off by a relative 9.9e-6; -1.72 is next
+    # to the switch to the tail form at large df
+    worst = 0.0
+    for t in [*(-np.geomspace(1e-3, 1e4, 57)), -1.72, -5.0, -7.516]:
+        ref = oracle_t_lower_tail(float(t), df)
+        if ref < mp.mpf("1e-300"):
+            continue
+        worst = max(worst, float(abs(kernels.student_t_cdf(float(t), df) - ref) / ref))
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("df", [2, 16, 40])
 @pytest.mark.parametrize("p", [0.025, 0.1, 0.5, 0.9, 0.975, 0.995])
 def test_student_t_quantile_inverts_cdf(p, df):
@@ -197,6 +217,34 @@ def test_propagate_matches_loop_reference():
     betas[0] = 1.0
     expected = reference_propagate(betas, 2.113, 2.828)
     assert np.array_equal(kernels.propagate_beta_draws(betas, 2.113, 2.828), expected)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8191, 8192, 8193, 100_001])
+def test_propagate_commutes_with_permutations_bitwise(n):
+    # natbeta.uncertainty propagates the betas in partitioned order: each
+    # row's bits must not depend on where in a block, or in which block,
+    # its beta lies
+    rng = np.random.default_rng(n)
+    betas = np.exp(rng.normal(0.0, 0.4, size=n))
+    betas[rng.integers(n, size=min(n, 5))] = 1.0
+    betas[-1] = 1e-300  # b*b underflows
+    perm = rng.permutation(n)
+    with np.errstate(under="ignore"):
+        permuted_first = kernels.propagate_beta_draws(betas[perm], 2.113, 2.828)
+        permuted_after = kernels.propagate_beta_draws(betas, 2.113, 2.828)[perm]
+    assert permuted_first.tobytes() == permuted_after.tobytes()
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_propagate_into_out_that_holds_the_betas_is_bitwise_equal(column):
+    rng = np.random.default_rng(8)
+    betas = np.exp(rng.normal(0.0, 0.4, size=2 * 8192 + 37))
+    expected = kernels.propagate_beta_draws(betas, 2.113, 2.828)
+    out = np.empty((3, betas.size)).T
+    out[:, column] = betas
+    got = kernels.propagate_beta_draws(out[:, column], 2.113, 2.828, out=out)
+    assert got is out
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_unshocked_equilibrium_equals_zero_shocks_bitwise():

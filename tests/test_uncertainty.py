@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from natbeta import kernels
+from natbeta import kernels, uncertainty
 from natbeta.uncertainty import (
     MAX_DRAWS,
     QUANTITY_NAMES,
@@ -255,26 +255,40 @@ def test_derived_intervals_validation(paper):
     # n = 1000, level 0.0001.  At n = 5, level 0.5 the virtual indices are
     # the integers 1 and 3, so a descending r_x needs the beta's rank 0,
     # which no ascending endpoint selects; at n = 101, level 0.9 they fall
-    # a rounding step from the integers 5 and 95.
-    (0.5, 5), (0.9, 101),
+    # a rounding step from the integers 5 and 95.  At n = 1001, level 0.5
+    # they are the integers 250 and 750, and the beta is cut at 251 and 750:
+    # a descending row's reversed view is cut at 250 and 749.
+    (0.5, 5), (0.9, 101), (0.5, 1001),
 ])
 # a negative rate makes r_x descending; -0.0 makes every r_x a negative zero
 @pytest.mark.parametrize("r_m", [0.029, 0.0, -0.03, -0.0])
 def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
-    # N(1.9, 0.3) draws straddle the turning point of the ln-price map
-    draws = sample_betas(1.9, 0.3, n, seed=n)
-    table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
-                                         paper["mean_ln_price"])
-    assert table.shape == (n, 3)
-    beta_xm = draws.values * paper["beta_qm"]
-    table = np.column_stack([table, beta_xm, beta_xm * r_m])
-    lo_q = 0.5 * (1.0 - level)
-    expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
-    report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
-                               paper["mean_ln_price"], level=level)
-    for j, name in enumerate(QUANTITY_NAMES):
-        # compared as bytes, so the sign of a zero bound counts
-        assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), name
+    for mean, se in [
+        # the paper stub: every equilibrium row is monotone over the draws,
+        # so each is selected between the cuts of the beta's partition
+        (0.919, 0.018),
+        # draws that straddle the turning point of ln_price (b ~ 1.895), of
+        # ln_quantity (b ~ 0.301) and of ln_user_cost (b = 1): that row is
+        # selected from no cuts
+        (1.9, 0.3), (0.3013, 0.05), (1.0, 0.05),
+        # the minimum of ln_quantity (b ~ 3.319) lies among the largest 5%
+        # of the draws: only that block's max shows the row is not descending
+        (2.5, 0.4),
+    ]:
+        draws = sample_betas(mean, se, n, seed=n)
+        table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
+                                             paper["mean_ln_price"])
+        assert table.shape == (n, 3)
+        beta_xm = draws.values * paper["beta_qm"]
+        table = np.column_stack([table, beta_xm, beta_xm * r_m])
+        lo_q = 0.5 * (1.0 - level)
+        expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+        report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
+                                   paper["mean_ln_price"], level=level)
+        for j, name in enumerate(QUANTITY_NAMES):
+            # compared as bytes, so the sign of a zero bound counts
+            assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
+                (name, mean, se)
 
 
 def test_nan_column_bounds_are_not_finite():
@@ -295,6 +309,56 @@ def test_overflowed_endpoints_are_not_finite(r_m):
             pytest.raises(UncertaintyError,
                           match=r"^interval bounds of beta_xm, r_x are not finite$"):
         derived_intervals(draws, 1e308, r_m, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_row_partitioned_at_uneven_cuts_gives_its_own_order_stats(descending):
+    # at n = 1001, level 0.5 the beta is cut at 251 and 750, which do not
+    # mirror each other; the blocks are shuffled, so no value lies next to
+    # a cut by the chance of how np.partition leaves it
+    rng = np.random.default_rng(3)
+    n, cuts, ranks = 1001, [251, 750], [250, 251, 750, 751, 1000]
+    row = np.sort(rng.normal(size=n))
+    for start, stop in [(0, 251), (252, 750), (751, n)]:
+        rng.shuffle(row[start:stop])
+    if descending:
+        row = -row
+    expected = np.sort(row)[ranks]
+    stats = uncertainty._row_order_stats(row, ranks, cuts)
+    assert np.concatenate([stats[k] for k in ranks]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("at", [0, 12_345, 99_999])
+def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
+    # an infinite beta puts a NaN (inf/inf) in every equilibrium row, which
+    # fails the partition check; the message is the one of full selection
+    values = sample_betas(0.919, 0.018, 100_000, seed=7).values
+    values[at] = math.inf
+    for r_m in (paper["r_m"], -0.03):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                UncertaintyError,
+                match=r"^interval bounds of ln_price, ln_quantity, ln_user_cost are not finite$"):
+            derived_intervals(fixed_draws(values), paper["beta_qm"], r_m,
+                              paper["mean_ln_flow"], paper["mean_ln_price"])
+
+
+def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
+    # the report's bits cannot tell the selection between the beta's cuts
+    # from the fallback, so count the calls: the beta alone is selected
+    # from no cuts, each equilibrium row between the beta's two cuts
+    calls = []
+    order_stats = uncertainty._order_stats
+
+    def recording(rows, ranks, cuts=()):
+        calls.append(list(cuts))
+        return order_stats(rows, ranks, cuts)
+
+    monkeypatch.setattr(uncertainty, "_order_stats", recording)
+    draws = sample_betas(0.919, 0.018, 100_000, seed=7)
+    derived_intervals(draws, paper["beta_qm"], paper["r_m"],
+                      paper["mean_ln_flow"], paper["mean_ln_price"])
+    assert calls[0] == []
+    assert calls[1:] == [[5_000, 94_999]] * 3
 
 
 def test_overflow_beyond_the_endpoints_leaves_descending_bounds_finite():
