@@ -10,10 +10,16 @@ correction is applied (documented limitation).
 AIC/BIC use the concentrated-Gaussian convention
 ``n*ln(SSR/n) + penalty*k`` with ``k`` the number of estimated mean
 coefficients.
+
+A fit keeps the regressand's mean and centred sum of squares, so the JSON
+mapping reads them instead of passing over the regressand again; the
+residual-normality test is reported only when the residuals' second moment
+is positive and finite (``jarque_bera`` raises otherwise).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -48,7 +54,10 @@ class FitResult:
 
     Coefficient-aligned arrays follow the order of ``names``.  The design
     matrix and regressand are retained so diagnostic tests can re-fit
-    augmented models.
+    augmented models.  ``mean_dependent`` is ``regressand.mean()`` and
+    ``centered_ss`` the sum of squared deviations of the regressand from it,
+    with or without a constant in the design; ``sqrt(centered_ss / (n - 1))``
+    equals ``regressand.std(ddof=1)`` bit for bit.
     """
 
     names: tuple[str, ...]
@@ -69,6 +78,8 @@ class FitResult:
     fitted: np.ndarray
     regressand: np.ndarray
     design: np.ndarray
+    mean_dependent: float
+    centered_ss: float
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -143,11 +154,11 @@ def _as_design(regressors: Mapping[str, Sequence], include_constant: bool, n: in
 def _least_squares(y: np.ndarray, X: np.ndarray):
     """QR solve of min |y - X b|; returns (b, R).  Raises on rank deficiency."""
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    scale = np.max(np.abs(X), axis=0)
-    scale[scale == 0.0] = 1.0
-    if np.any(diag <= 1e-12 * np.sqrt(X.shape[0]) * scale):
-        raise RegressionError("rank-deficient design matrix")
+    # |R_ii| <= 1e-12 * sqrt(n) * max_j |X_ji|, a zero column scale read as 1
+    tol = 1e-12 * math.sqrt(X.shape[0])
+    for r_ii, scale in zip(R.diagonal().tolist(), np.abs(X).max(axis=0).tolist()):
+        if abs(r_ii) <= tol * (scale or 1.0):
+            raise RegressionError("rank-deficient design matrix")
     return np.linalg.solve(R, Q.T @ y), R
 
 
@@ -191,22 +202,24 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     xtx_inv = r_inv @ r_inv.T
     se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
 
-    t_vals = np.empty(k)
-    p_vals = np.empty(k)
-    for i in range(k):
-        if se[i] > 0.0:
-            t_vals[i] = coef[i] / se[i]
-            p_vals[i] = kernels.student_t_two_sided(float(t_vals[i]), float(df_resid))
-        elif coef[i] == 0.0:
-            t_vals[i], p_vals[i] = 0.0, 1.0
+    t_vals, p_vals = [], []
+    for c, s in zip(coef.tolist(), se.tolist()):
+        if s > 0.0:
+            t = c / s
+            p = kernels.student_t_two_sided(t, float(df_resid))
+        elif c == 0.0:
+            t, p = 0.0, 1.0
         else:
-            t_vals[i] = np.inf if coef[i] > 0 else -np.inf
-            p_vals[i] = 0.0
+            t, p = (math.inf if c > 0 else -math.inf), 0.0
+        t_vals.append(t)
+        p_vals.append(p)
     q = float(kernels.student_t_quantile(0.5 * (1.0 + conf_level), float(df_resid)))
     ci = np.column_stack([coef - q * se, coef + q * se])
 
+    y_mean = y.mean()
+    centered_ss = float(np.sum((y - y_mean) ** 2))
     if include_constant:
-        sst = float(np.sum((y - y.mean()) ** 2))
+        sst = centered_ss
         n_slopes = k - 1
     else:
         sst = float(y @ y)
@@ -233,8 +246,8 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
         names=names,
         coefficients=coef,
         standard_errors=se,
-        t_values=t_vals,
-        p_values=p_vals,
+        t_values=np.array(t_vals),
+        p_values=np.array(p_vals),
         conf_intervals=ci,
         conf_level=conf_level,
         r_squared=float(r2),
@@ -248,6 +261,8 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
         fitted=fitted,
         regressand=y,
         design=X,
+        mean_dependent=float(y_mean),
+        centered_ss=centered_ss,
     )
 
 
@@ -278,7 +293,8 @@ def control_function_fit(flow_dev, price_dev, instruments: Mapping[str, Sequence
     constant); stage 2 regresses the flow deviations on the price
     deviations, the stage-1 residual and a constant, in that report order.
     RESET and residual-normality diagnostics run on stage 2 when the sample
-    admits them (otherwise the corresponding field is None).
+    admits them (otherwise the corresponding field is None); normality is
+    None also when the residuals' second moment is not positive and finite.
     """
     if not instruments:
         raise RegressionError("instruments must be non-empty")
@@ -305,8 +321,10 @@ def control_function_fit(flow_dev, price_dev, instruments: Mapping[str, Sequence
             reset = reset_test(second, alpha=alpha)
         except RegressionError:
             reset = None
-    if second.n >= 8 and float(np.var(second.residuals)) > 0.0:
+    try:
         normality = jarque_bera(second.residuals, alpha=alpha)
+    except RegressionError:
+        normality = None
     return ControlFunctionFit(second_stage=second, first_stage=first,
                               reset=reset, normality=normality)
 
@@ -339,15 +357,20 @@ def reset_test(fit: FitResult, powers: Sequence[int] = (2, 3), alpha: float = 0.
 
 
 def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
-    """Jarque-Bera normality test: JB = n/6 (skew^2 + kurtosis_excess^2/4)."""
+    """Jarque-Bera normality test: JB = n/6 (skew^2 + kurtosis_excess^2/4).
+
+    Raises RegressionError for fewer than 8 residuals and, without a NumPy
+    warning, when their second central moment is not positive and finite.
+    """
     e = np.asarray(residuals, dtype=np.float64)
     n = e.shape[0]
     if n < 8:
         raise RegressionError(f"Jarque-Bera needs n >= 8, got {n}")
-    e = e - e.mean()
-    m2 = float(np.mean(e**2))
-    if m2 <= 0.0:
-        raise RegressionError("zero residual variance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = e - e.mean()
+        m2 = float(np.mean(e**2))
+    if not 0.0 < m2 < math.inf:
+        raise RegressionError(f"residual variance {m2!r} is not positive and finite")
     skew = float(np.mean(e**3)) / m2**1.5
     kurt_excess = float(np.mean(e**4)) / m2**2 - 3.0
     stat = n / 6.0 * (skew**2 + 0.25 * kurt_excess**2)
@@ -364,16 +387,14 @@ def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
 
 def fit_to_dict(fit: FitResult) -> dict:
     """JSON-ready mapping with the fixed field names."""
-    rows = {}
-    for i, name in enumerate(fit.names):
-        rows[name] = {
-            "coef": float(fit.coefficients[i]),
-            "std_err": float(fit.standard_errors[i]),
-            "t_value": float(fit.t_values[i]),
-            "p_value": float(fit.p_values[i]),
-            "ci_low": float(fit.conf_intervals[i, 0]),
-            "ci_high": float(fit.conf_intervals[i, 1]),
-        }
+    ci_low, ci_high = fit.conf_intervals.T.tolist()
+    rows = {
+        name: {"coef": coef, "std_err": se, "t_value": t, "p_value": p,
+               "ci_low": low, "ci_high": high}
+        for name, coef, se, t, p, low, high in zip(
+            fit.names, fit.coefficients.tolist(), fit.standard_errors.tolist(),
+            fit.t_values.tolist(), fit.p_values.tolist(), ci_low, ci_high)
+    }
     return {
         "coefficients": rows,
         "conf_level": fit.conf_level,
@@ -384,8 +405,8 @@ def fit_to_dict(fit: FitResult) -> dict:
         "bic": fit.bic,
         "n_obs": fit.n,
         "df_residual": fit.df_residual,
-        "mean_dependent": float(fit.regressand.mean()),
-        "sd_dependent": float(fit.regressand.std(ddof=1)) if fit.n > 1 else 0.0,
+        "mean_dependent": fit.mean_dependent,
+        "sd_dependent": math.sqrt(fit.centered_ss / (fit.n - 1)) if fit.n > 1 else 0.0,
     }
 
 

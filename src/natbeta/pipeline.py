@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Mapping
 
@@ -82,6 +82,11 @@ class EstimateReport:
 
 def _sanitize(obj):
     """Make a report JSON-safe: plain types only, non-finite floats -> None."""
+    cls = type(obj)
+    if cls is float:
+        return obj if math.isfinite(obj) else None
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -121,6 +126,9 @@ def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
         raise em.RegressionError(
             f"instrument columns not in panel: {', '.join(missing)}"
         )
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise em.RegressionError(f"instrument column selected more than once: {repeated[0]}")
     if not names:
         raise em.RegressionError("empty instrument selection")
     return {n: panel.instruments[n] for n in names}, 0, "panel columns " + ",".join(names)
@@ -151,8 +159,8 @@ def _preprocess_stage(panel: RawPanel) -> tuple[dict, pp.CenteredLogSeries,
     except pp.PreprocessError as exc:
         raise StageError("preprocess", str(exc)) from exc
     descriptives = {
-        "ln_flow": pp.describe_log_series(panel.flow),
-        "ln_price": pp.describe_log_series(prices.values),
+        "ln_flow": pp.describe_log_series(flow_logs),
+        "ln_price": pp.describe_log_series(price_logs),
         "alignment_cosine": prices.cosine,
     }
     return descriptives, flow_logs, price_logs
@@ -293,6 +301,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             )
             # a standard error that is 0 (or underflows) leaves a t-value unbounded
             for label, fit in (("first-stage", cf.first_stage), ("second-stage", cf.second_stage)):
+                if np.isfinite(fit.t_values).all():
+                    continue
                 for name, t, se in zip(fit.names, fit.t_values, fit.standard_errors):
                     if not math.isfinite(t):
                         raise em.RegressionError(f"{label} coefficient '{name}' has standard "
@@ -353,7 +363,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             "beta_xm": betas.beta_xm,
         },
         returns={"r_m": returns.r_m, "r_q": returns.r_q, "r_x": returns.r_x},
-        equilibrium=asdict(point),
+        # a shallow copy of the frozen point's float fields, in field order
+        equilibrium=dict(vars(point)),
         elasticities=elasticities,
         intervals=intervals,
         warnings=tuple(warnings),

@@ -38,10 +38,12 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class CenteredLogSeries:
-    """Log-deviations from the log mean, with the mean kept for level shifts."""
+    """Log-deviations from the log mean, with the mean kept for level shifts
+    and the logs kept for ``describe_log_series``."""
 
     deviations: np.ndarray
     mean: float
+    logs: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         return np.exp(self.mean + self.deviations)
@@ -87,16 +89,22 @@ def center_log(series) -> CenteredLogSeries:
                               "log undefined")
     logs = np.log(s)
     mean = float(logs.mean())
-    return CenteredLogSeries(deviations=logs - mean, mean=mean)
+    return CenteredLogSeries(deviations=logs - mean, mean=mean, logs=logs)
 
 
-def describe_log_series(series) -> dict:
-    """Descriptive statistics (sample SD, n-1 denominator) of a log series."""
-    logs = np.log(np.asarray(series, dtype=np.float64))
+def describe_log_series(centered: CenteredLogSeries) -> dict:
+    """Descriptive statistics (sample SD, n-1 denominator) of a log series.
+
+    Reads the logs, mean and deviations that ``center_log`` formed, so the
+    series is not logged again; the numbers equal ``logs.mean()``,
+    ``logs.std(ddof=1)``, ``logs.min()`` and ``logs.max()`` bit for bit.
+    """
+    logs, dev = centered.logs, centered.deviations
+    n = logs.size
     return {
-        "n_obs": int(logs.size),
-        "mean": float(logs.mean()),
-        "sd": float(logs.std(ddof=1)) if logs.size > 1 else 0.0,
+        "n_obs": int(n),
+        "mean": centered.mean,
+        "sd": math.sqrt(float(np.sum(dev * dev)) / (n - 1)) if n > 1 else 0.0,
         "min": float(logs.min()),
         "max": float(logs.max()),
     }

@@ -139,15 +139,30 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
                   "--r-m=-3%", "--seed", "7", "--draws", "100000"],
                  "3c3733fa945369971594d6013c66a20f2d98d6fdc4d384e5b01a0d40ec5ee9a2",
                  id="ci-user-cost-turning-point"),
+    # the two cells of the coverage_sweep benchmark workload: both shocks,
+    # the supply-shifter instruments
+    pytest.param(["estimate", "--input", "shocked19.csv", "--beta-qm", "5.36", "--r-m", "0.029",
+                  "--instruments", "iv_sup1,iv_sup2", "--draws", "0"],
+                 "03c3ca22797f95d18084cf020c161f79923b2d68727f7bad07dd21ba0199e444",
+                 id="coverage-panel-19"),
+    pytest.param(["estimate", "--input", "shocked200.csv", "--beta-qm", "5.36", "--r-m", "0.029",
+                  "--instruments", "iv_sup1,iv_sup2", "--draws", "0"],
+                 "1c4fb9573d458cf96d598d03f9e957af2ecfd47c4bef2d838e365cf2e7c259c2",
+                 id="coverage-panel-200"),
 ])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     # SHA-256 of reports written before the Monte Carlo stage stopped
-    # evaluating beta_xm and r_x per draw, and before it selected the
-    # equilibrium endpoints inside the beta's tail blocks; any change of a
-    # bit fails here
+    # evaluating beta_xm and r_x per draw, before it selected the
+    # equilibrium endpoints inside the beta's tail blocks, and before the
+    # panel fit and report stopped recomputing the regressand's moments and
+    # the series' logs; any change of a bit fails here
     monkeypatch.chdir(tmp_path)
     panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))
     (tmp_path / "panel.csv").write_text(serialize_panel(panel))
+    for n in (19, 200):
+        shocked = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05,
+                                               n=n, seed=31))
+        (tmp_path / f"shocked{n}.csv").write_text(serialize_panel(shocked))
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -178,6 +193,19 @@ def test_estimate_stage_error_exit_code(tmp_path, capsys):
     assert code == 1
     assert "preprocess" in err
     assert "non-positive value at row 2" in err
+
+
+def test_repeated_instrument_column_is_a_stage_error(tmp_path, capsys):
+    panel = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, n=19, seed=31))
+    path = tmp_path / "panel.csv"
+    path.write_text(serialize_panel(panel))
+    code, out, err = run_cli(capsys, [
+        "estimate", "--input", str(path), "--beta-qm", "5.36", "--r-m", "0.029",
+        "--instruments", "iv_sup1,iv_sup1", "--draws", "0",
+    ])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: econometrics: instrument column selected more than once: "
+                          "iv_sup1\n")
 
 
 # Stand for panel files, one whose flow in row 1 is -1.0 and one whose

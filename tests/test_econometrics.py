@@ -7,6 +7,7 @@ deterministic.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,7 @@ from natbeta import econometrics as em
 from natbeta import kernels
 from natbeta import preprocess as pp
 from natbeta.beta_algebra import beta_from_slope
-from natbeta.pipeline import render_report, run_estimate
+from natbeta.pipeline import _preprocess_stage, render_report, run_estimate
 
 from conftest import estimate_beta_from_panel, make_config
 from natbeta.simulator import synthesize_panel
@@ -275,6 +276,100 @@ def test_control_fit_report_layout(simulated_panel):
         assert fragment in text
 
 
+def _reference_fit_dict(fit):
+    """``fit_to_dict`` with the arithmetic it had before fits kept the
+    regressand's moments: t- and p-values from indexed NumPy scalars, and
+    the regressand's mean and sample SD recomputed."""
+    rows = {}
+    for i, name in enumerate(fit.names):
+        coef, se = fit.coefficients[i], fit.standard_errors[i]
+        if se > 0.0:
+            t = coef / se
+            p = kernels.student_t_two_sided(float(t), float(fit.df_residual))
+        elif coef == 0.0:
+            t, p = 0.0, 1.0
+        else:
+            t, p = (np.inf if coef > 0 else -np.inf), 0.0
+        rows[name] = {
+            "coef": float(coef),
+            "std_err": float(se),
+            "t_value": float(t),
+            "p_value": float(p),
+            "ci_low": float(fit.conf_intervals[i, 0]),
+            "ci_high": float(fit.conf_intervals[i, 1]),
+        }
+    return {
+        "coefficients": rows, "conf_level": fit.conf_level, "r_squared": fit.r_squared,
+        "f_stat": fit.f_statistic, "f_p": fit.f_p_value, "aic": fit.aic, "bic": fit.bic,
+        "n_obs": fit.n, "df_residual": fit.df_residual,
+        "mean_dependent": float(fit.regressand.mean()),
+        "sd_dependent": float(fit.regressand.std(ddof=1)) if fit.n > 1 else 0.0,
+    }
+
+
+def _reference_control_dict(cf):
+    """``control_fit_to_dict`` with the normality test gated, as before, on
+    a separate ``np.var(residuals) > 0`` pass."""
+    out = {"second_stage": _reference_fit_dict(cf.second_stage),
+           "first_stage": _reference_fit_dict(cf.first_stage),
+           "diagnostics": em.control_fit_to_dict(cf)["diagnostics"]}
+    out["diagnostics"].pop("jarque_bera", None)
+    residuals = cf.second_stage.residuals
+    if residuals.size >= 8 and float(np.var(residuals)) > 0.0:
+        jb = em.jarque_bera(residuals, alpha=0.05)
+        out["diagnostics"]["jarque_bera"] = {"statistic": jb.statistic, "p_value": jb.p_value,
+                                             "rejected": jb.rejected, "alpha": jb.alpha}
+    return out
+
+
+def _reference_describe(series):
+    logs = np.log(np.asarray(series, dtype=np.float64))
+    return {"n_obs": int(logs.size), "mean": float(logs.mean()),
+            "sd": float(logs.std(ddof=1)) if logs.size > 1 else 0.0,
+            "min": float(logs.min()), "max": float(logs.max())}
+
+
+def _assert_bitwise_equal(got, ref):
+    # repr tells -0.0 from 0.0 and shows the key order the CSV report keeps
+    assert repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("n", [19, 200])
+def test_panel_fit_and_descriptives_equal_the_recomputed_reference(n):
+    for seed in range(50):
+        panel = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05,
+                                             n=n, seed=seed))
+        descriptives, flow_logs, price_logs = _preprocess_stage(panel)
+        prices = pp.unit_price_series(panel.value, panel.flow)
+        _assert_bitwise_equal(descriptives, {
+            "ln_flow": _reference_describe(panel.flow),
+            "ln_price": _reference_describe(prices.values),
+            "alignment_cosine": prices.cosine,
+        })
+        instruments = {k: panel.instruments[k] for k in ("iv_sup1", "iv_sup2")}
+        cf = em.control_function_fit(flow_logs.deviations, price_logs.deviations, instruments)
+        assert cf.normality is not None
+        _assert_bitwise_equal(em.control_fit_to_dict(cf), _reference_control_dict(cf))
+
+
+def test_fit_without_constant_equals_the_recomputed_reference():
+    X, y = random_problem(5)
+    fit = em.ols(y, {f"x{j}": X[:, j] for j in range(X.shape[1])}, include_constant=False)
+    _assert_bitwise_equal(em.fit_to_dict(fit), _reference_fit_dict(fit))
+
+
+def test_zero_residual_variance_fit_equals_the_recomputed_reference():
+    # a zero regressand is fitted exactly: zero coefficients, standard errors
+    # and residuals, so no normality test is reported
+    panel = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05, n=19))
+    price_dev = pp.center_log(panel.value / panel.flow).deviations
+    cf = em.control_function_fit(np.zeros(19), price_dev,
+                                 {"iv_sup1": panel.instruments["iv_sup1"]})
+    assert cf.normality is None
+    assert not cf.second_stage.residuals.any()
+    _assert_bitwise_equal(em.control_fit_to_dict(cf), _reference_control_dict(cf))
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
@@ -360,6 +455,18 @@ def test_jarque_bera_power_on_skewed_data():
 def test_jarque_bera_constant_residuals():
     with pytest.raises(em.RegressionError, match="variance"):
         em.jarque_bera(np.zeros(20))
+
+
+@pytest.mark.parametrize("residuals", [
+    np.full(8, np.nan),
+    np.array([1e200, -1e200] * 4),  # the squares overflow
+    np.array([np.inf] + [1.0] * 7),
+], ids=["nan", "overflow", "inf"])
+def test_jarque_bera_rejects_a_variance_that_is_not_finite(residuals):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(em.RegressionError, match="not positive and finite"):
+            em.jarque_bera(residuals)
 
 
 def test_jarque_bera_needs_eight_points():

@@ -154,7 +154,7 @@ def test_price_factorization_property(pi, q):
 
 def test_describe_log_series_sample_sd():
     series = np.exp([1.0, 2.0, 3.0])
-    d = describe_log_series(series)
+    d = describe_log_series(center_log(series))
     assert d["n_obs"] == 3
     assert d["mean"] == pytest.approx(2.0)
     assert d["sd"] == pytest.approx(1.0)  # sample SD, n-1 denominator
