@@ -7,78 +7,61 @@ the market beta and the natural rate of return, solves the log-linear
 supply/demand equilibrium for the sustainability-consistent exchange price
 and quantity, and propagates the regression uncertainty to all derived
 quantities with deterministic Monte Carlo.
+
+Importing the package loads none of its submodules.  Each public name below
+is imported from its submodule on first access (PEP 562), so a command
+compiles and runs only the modules of the stages it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .beta_algebra import (
-    BetaAlgebraError,
-    BetaSet,
-    ReturnSet,
-    beta_from_slope,
-    build_beta_set,
-    build_return_set,
-    chain_to_market,
-    natural_return,
-)
-from .econometrics import (
-    ControlFunctionFit,
-    FitResult,
-    NormalityResult,
-    RegressionError,
-    ResetResult,
-    control_function_fit,
-    jarque_bera,
-    lagged_instruments,
-    ols,
-    reset_test,
-    t_confidence_interval,
-)
-from .market_curves import (
-    CurveError,
-    EquilibriumPoint,
-    ShockModel,
-    curve_samples,
-    elasticities,
-    equilibrium_deviation,
-    equilibrium_levels,
-    shocked_equilibrium,
-    zero_sum_integral,
-)
-from .panel_io import PanelFormatError, RawPanel, parse_panel, serialize_panel
-from .pipeline import EstimateReport, StageError, render_report, run_estimate
-from .preprocess import (
-    CenteredLogSeries,
-    PreprocessError,
-    PriceSeries,
-    center_log,
-    describe_log_series,
-    unit_price_series,
-)
-from .simulator import ScenarioConfig, SimulatorError, simulate_equilibria, synthesize_panel
-from .uncertainty import (
-    BetaDraws,
-    IntervalReport,
-    UncertaintyError,
-    derived_intervals,
-    sample_betas,
-)
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "beta_algebra": (
+        "BetaAlgebraError", "BetaSet", "ReturnSet", "beta_from_slope",
+        "build_beta_set", "build_return_set", "chain_to_market", "natural_return",
+    ),
+    "econometrics": (
+        "ControlFunctionFit", "FitResult", "NormalityResult", "RegressionError",
+        "ResetResult", "control_function_fit", "jarque_bera", "lagged_instruments",
+        "ols", "reset_test", "t_confidence_interval",
+    ),
+    "market_curves": (
+        "CurveError", "EquilibriumPoint", "ShockModel", "curve_samples",
+        "elasticities", "equilibrium_deviation", "equilibrium_levels",
+        "shocked_equilibrium", "zero_sum_integral",
+    ),
+    "panel_io": ("PanelFormatError", "RawPanel", "parse_panel", "serialize_panel"),
+    "pipeline": ("EstimateReport", "StageError", "render_report", "run_estimate"),
+    "preprocess": (
+        "CenteredLogSeries", "PreprocessError", "PriceSeries", "center_log",
+        "describe_log_series", "unit_price_series",
+    ),
+    "simulator": ("ScenarioConfig", "SimulatorError", "simulate_equilibria",
+                  "synthesize_panel"),
+    "uncertainty": (
+        "BetaDraws", "IntervalReport", "UncertaintyError", "derived_intervals",
+        "sample_betas",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BetaAlgebraError", "BetaSet", "ReturnSet", "beta_from_slope",
-    "build_beta_set", "build_return_set", "chain_to_market", "natural_return",
-    "ControlFunctionFit", "FitResult", "NormalityResult", "RegressionError",
-    "ResetResult", "control_function_fit", "jarque_bera", "lagged_instruments",
-    "ols", "reset_test", "t_confidence_interval",
-    "CurveError", "EquilibriumPoint", "ShockModel", "curve_samples",
-    "elasticities", "equilibrium_deviation", "equilibrium_levels",
-    "shocked_equilibrium", "zero_sum_integral",
-    "PanelFormatError", "RawPanel", "parse_panel", "serialize_panel",
-    "EstimateReport", "StageError", "render_report", "run_estimate",
-    "CenteredLogSeries", "PreprocessError", "PriceSeries", "center_log",
-    "describe_log_series", "unit_price_series",
-    "ScenarioConfig", "SimulatorError", "simulate_equilibria", "synthesize_panel",
-    "BetaDraws", "IntervalReport", "UncertaintyError", "derived_intervals",
-    "sample_betas",
-]
+__all__ = ["__version__", *_SUBMODULE]
+
+
+def __getattr__(name):
+    # An AttributeError for any other name lets ``from natbeta import
+    # econometrics`` fall back to importing the submodule.
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

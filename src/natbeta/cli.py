@@ -3,21 +3,21 @@
 Subcommands: estimate, simulate, equilibrium, ci, curves, describe.
 Rates are accepted as decimals (0.029) or percent (2.9%); text output
 displays rates in percent.
+
+Each command imports the modules of the stages it runs when it runs:
+``estimate`` with a regression stub loads neither the panel reader nor the
+regression, and only ``simulate`` loads the simulator.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from . import __version__
-from . import market_curves as mc
-from .panel_io import PanelFormatError, parse_panel, serialize_panel
 from .pipeline import (StageError, _descriptives_text, _equilibrium_text, _intervals_text,
                        _json_text, _market_stage, _preprocess_stage, _uncertainty_stage,
                        _warnings_text, render_report, run_estimate)
-from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
 
 
 def parse_rate(text: str) -> float:
@@ -29,6 +29,8 @@ def parse_rate(text: str) -> float:
 
 
 def _load_panel(path: str):
+    from .panel_io import PanelFormatError, parse_panel
+
     try:
         if path == "-":
             return parse_panel(sys.stdin)
@@ -87,7 +89,7 @@ def _market_payload(args, curves=None):
     sampled curves when ``curves`` gives an x range and a count."""
     point, elasticities, samples = _market_stage(args.beta_xq, args.mean_ln_flow,
                                                  args.mean_ln_price, curves)
-    return {"beta_xq": args.beta_xq, **asdict(point), "elasticities": elasticities}, samples
+    return {"beta_xq": args.beta_xq, **vars(point), "elasticities": elasticities}, samples
 
 
 def _cmd_equilibrium(args) -> int:
@@ -135,19 +137,23 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .market_curves import CurveError, ShockModel
+    from .panel_io import serialize_panel
+    from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
+
     try:
         config = ScenarioConfig(
             beta_xq=args.beta_xq,
             mean_ln_flow=args.mean_ln_flow,
             mean_ln_price=args.mean_ln_price,
-            shocks=mc.ShockModel(sigma_s=args.sigma_s, sigma_d=args.sigma_d,
-                                 mode=args.shock_mode),
+            shocks=ShockModel(sigma_s=args.sigma_s, sigma_d=args.sigma_d,
+                              mode=args.shock_mode),
             n=args.n,
             seed=args.seed,
             iv_noise_sd=args.iv_noise_sd,
         )
         panel = synthesize_panel(config)
-    except (SimulatorError, mc.CurveError) as exc:
+    except (SimulatorError, CurveError) as exc:
         raise StageError("simulator", str(exc)) from exc
     _write_text(args.out, [serialize_panel(panel)])
     if args.out != "-":

@@ -14,12 +14,14 @@ coefficients.
 A fit keeps the regressand's mean and centred sum of squares, so the JSON
 mapping reads them instead of passing over the regressand again; the
 residual-normality test is reported only when the residuals' second moment
-is positive and finite (``jarque_bera`` raises otherwise).
+is positive and finite and their fourth moment within the float range
+(``jarque_bera`` raises otherwise).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -294,7 +296,7 @@ def control_function_fit(flow_dev, price_dev, instruments: Mapping[str, Sequence
     deviations, the stage-1 residual and a constant, in that report order.
     RESET and residual-normality diagnostics run on stage 2 when the sample
     admits them (otherwise the corresponding field is None); normality is
-    None also when the residuals' second moment is not positive and finite.
+    None also when ``jarque_bera`` finds the residuals' moments out of range.
     """
     if not instruments:
         raise RegressionError("instruments must be non-empty")
@@ -330,7 +332,11 @@ def control_function_fit(flow_dev, price_dev, instruments: Mapping[str, Sequence
 
 
 def reset_test(fit: FitResult, powers: Sequence[int] = (2, 3), alpha: float = 0.05) -> ResetResult:
-    """Ramsey RESET: F-test of powers of the fitted values as added regressors."""
+    """Ramsey RESET: F-test of powers of the fitted values as added regressors.
+
+    Raises RegressionError, without a NumPy warning, when a power of the
+    fitted values overflows.
+    """
     powers = tuple(sorted(set(int(p) for p in powers)))
     if not powers or min(powers) < 2:
         raise RegressionError("RESET powers must be integers >= 2")
@@ -338,7 +344,12 @@ def reset_test(fit: FitResult, powers: Sequence[int] = (2, 3), alpha: float = 0.
     m = len(powers)
     if n - k - m < 1:
         raise RegressionError("sample too small for RESET augmentation")
-    X = np.column_stack([fit.design] + [fit.fitted**p for p in powers])
+    with np.errstate(over="ignore"):
+        added = [fit.fitted**p for p in powers]
+    for p, column in zip(powers, added):
+        if not np.isfinite(column).all():
+            raise RegressionError(f"RESET regressor fitted**{p} overflows the float range")
+    X = np.column_stack([fit.design] + added)
     try:
         coef, _ = _least_squares(fit.regressand, X)
     except RegressionError as exc:
@@ -360,7 +371,9 @@ def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
     """Jarque-Bera normality test: JB = n/6 (skew^2 + kurtosis_excess^2/4).
 
     Raises RegressionError for fewer than 8 residuals and, without a NumPy
-    warning, when their second central moment is not positive and finite.
+    warning, when their second central moment is not positive and finite or
+    the fourth-moment ratio leaves the range of normal floats (its terms
+    overflow, or the squared variance underflows and would lose its bits).
     """
     e = np.asarray(residuals, dtype=np.float64)
     n = e.shape[0]
@@ -369,10 +382,19 @@ def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
     with np.errstate(over="ignore", invalid="ignore"):
         e = e - e.mean()
         m2 = float(np.mean(e**2))
+        m4 = float(np.mean(e**4))
     if not 0.0 < m2 < math.inf:
         raise RegressionError(f"residual variance {m2!r} is not positive and finite")
+    try:
+        m2_squared = m2**2
+    except OverflowError:
+        m2_squared = math.inf
+    if not (m2_squared < math.inf and m4 < math.inf):
+        raise RegressionError(f"residual fourth moment overflows (variance {m2!r})")
+    if m2_squared < sys.float_info.min:
+        raise RegressionError(f"residual fourth moment underflows (variance {m2!r})")
     skew = float(np.mean(e**3)) / m2**1.5
-    kurt_excess = float(np.mean(e**4)) / m2**2 - 3.0
+    kurt_excess = m4 / m2_squared - 3.0
     stat = n / 6.0 * (skew**2 + 0.25 * kurt_excess**2)
     p_value = kernels.chi_square_upper_tail(stat, 2.0)
     return NormalityResult(statistic=float(stat), p_value=float(p_value),

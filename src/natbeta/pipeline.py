@@ -9,6 +9,12 @@ that ``run_estimate`` and the ``describe``, ``equilibrium``, ``curves`` and
 ``ci`` subcommands share, so each command checks its inputs and reports
 its failures the same way.
 
+Only ``beta_algebra`` and ``market_curves`` (with ``kernels``), which every
+estimate runs, are imported with this module.  ``preprocess``,
+``econometrics``, ``uncertainty`` and ``csv`` are imported inside the stage
+or branch that uses them, so a stub estimate never loads the panel modules
+and ``draws=0`` never loads the Monte Carlo one.
+
 A regression stub (``slope``/``slope_se``) can replace the econometrics
 stage to reproduce published downstream figures when the generating panel
 is not available; reports carry a provenance marker when the stub is used.
@@ -16,22 +22,21 @@ is not available; reports carry a provenance marker when the stub is used.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_string
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from . import __version__
 from . import beta_algebra as ba
-from . import econometrics as em
 from . import market_curves as mc
-from . import preprocess as pp
-from . import uncertainty as unc
-from .panel_io import RawPanel
+
+if TYPE_CHECKING:
+    from . import preprocess as pp
+    from .panel_io import RawPanel
 
 __all__ = ["StageError", "EstimateReport", "run_estimate", "render_report"]
 
@@ -104,6 +109,8 @@ def _sanitize(obj):
 def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
                         selection) -> tuple[dict, int, str]:
     """Resolve the instrument selection to (columns, row offset, description)."""
+    from . import econometrics as em
+
     if selection is None or selection == "auto":
         if panel is not None and panel.instruments:
             return dict(panel.instruments), 0, "panel columns " + ",".join(panel.instruments)
@@ -142,6 +149,8 @@ def _preprocess_stage(panel: RawPanel) -> tuple[dict, pp.CenteredLogSeries,
     The first non-positive entry (lowest row, ``flow`` before ``value``)
     is reported by row and column; values are never shifted.
     """
+    from . import preprocess as pp
+
     bad_rows = np.flatnonzero((panel.flow <= 0.0) | (panel.value <= 0.0))
     if bad_rows.size:
         i = int(bad_rows[0])
@@ -192,6 +201,8 @@ def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
     the draw table and the point row: ``derived_intervals`` raises on every
     non-finite bound instead, which ends here as a StageError.
     """
+    from . import uncertainty as unc
+
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             beta_draws = unc.sample_betas(beta_xq, beta_se, draws, seed)
@@ -290,6 +301,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             raise StageError("econometrics",
                              f"slope se must be finite and >= 0, got {slope_se}")
     else:
+        from . import econometrics as em
+
         try:
             inst, offset, inst_desc = _select_instruments(panel, price_logs.deviations,
                                                           instruments)
@@ -504,8 +517,10 @@ def _regression_text(reg: Mapping) -> list[str]:
 
 
 def _intervals_text(iv: Mapping) -> list[str]:
+    from .uncertainty import QUANTITY_NAMES
+
     pct = f"{100 * iv['level']:.10g}"
-    names = list(unc.QUANTITY_NAMES)
+    names = list(QUANTITY_NAMES)
     lines = [f"{pct}% confidence interval of estimates",
              f"{'Between':<10}" + "".join(f"{n:>14}" for n in names)]
     for which, idx in (("Minimum", 0), ("Maximum", 1)):
@@ -553,6 +568,8 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
     if format == "json":
         return _json_text(data)
     if format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])

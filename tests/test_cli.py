@@ -37,16 +37,97 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_loads_no_test_or_scipy_modules():
-    # importing scipy.special alone adds about 0.33 s of CPU to a cold start
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this natbeta."""
     src = str(Path(natbeta.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_loads_no_test_or_scipy_modules():
+    # importing scipy.special alone adds about 0.33 s of CPU to a cold start
     code = ("import natbeta.cli, sys; "
             "print(sorted({'scipy', 'mpmath', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert fresh_python(code) == "[]\n"
+
+
+# Runs each JSON-listed argv through ``cli.main`` in turn and prints, as JSON,
+# the natbeta submodules and ``csv`` loaded after ``import natbeta`` and
+# after each command.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("natbeta.") or m == "csv")
+
+import natbeta
+seen = [loaded()]
+from natbeta.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
+    # a cold process compiles every module it imports when no bytecode is cached
+    panel = tmp_path / "panel.csv"
+    panel.write_text(serialize_panel(synthesize_panel(make_config(n=19, seed=31))))
+    stub = PAPER_STUB[:-2] + ["--draws", "1000"]
+    bare, after_stub = json.loads(fresh_python(LOADED_MODULES, json.dumps([stub])))
+    assert bare == []
+    assert "natbeta.uncertainty" in after_stub
+    for module in ("natbeta.econometrics", "natbeta.preprocess", "natbeta.panel_io",
+                   "natbeta.simulator", "csv"):
+        assert module not in after_stub
+    panel_run = ["estimate", "--input", str(panel), "--beta-qm", "5.36", "--r-m", "2.9%",
+                 "--draws", "0"]
+    _, after_panel = json.loads(fresh_python(LOADED_MODULES, json.dumps([panel_run])))
+    assert "natbeta.econometrics" in after_panel
+    assert "natbeta.uncertainty" not in after_panel
+    assert "natbeta.simulator" not in after_panel
+
+
+LAZY_EXPORTS = """
+import importlib, json
+from natbeta import econometrics  # the first natbeta import of this process
+import natbeta
+
+namespace = {}
+exec("from natbeta import *", namespace)
+facts = {"econometrics": econometrics.__name__, "all": natbeta.__all__,
+         "dir": dir(natbeta), "foreign": [], "star": []}
+for name in natbeta.__all__:
+    obj = getattr(natbeta, name)
+    if name != "__version__":
+        module = importlib.import_module(obj.__module__)
+        if getattr(module, name, None) is not obj:
+            facts["foreign"].append(name)
+    if namespace.get(name) is not obj:
+        facts["star"].append(name)
+try:
+    natbeta.no_such_name
+    facts["unknown"] = "resolved"
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_lazy_exports_resolve_to_their_defining_modules():
+    facts = json.loads(fresh_python(LAZY_EXPORTS))
+    assert facts["econometrics"] == "natbeta.econometrics"
+    names = facts["all"]
+    assert len(names) == len(set(names)) and "run_estimate" in names
+    assert facts["foreign"] == [] and facts["star"] == []
+    assert set(names) <= set(facts["dir"])
+    assert facts["unknown"] == "module 'natbeta' has no attribute 'no_such_name'"
 
 
 def test_parse_rate_forms():

@@ -469,6 +469,29 @@ def test_jarque_bera_rejects_a_variance_that_is_not_finite(residuals):
             em.jarque_bera(residuals)
 
 
+@pytest.mark.parametrize("residuals, word", [
+    ([1e100, -1e100] * 4, "overflows"),  # the squared variance overflows
+    ([1e80, -1e80] + [0.0] * 6, "overflows"),  # so do the fourth powers
+    ([1e-100, -1e-100] * 4, "underflows"),  # the squared variance is 0
+    ([1e-80, -1e-80] + [0.0] * 6, "underflows"),  # it is subnormal: kurtosis loses bits
+], ids=["overflow", "overflow-powers", "underflow", "subnormal"])
+def test_jarque_bera_names_a_fourth_moment_out_of_the_float_range(residuals, word):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(em.RegressionError, match=f"fourth moment {word}"):
+            em.jarque_bera(np.array(residuals))
+
+
+def test_reset_names_fitted_powers_that_overflow():
+    rng = _philox(79, 0)
+    x = rng.standard_normal(30)
+    fit = em.ols(1e120 * (2.0 * x + rng.standard_normal(30)), {"x": 1e120 * x})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(em.RegressionError, match=r"fitted\*\*3 overflows"):
+            em.reset_test(fit)
+
+
 def test_jarque_bera_needs_eight_points():
     with pytest.raises(em.RegressionError, match="n >= 8"):
         em.jarque_bera(np.arange(7.0))
