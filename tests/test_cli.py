@@ -55,9 +55,8 @@ def test_cli_import_loads_no_test_or_scipy_modules():
     assert fresh_python(code) == "[]\n"
 
 
-# Runs each JSON-listed argv through ``cli.main`` in turn and prints, as JSON,
-# the natbeta submodules and ``csv`` loaded after ``import natbeta`` and
-# after each command.
+# Prints, as JSON, the natbeta submodules and ``csv`` loaded after ``import
+# natbeta`` and after running the JSON-encoded argv through ``cli.main``.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 
@@ -65,13 +64,11 @@ def loaded():
     return sorted(m for m in sys.modules if m.startswith("natbeta.") or m == "csv")
 
 import natbeta
-seen = [loaded()]
+bare = loaded()
 from natbeta.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    seen.append(loaded())
-print(json.dumps(seen))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps([bare, loaded()]))
 """
 
 
@@ -80,7 +77,7 @@ def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
     panel = tmp_path / "panel.csv"
     panel.write_text(serialize_panel(synthesize_panel(make_config(n=19, seed=31))))
     stub = PAPER_STUB[:-2] + ["--draws", "1000"]
-    bare, after_stub = json.loads(fresh_python(LOADED_MODULES, json.dumps([stub])))
+    bare, after_stub = json.loads(fresh_python(LOADED_MODULES, json.dumps(stub)))
     assert bare == []
     assert "natbeta.uncertainty" in after_stub
     for module in ("natbeta.econometrics", "natbeta.preprocess", "natbeta.panel_io",
@@ -88,7 +85,7 @@ def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
         assert module not in after_stub
     panel_run = ["estimate", "--input", str(panel), "--beta-qm", "5.36", "--r-m", "2.9%",
                  "--draws", "0"]
-    _, after_panel = json.loads(fresh_python(LOADED_MODULES, json.dumps([panel_run])))
+    _, after_panel = json.loads(fresh_python(LOADED_MODULES, json.dumps(panel_run)))
     assert "natbeta.econometrics" in after_panel
     assert "natbeta.uncertainty" not in after_panel
     assert "natbeta.simulator" not in after_panel
