@@ -96,10 +96,10 @@ import importlib, json
 from natbeta import econometrics  # the first natbeta import of this process
 import natbeta
 
+facts = {"econometrics": econometrics.__name__, "all": natbeta.__all__,
+         "dir": dir(natbeta), "foreign": [], "star": []}  # before any name is bound
 namespace = {}
 exec("from natbeta import *", namespace)
-facts = {"econometrics": econometrics.__name__, "all": natbeta.__all__,
-         "dir": dir(natbeta), "foreign": [], "star": []}
 for name in natbeta.__all__:
     obj = getattr(natbeta, name)
     if name != "__version__":

@@ -472,9 +472,10 @@ def test_jarque_bera_rejects_a_variance_that_is_not_finite(residuals):
 @pytest.mark.parametrize("residuals, word", [
     ([1e100, -1e100] * 4, "overflows"),  # the squared variance overflows
     ([1e80, -1e80] + [0.0] * 6, "overflows"),  # so do the fourth powers
+    ([1.5e77] + [0.0] * 7, "overflows"),  # a fourth power overflows, the squared variance not
     ([1e-100, -1e-100] * 4, "underflows"),  # the squared variance is 0
     ([1e-80, -1e-80] + [0.0] * 6, "underflows"),  # it is subnormal: kurtosis loses bits
-], ids=["overflow", "overflow-powers", "underflow", "subnormal"])
+], ids=["overflow", "overflow-powers", "overflow-fourth-power", "underflow", "subnormal"])
 def test_jarque_bera_names_a_fourth_moment_out_of_the_float_range(residuals, word):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
