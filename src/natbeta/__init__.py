@@ -17,7 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public names by the submodule that defines them.
+# Public names by the submodule that defines them: each submodule's __all__.
 _EXPORTS = {
     "beta_algebra": (
         "BetaAlgebraError", "BetaSet", "ReturnSet", "beta_from_slope",
@@ -25,13 +25,13 @@ _EXPORTS = {
     ),
     "econometrics": (
         "ControlFunctionFit", "FitResult", "NormalityResult", "RegressionError",
-        "ResetResult", "control_function_fit", "jarque_bera", "lagged_instruments",
-        "ols", "reset_test", "t_confidence_interval",
+        "ResetResult", "control_fit_to_dict", "control_function_fit", "fit_to_dict",
+        "jarque_bera", "lagged_instruments", "ols", "reset_test", "t_confidence_interval",
     ),
     "market_curves": (
         "CurveError", "EquilibriumPoint", "ShockModel", "curve_samples",
         "elasticities", "equilibrium_deviation", "equilibrium_levels",
-        "shocked_equilibrium", "zero_sum_integral",
+        "observed_range_warnings", "shocked_equilibrium", "zero_sum_integral",
     ),
     "panel_io": ("PanelFormatError", "RawPanel", "parse_panel", "serialize_panel"),
     "pipeline": ("EstimateReport", "StageError", "render_report", "run_estimate"),
@@ -39,7 +39,7 @@ _EXPORTS = {
         "CenteredLogSeries", "PreprocessError", "PriceSeries", "center_log",
         "describe_log_series", "unit_price_series",
     ),
-    "simulator": ("ScenarioConfig", "SimulatorError", "simulate_equilibria",
+    "simulator": ("ScenarioConfig", "SimulatorError", "ground_truth", "simulate_equilibria",
                   "synthesize_panel"),
     "uncertainty": (
         "BetaDraws", "IntervalReport", "UncertaintyError", "derived_intervals",

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo draws (0 disables intervals)")
     est.add_argument("--seed", type=int, help="seed for the Monte Carlo stage")
     est.add_argument("--instruments", default="auto",
-                     help="'auto', 'lags:K' or comma-separated iv_ column names")
+                     help="'auto' (the panel's iv_ columns), 'lags:K' or "
+                          "comma-separated iv_ column names")
     est.add_argument("--format", choices=("text", "json", "csv"), default="text")
     est.add_argument("--slope", type=float,
                      help="regression stub: inject the flow-on-price slope")

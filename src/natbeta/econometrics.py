@@ -3,9 +3,15 @@
 The headline estimator regresses flow deviations on price deviations with a
 control-function correction: stage one projects the price deviations on the
 instruments, stage two adds the stage-one residual as an extra regressor so
-the slope on the price deviations is purged of simultaneity.  Reported
-standard errors are conventional OLS standard errors; no generated-regressor
-correction is applied (documented limitation).
+the slope on the price deviations is purged of simultaneity.  The slope
+equals the 2SLS one, and its standard error, t-test and interval are the
+2SLS ones, which account for the generated regressor (Wooldridge 2015).
+The other rows keep conventional OLS statistics; the control-function
+row's t-test is the endogeneity test, valid under its null.
+
+Inference is fixed: Student-t intervals at ``LEVEL``, diagnostics at size
+``ALPHA``, and the Jarque-Bera p-value the exact chi-square(2) tail
+``exp(-JB/2)``.
 
 AIC/BIC use the concentrated-Gaussian convention
 ``n*ln(SSR/n) + penalty*k`` with ``k`` the number of estimated mean
@@ -28,6 +34,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
+
+LEVEL = 0.95  # level of every regression confidence interval
+ALPHA = 0.05  # size of the RESET and Jarque-Bera tests
+RESET_POWERS = (2, 3)  # powers of the fitted values that RESET adds
 
 __all__ = [
     "RegressionError",
@@ -67,8 +77,7 @@ class FitResult:
     standard_errors: np.ndarray
     t_values: np.ndarray
     p_values: np.ndarray
-    conf_intervals: np.ndarray  # shape (k, 2)
-    conf_level: float
+    conf_intervals: np.ndarray  # shape (k, 2), at LEVEL
     r_squared: float
     f_statistic: float
     f_p_value: float
@@ -95,8 +104,6 @@ class ResetResult:
     statistic: float
     p_value: float
     rejected: bool
-    alpha: float
-    powers: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -104,27 +111,30 @@ class NormalityResult:
     statistic: float
     p_value: float
     rejected: bool
-    alpha: float
     skewness: float
     kurtosis_excess: float
 
 
 @dataclass(frozen=True)
 class ControlFunctionFit:
-    """Two-stage control-function output plus post-hoc diagnostics."""
+    """Two-stage control-function output plus post-hoc diagnostics.
+
+    ``second_stage`` is the plain OLS fit; ``slope_se``, ``slope_t``,
+    ``slope_p`` and ``slope_ci`` are the slope's 2SLS statistics at df n-2.
+    """
 
     second_stage: FitResult
     first_stage: FitResult
     reset: ResetResult | None
     normality: NormalityResult | None
+    slope_se: float
+    slope_t: float
+    slope_p: float
+    slope_ci: tuple[float, float]
 
     @property
     def slope(self) -> float:
         return self.second_stage.coefficient("price_dev")
-
-    @property
-    def slope_se(self) -> float:
-        return self.second_stage.standard_error("price_dev")
 
 
 def t_confidence_interval(coef: float, se: float, df: int, level: float) -> tuple[float, float]:
@@ -137,6 +147,17 @@ def t_confidence_interval(coef: float, se: float, df: int, level: float) -> tupl
         raise ValueError(f"standard error must be >= 0, got {se}")
     q = float(kernels.student_t_quantile(0.5 * (1.0 + level), float(df)))
     return (coef - q * se, coef + q * se)
+
+
+def _t_test(coef: float, se: float, df: int) -> tuple[float, float]:
+    """t-value and two-sided p-value of ``coef``; a zero ``se`` gives an
+    unbounded t unless the coefficient is 0 too."""
+    if se > 0.0:
+        t = coef / se
+        return t, kernels.student_t_two_sided(t, float(df))
+    if coef == 0.0:
+        return 0.0, 1.0
+    return (math.inf if coef > 0 else -math.inf), 0.0
 
 
 def _as_design(regressors: Mapping[str, Sequence], include_constant: bool, n: int):
@@ -164,9 +185,10 @@ def _least_squares(y: np.ndarray, X: np.ndarray):
     return np.linalg.solve(R, Q.T @ y), R
 
 
-def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool = True,
-        conf_level: float = 0.95) -> FitResult:
-    """Ordinary least squares via QR decomposition.
+def ols(regressand, regressors: Mapping[str, Sequence],
+        include_constant: bool = True) -> FitResult:
+    """Ordinary least squares via QR decomposition, with Student-t
+    intervals at ``LEVEL``.
 
     Parameters
     ----------
@@ -175,16 +197,10 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     regressors : mapping name -> sequence
         Columns of the design, in report order.  A constant named
         ``"constant"`` is appended last when ``include_constant``.
-    conf_level : float
-        Level for the per-coefficient Student-t confidence intervals.
 
-    Raises RegressionError on rank deficiency, when n does not exceed the
-    number of coefficients, or when conf_level is outside (0, 1) or so close
-    to 1 that (1 + conf_level) / 2 rounds to 1.
+    Raises RegressionError on rank deficiency or when n does not exceed the
+    number of coefficients.
     """
-    # the t quantile's probability; the largest double below 1 rounds it to 1
-    if not 0.5 < 0.5 * (1.0 + conf_level) < 1.0:
-        raise RegressionError(f"confidence level must be in (0, 1), got {conf_level}")
     y = np.asarray(regressand, dtype=np.float64)
     if y.ndim != 1:
         raise RegressionError("regressand must be 1-d")
@@ -204,18 +220,8 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     xtx_inv = r_inv @ r_inv.T
     se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
 
-    t_vals, p_vals = [], []
-    for c, s in zip(coef.tolist(), se.tolist()):
-        if s > 0.0:
-            t = c / s
-            p = kernels.student_t_two_sided(t, float(df_resid))
-        elif c == 0.0:
-            t, p = 0.0, 1.0
-        else:
-            t, p = (math.inf if c > 0 else -math.inf), 0.0
-        t_vals.append(t)
-        p_vals.append(p)
-    q = float(kernels.student_t_quantile(0.5 * (1.0 + conf_level), float(df_resid)))
+    t_vals, p_vals = zip(*[_t_test(c, s, df_resid) for c, s in zip(coef.tolist(), se.tolist())])
+    q = float(kernels.student_t_quantile(0.5 * (1.0 + LEVEL), float(df_resid)))
     ci = np.column_stack([coef - q * se, coef + q * se])
 
     y_mean = y.mean()
@@ -251,7 +257,6 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
         t_values=np.array(t_vals),
         p_values=np.array(p_vals),
         conf_intervals=ci,
-        conf_level=conf_level,
         r_squared=float(r2),
         f_statistic=float(f_stat),
         f_p_value=float(f_p),
@@ -268,8 +273,8 @@ def ols(regressand, regressors: Mapping[str, Sequence], include_constant: bool =
     )
 
 
-def lagged_instruments(price_dev, n_lags: int = 4):
-    """Default instruments: lags 1..n_lags of the price deviations.
+def lagged_instruments(price_dev, n_lags: int):
+    """Instruments ``lags:n_lags``: lags 1..n_lags of the price deviations.
 
     Returns (instruments dict, row offset).  The usable sample starts at
     ``offset`` (the first n_lags rows have no full lag history), so callers
@@ -287,16 +292,20 @@ def lagged_instruments(price_dev, n_lags: int = 4):
     return inst, n_lags
 
 
-def control_function_fit(flow_dev, price_dev, instruments: Mapping[str, Sequence],
-                         level: float = 0.95, alpha: float = 0.05) -> ControlFunctionFit:
+def control_function_fit(flow_dev, price_dev,
+                         instruments: Mapping[str, Sequence]) -> ControlFunctionFit:
     """Two-stage control-function regression of flow on price deviations.
 
     Stage 1 regresses the price deviations on the instruments (plus
     constant); stage 2 regresses the flow deviations on the price
     deviations, the stage-1 residual and a constant, in that report order.
+    The slope's 2SLS standard error is ``sqrt(s^2 / sum((yhat - ybar)^2))``
+    with ``s^2 = u'u/(n-2)``, ``u = x - b*y - c`` formed with the observed
+    price deviations and ``yhat`` the stage-1 fitted values.
     RESET and residual-normality diagnostics run on stage 2 when the sample
     admits them (otherwise the corresponding field is None); normality is
     None also when ``jarque_bera`` finds the residuals' moments out of range.
+    Raises RegressionError when the 2SLS standard error is not finite.
     """
     if not instruments:
         raise RegressionError("instruments must be non-empty")
@@ -308,47 +317,57 @@ def control_function_fit(flow_dev, price_dev, instruments: Mapping[str, Sequence
         if np.asarray(col).shape != y.shape:
             raise RegressionError(f"instrument '{name}' length mismatch")
 
-    first = ols(y, dict(instruments), include_constant=True, conf_level=level)
-    second = ols(
-        x,
-        {"price_dev": y, "control_fn": first.residuals},
-        include_constant=True,
-        conf_level=level,
-    )
+    first = ols(y, dict(instruments))
+    second = ols(x, {"price_dev": y, "control_fn": first.residuals})
+
+    slope = second.coefficient("price_dev")
+    df = second.n - 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = x - slope * y - second.coefficient("constant")
+        explained = first.fitted - first.mean_dependent
+        slope_se = float(np.sqrt((u @ u) / df / (explained @ explained)))
+    if not slope_se < math.inf:
+        raise RegressionError(f"2SLS standard error of the slope is {slope_se!r}")
+    slope_t, slope_p = _t_test(slope, slope_se, df)
 
     reset: ResetResult | None = None
     normality: NormalityResult | None = None
     if second.n - (len(second.names) + 2) >= 1:
         try:
-            reset = reset_test(second, alpha=alpha)
+            reset = reset_test(second)
         except RegressionError:
             reset = None
     try:
-        normality = jarque_bera(second.residuals, alpha=alpha)
+        normality = jarque_bera(second.residuals)
     except RegressionError:
         normality = None
     return ControlFunctionFit(second_stage=second, first_stage=first,
-                              reset=reset, normality=normality)
+                              reset=reset, normality=normality, slope_se=slope_se,
+                              slope_t=slope_t, slope_p=slope_p,
+                              slope_ci=t_confidence_interval(slope, slope_se, df, LEVEL))
 
 
-def reset_test(fit: FitResult, powers: Sequence[int] = (2, 3), alpha: float = 0.05) -> ResetResult:
-    """Ramsey RESET: F-test of powers of the fitted values as added regressors.
+def reset_test(fit: FitResult) -> ResetResult:
+    """Ramsey RESET: F-test of ``RESET_POWERS`` of the fitted values as
+    added regressors, rejected at size ``ALPHA``.
 
-    Raises RegressionError, without a NumPy warning, when a power of the
-    fitted values overflows.
+    Raises RegressionError, without a NumPy warning, when the highest power
+    of the fitted values overflows, or underflows below the smallest normal
+    float where the fitted values are not all 0.
     """
-    powers = tuple(sorted(set(int(p) for p in powers)))
-    if not powers or min(powers) < 2:
-        raise RegressionError("RESET powers must be integers >= 2")
     n, k = fit.design.shape
-    m = len(powers)
+    m = len(RESET_POWERS)
     if n - k - m < 1:
         raise RegressionError("sample too small for RESET augmentation")
-    with np.errstate(over="ignore"):
-        added = [fit.fitted**p for p in powers]
-    # a lower power overflows only where the highest one does
-    if not np.isfinite(added[-1]).all():
-        raise RegressionError(f"RESET regressor fitted**{powers[-1]} overflows the float range")
+    with np.errstate(over="ignore", under="ignore"):
+        added = [fit.fitted**p for p in RESET_POWERS]
+    # a lower power leaves the float range only where the highest one does
+    top = float(np.abs(added[-1]).max())
+    regressor = f"RESET regressor fitted**{RESET_POWERS[-1]}"
+    if not top < math.inf:
+        raise RegressionError(f"{regressor} overflows the float range")
+    if top < sys.float_info.min and fit.fitted.any():
+        raise RegressionError(f"{regressor} underflows the float range")
     X = np.column_stack([fit.design] + added)
     try:
         coef, _ = _least_squares(fit.regressand, X)
@@ -364,11 +383,12 @@ def reset_test(fit: FitResult, powers: Sequence[int] = (2, 3), alpha: float = 0.
     stat = max(stat, 0.0)
     p_value = kernels.f_upper_tail(stat, float(m), float(df_full))
     return ResetResult(statistic=float(stat), p_value=float(p_value),
-                       rejected=bool(p_value < alpha), alpha=alpha, powers=powers)
+                       rejected=bool(p_value < ALPHA))
 
 
-def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
-    """Jarque-Bera normality test: JB = n/6 (skew^2 + kurtosis_excess^2/4).
+def jarque_bera(residuals) -> NormalityResult:
+    """Jarque-Bera normality test: JB = n/6 (skew^2 + kurtosis_excess^2/4),
+    with the chi-square(2) p-value ``exp(-JB/2)``, rejected at size ``ALPHA``.
 
     Raises RegressionError for fewer than 8 residuals and, without a NumPy
     warning, when their second central moment is not positive and finite or
@@ -396,9 +416,9 @@ def jarque_bera(residuals, alpha: float = 0.05) -> NormalityResult:
     skew = float(np.mean(e**3)) / m2**1.5
     kurt_excess = m4 / m2_squared - 3.0
     stat = n / 6.0 * (skew**2 + 0.25 * kurt_excess**2)
-    p_value = kernels.chi_square_upper_tail(stat, 2.0)
-    return NormalityResult(statistic=float(stat), p_value=float(p_value),
-                           rejected=bool(p_value < alpha), alpha=alpha,
+    p_value = math.exp(-0.5 * stat)
+    return NormalityResult(statistic=float(stat), p_value=p_value,
+                           rejected=p_value < ALPHA,
                            skewness=skew, kurtosis_excess=kurt_excess)
 
 
@@ -419,7 +439,7 @@ def fit_to_dict(fit: FitResult) -> dict:
     }
     return {
         "coefficients": rows,
-        "conf_level": fit.conf_level,
+        "conf_level": LEVEL,
         "r_squared": fit.r_squared,
         "f_stat": fit.f_statistic,
         "f_p": fit.f_p_value,
@@ -433,8 +453,15 @@ def fit_to_dict(fit: FitResult) -> dict:
 
 
 def control_fit_to_dict(cf: ControlFunctionFit) -> dict:
+    """JSON-ready mapping; the second stage's ``price_dev`` row carries the
+    slope's 2SLS statistics."""
+    second = fit_to_dict(cf.second_stage)
+    ci_low, ci_high = cf.slope_ci
+    second["coefficients"]["price_dev"].update(
+        std_err=cf.slope_se, t_value=cf.slope_t, p_value=cf.slope_p,
+        ci_low=ci_low, ci_high=ci_high)
     out = {
-        "second_stage": fit_to_dict(cf.second_stage),
+        "second_stage": second,
         "first_stage": fit_to_dict(cf.first_stage),
         "diagnostics": {},
     }
@@ -443,14 +470,14 @@ def control_fit_to_dict(cf: ControlFunctionFit) -> dict:
             "statistic": cf.reset.statistic,
             "p_value": cf.reset.p_value,
             "rejected": cf.reset.rejected,
-            "alpha": cf.reset.alpha,
-            "powers": list(cf.reset.powers),
+            "alpha": ALPHA,
+            "powers": list(RESET_POWERS),
         }
     if cf.normality is not None:
         out["diagnostics"]["jarque_bera"] = {
             "statistic": cf.normality.statistic,
             "p_value": cf.normality.p_value,
             "rejected": cf.normality.rejected,
-            "alpha": cf.normality.alpha,
+            "alpha": ALPHA,
         }
     return out

@@ -1,6 +1,6 @@
 """Hot numeric kernels: special functions, quadrature, and batch propagation.
 
-Scalar routines (regularized incomplete beta/gamma, distribution tails,
+Scalar routines (the regularized incomplete beta, the Student-t and F tails,
 adaptive quadrature) follow the classic Cephes/continued-fraction
 constructions in double precision, in plain Python.  The Student-t quantile
 inverts the t CDF by Newton's method from a Cornish-Fisher start, so a
@@ -20,12 +20,10 @@ import numpy as np
 
 __all__ = [
     "reg_inc_beta",
-    "reg_upper_gamma",
     "student_t_two_sided",
     "student_t_cdf",
     "student_t_quantile",
     "f_upper_tail",
-    "chi_square_upper_tail",
     "log_beta_weight_integral",
     "solve_equilibrium",
     "propagate_beta_draws",
@@ -102,47 +100,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0."""
-    if x <= 0.0:
-        return 1.0
-    if x < a + 1.0:
-        # lower series, then complement
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(_MAX_CF_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _MACHEP:
-                break
-        ln_p = a * math.log(x) - x - math.lgamma(a)
-        return 1.0 - total * math.exp(ln_p)
-    # upper continued fraction (Lentz)
-    tiny = 1e-300
-    b0 = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b0
-    h = d
-    for i in range(1, _MAX_CF_ITER + 1):
-        an = -i * (i - a)
-        b0 += 2.0
-        d = an * d + b0
-        if abs(d) < tiny:
-            d = tiny
-        c = b0 + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _MACHEP:
-            break
-    ln_p = a * math.log(x) - x - math.lgamma(a)
-    return math.exp(ln_p) * h
 
 
 def student_t_two_sided(t: float, df: float) -> float:
@@ -271,13 +228,6 @@ def f_upper_tail(f: float, d1: float, d2: float) -> float:
     if f <= 0.0:
         return 1.0
     return reg_inc_beta(0.5 * d2, 0.5 * d1, d2 / (d2 + d1 * f))
-
-
-def chi_square_upper_tail(x: float, k: float) -> float:
-    """P(chi2_k > x)."""
-    if x <= 0.0:
-        return 1.0
-    return reg_upper_gamma(0.5 * k, 0.5 * x)
 
 
 # ---------------------------------------------------------------------------

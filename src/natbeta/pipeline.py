@@ -43,6 +43,9 @@ __all__ = ["StageError", "EstimateReport", "run_estimate", "render_report"]
 SCHEMA_VERSION = 1
 MIN_PANEL_ROWS = 5
 MIN_TAIL_DRAWS = 10  # fewer draws beyond an interval endpoint earn a sparse_tail warning
+MIN_FIRST_STAGE_F = 10.0  # a weaker first stage earns a weak_instruments warning
+# econometrics.LEVEL, restated so that a stub estimate need not import econometrics
+REGRESSION_LEVEL = 0.95
 
 
 class StageError(RuntimeError):
@@ -108,13 +111,19 @@ def _sanitize(obj):
 
 def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
                         selection) -> tuple[dict, int, str]:
-    """Resolve the instrument selection to (columns, row offset, description)."""
+    """Resolve the instrument selection to (columns, row offset, description).
+
+    ``auto`` takes the panel's ``iv_`` columns; a panel without them needs
+    an explicit selection.
+    """
     from . import econometrics as em
 
-    if selection is None or selection == "auto":
-        if panel is not None and panel.instruments:
-            return dict(panel.instruments), 0, "panel columns " + ",".join(panel.instruments)
-        selection = "lags:4"
+    if selection == "auto":
+        if not panel.instruments:
+            raise StageError("econometrics", "panel has no iv_ instrument columns for 'auto'",
+                             hint="pass --instruments lags:N (lagged price deviations) "
+                                  "or add iv_ columns")
+        return dict(panel.instruments), 0, "panel columns " + ",".join(panel.instruments)
     if isinstance(selection, str) and selection.startswith("lags:"):
         try:
             n_lags = int(selection.split(":", 1)[1])
@@ -126,8 +135,6 @@ def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
         names = [s.strip() for s in selection.split(",") if s.strip()]
     else:
         names = list(selection)
-    if panel is None:
-        raise em.RegressionError("named instruments require an input panel")
     missing = [n for n in names if n not in panel.instruments]
     if missing:
         raise em.RegressionError(
@@ -236,7 +243,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                  level: float = 0.90, draws: int = 100_000, seed: int | None = None,
                  instruments="auto", slope: float | None = None,
                  slope_se: float | None = None, mean_ln_flow: float | None = None,
-                 mean_ln_price: float | None = None, regression_level: float = 0.95,
+                 mean_ln_price: float | None = None,
                  input_path: str | None = None) -> EstimateReport:
     """Run the full pipeline and assemble an EstimateReport.
 
@@ -266,7 +273,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             "level": float(level),
             "draws": int(draws),
             "instruments": instruments if isinstance(instruments, str) else list(instruments),
-            "regression_level": float(regression_level),
+            "regression_level": REGRESSION_LEVEL,
         },
         "seed": seed,
         "regression_stub": stub,
@@ -294,6 +301,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # econometrics stage
     regression = None
+    warnings: list[str] = []
     if stub:
         if slope_se is None:
             slope_se = 0.0
@@ -306,27 +314,26 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         try:
             inst, offset, inst_desc = _select_instruments(panel, price_logs.deviations,
                                                           instruments)
-            cf = em.control_function_fit(
-                flow_logs.deviations[offset:],
-                price_logs.deviations[offset:],
-                inst,
-                level=regression_level,
-            )
+            cf = em.control_function_fit(flow_logs.deviations[offset:],
+                                         price_logs.deviations[offset:], inst)
+            regression = em.control_fit_to_dict(cf)
             # a standard error that is 0 (or underflows) leaves a t-value unbounded
-            for label, fit in (("first-stage", cf.first_stage), ("second-stage", cf.second_stage)):
-                if np.isfinite(fit.t_values).all():
-                    continue
-                for name, t, se in zip(fit.names, fit.t_values, fit.standard_errors):
-                    if not math.isfinite(t):
-                        raise em.RegressionError(f"{label} coefficient '{name}' has standard "
-                                                 f"error {se:g}, so its t-value is unbounded")
+            for stage in ("first", "second"):
+                for name, row in regression[f"{stage}_stage"]["coefficients"].items():
+                    if not math.isfinite(row["t_value"]):
+                        raise em.RegressionError(
+                            f"{stage}-stage coefficient '{name}' has standard error "
+                            f"{row['std_err']:g}, so its t-value is unbounded")
         except em.RegressionError as exc:
             raise StageError("econometrics", str(exc),
                              hint="check instrument selection and sample size") from exc
-        regression = em.control_fit_to_dict(cf)
         regression["instruments"] = inst_desc
         slope = cf.slope
         slope_se = cf.slope_se
+        first_f = cf.first_stage.f_statistic
+        if first_f < MIN_FIRST_STAGE_F:
+            warnings.append(f"weak_instruments: first-stage F {first_f:.3g} < "
+                            f"{MIN_FIRST_STAGE_F:g}; the slope's interval may undercover")
 
     # beta_algebra stage
     try:
@@ -345,7 +352,6 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # market_curves stage
     point, elasticities, _ = _market_stage(beta_xq, mean_ln_flow, mean_ln_price)
-    warnings: list[str] = []
     if descriptives is not None:
         flow, price = descriptives["ln_flow"], descriptives["ln_price"]
         warnings.extend(mc.observed_range_warnings(
@@ -507,6 +513,7 @@ def _regression_text(reg: Mapping) -> list[str]:
         f"F-test             {_cell(second['f_stat'], 9)}   Prob > F         {_cell(second['f_p'], 9)}",
         f"Akaike crit. (AIC) {_cell(second['aic'], 9)}   Bayesian crit. (BIC) {_cell(second['bic'], 9)}",
         "*** p<.01, ** p<.05, * p<.1",
+        "y^(e): 2SLS St.Err.; Control fn: conventional St.Err. (endogeneity test)",
     ]
     diag = reg.get("diagnostics", {})
     if "reset" in diag:

@@ -44,8 +44,6 @@ __all__ = [
     "UncertaintyError",
     "BetaDraws",
     "IntervalReport",
-    "QUANTITY_NAMES",
-    "MAX_DRAWS",
     "sample_betas",
     "derived_intervals",
 ]

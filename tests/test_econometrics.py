@@ -1,7 +1,8 @@
 """Econometrics tests.
 
 The least-squares oracle solves the normal equations in 50-digit mpmath
-arithmetic; distribution-tail oracles live in test_kernels.  Diagnostic
+arithmetic; the Jarque-Bera p-value is checked against mpmath's incomplete
+gamma here, the other distribution-tail oracles live in test_kernels.  Diagnostic
 size/power checks run over fixed counter-based seed sets so they are
 deterministic.
 """
@@ -126,12 +127,6 @@ def test_ols_rank_deficiency():
 def test_ols_sample_too_small():
     with pytest.raises(em.RegressionError, match="too small"):
         em.ols([1.0, 2.0], {"a": [1.0, 2.0]})
-
-
-@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan"), math.nextafter(1.0, 0.0)])
-def test_ols_rejects_confidence_level_outside_unit_interval(level):
-    with pytest.raises(em.RegressionError, match="confidence level"):
-        em.ols(np.arange(10.0) ** 2, {"x": np.arange(10.0)}, conf_level=level)
 
 
 def test_ols_permutation_invariance():
@@ -272,7 +267,8 @@ def test_control_fit_report_layout(simulated_panel):
     report = run_estimate(simulated_panel, beta_qm=5.36, r_m=0.029, draws=0)
     text = render_report(report, "text")
     for fragment in ("y^(e)", "Control fn", "Constant", "Mean dependent var",
-                     "R-squared", "F-test", "Prob > F", "AIC", "BIC"):
+                     "R-squared", "F-test", "Prob > F", "AIC", "BIC", "2SLS St.Err.",
+                     "Control fn: conventional St.Err. (endogeneity test)"):
         assert fragment in text
 
 
@@ -299,7 +295,7 @@ def _reference_fit_dict(fit):
             "ci_high": float(fit.conf_intervals[i, 1]),
         }
     return {
-        "coefficients": rows, "conf_level": fit.conf_level, "r_squared": fit.r_squared,
+        "coefficients": rows, "conf_level": em.LEVEL, "r_squared": fit.r_squared,
         "f_stat": fit.f_statistic, "f_p": fit.f_p_value, "aic": fit.aic, "bic": fit.bic,
         "n_obs": fit.n, "df_residual": fit.df_residual,
         "mean_dependent": float(fit.regressand.mean()),
@@ -309,17 +305,51 @@ def _reference_fit_dict(fit):
 
 def _reference_control_dict(cf):
     """``control_fit_to_dict`` with the normality test gated, as before, on
-    a separate ``np.var(residuals) > 0`` pass."""
+    a separate ``np.var(residuals) > 0`` pass, and the slope row's
+    statistics replaced by the fit's 2SLS ones."""
     out = {"second_stage": _reference_fit_dict(cf.second_stage),
            "first_stage": _reference_fit_dict(cf.first_stage),
            "diagnostics": em.control_fit_to_dict(cf)["diagnostics"]}
+    out["second_stage"]["coefficients"]["price_dev"].update(
+        std_err=cf.slope_se, t_value=cf.slope_t, p_value=cf.slope_p,
+        ci_low=cf.slope_ci[0], ci_high=cf.slope_ci[1])
     out["diagnostics"].pop("jarque_bera", None)
     residuals = cf.second_stage.residuals
     if residuals.size >= 8 and float(np.var(residuals)) > 0.0:
-        jb = em.jarque_bera(residuals, alpha=0.05)
+        jb = em.jarque_bera(residuals)
         out["diagnostics"]["jarque_bera"] = {"statistic": jb.statistic, "p_value": jb.p_value,
-                                             "rejected": jb.rejected, "alpha": jb.alpha}
+                                             "rejected": jb.rejected, "alpha": em.ALPHA}
     return out
+
+
+def _two_stage_least_squares_slope(x, y, instruments):
+    """Oracle: the 2SLS slope and its standard error from the textbook
+    matrices, ``V = s^2 (Xhat'Xhat)^-1`` with ``Xhat = [yhat, 1]`` and the
+    residual formed with the observed ``y``."""
+    Z = np.column_stack([*instruments.values(), np.ones(len(y))])
+    y_hat = Z @ np.linalg.lstsq(Z, y, rcond=None)[0]
+    X_hat = np.column_stack([y_hat, np.ones(len(y))])
+    coef = np.linalg.lstsq(X_hat, x, rcond=None)[0]
+    u = x - np.column_stack([y, np.ones(len(y))]) @ coef
+    V = (u @ u) / (len(y) - 2) * np.linalg.inv(X_hat.T @ X_hat)
+    return coef[0], math.sqrt(V[0, 0])
+
+
+def test_slope_statistics_are_the_two_stage_least_squares_ones():
+    for seed in range(20):
+        panel = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05,
+                                             n=19, seed=seed))
+        _, cf = estimate_beta_from_panel(panel)
+        x, y = cf.second_stage.regressand, cf.second_stage.design[:, 0]
+        slope, se = _two_stage_least_squares_slope(x, y, panel.instruments)
+        assert cf.slope == pytest.approx(slope, rel=1e-9)
+        assert cf.slope_se == pytest.approx(se, rel=1e-9)
+        # the OLS standard error of the same row ignores the generated regressor
+        assert cf.slope_se != cf.second_stage.standard_error("price_dev")
+        df = cf.second_stage.n - 2
+        assert cf.slope_t == cf.slope / cf.slope_se
+        assert cf.slope_p == kernels.student_t_two_sided(cf.slope_t, df)
+        assert cf.slope_ci == em.t_confidence_interval(cf.slope, cf.slope_se, df, 0.95)
 
 
 def _reference_describe(series):
@@ -429,12 +459,6 @@ def test_reset_degenerate_fitted_values():
         em.reset_test(fit)
 
 
-def test_reset_powers_validation():
-    fit = em.ols(np.arange(10.0) + 0.1, {"x": np.arange(10.0) ** 2})
-    with pytest.raises(em.RegressionError, match="powers"):
-        em.reset_test(fit, powers=(1,))
-
-
 def test_jarque_bera_size_on_normal_data():
     rejections = 0
     for seed in range(500):
@@ -491,6 +515,31 @@ def test_reset_names_fitted_powers_that_overflow():
         warnings.simplefilter("error")
         with pytest.raises(em.RegressionError, match=r"fitted\*\*3 overflows"):
             em.reset_test(fit)
+
+
+def test_reset_names_fitted_powers_that_underflow():
+    rng = _philox(79, 0)
+    x = rng.standard_normal(30)
+    y = 2.0 * x + rng.standard_normal(30)
+    for scale in (1e-110, 1e-120):
+        fit = em.ols(scale * y, {"x": scale * x})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(em.RegressionError, match=r"fitted\*\*3 underflows"):
+                em.reset_test(fit)
+
+
+@pytest.mark.parametrize("x", [0.01, 0.5, 1.0, 3.0, 10.0, 80.0])
+def test_jarque_bera_p_value_matches_the_mpmath_oracle(x):
+    # 49 pairs +-1 and one pair +-a have no skew and an excess kurtosis k
+    # that rises with a; a solves 50 (a^4 + 49) = (3 + k) (a^2 + 49)^2 for
+    # k = sqrt(24 x / 100), so that JB = 100/24 k^2 = x
+    pairs, ones, kappa = 50.0, 49.0, 3.0 + math.sqrt(24.0 * x / 100.0)
+    a2 = (kappa * ones + pairs * math.sqrt(ones * (kappa - 1.0))) / (pairs - kappa)
+    jb = em.jarque_bera(np.array([math.sqrt(a2), -math.sqrt(a2)] + [1.0, -1.0] * 49))
+    assert jb.statistic == pytest.approx(x, rel=1e-9)
+    oracle = mp.gammainc(1, mp.mpf(jb.statistic) / 2, mp.inf, regularized=True)
+    assert jb.p_value == pytest.approx(float(oracle), rel=1e-15)
 
 
 def test_jarque_bera_needs_eight_points():
