@@ -9,83 +9,62 @@ risk-free rate is assumed throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "BetaAlgebraError",
-    "BetaSet",
-    "ReturnSet",
-    "beta_from_slope",
-    "chain_to_market",
-    "natural_return",
-    "build_beta_set",
-    "build_return_set",
-]
+__all__ = ["BetaAlgebraError", "beta_from_slope", "market_chain"]
 
 
 class BetaAlgebraError(ValueError):
     """Raised for slopes or betas outside the admissible domain."""
 
 
-def _positive(x: float) -> bool:
-    """True for a finite, strictly positive number (False for NaN and inf)."""
-    return math.isfinite(x) and x > 0.0
+def beta_from_slope(slope: float, slope_se: float) -> tuple[float, float]:
+    """Resource-vs-firm beta ``beta_xq`` implied by the flow-on-price
+    regression slope, and its delta-method standard error.
 
-
-@dataclass(frozen=True)
-class BetaSet:
-    beta_xq: float
-    beta_qx: float
-    beta_qm: float
-    beta_xm: float
-
-
-@dataclass(frozen=True)
-class ReturnSet:
-    r_m: float
-    r_q: float
-    r_x: float
-
-
-def beta_from_slope(alpha: float) -> float:
-    """Resource-vs-firm beta implied by the flow-on-price regression slope."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise BetaAlgebraError(f"slope must be finite, got {alpha}")
-    if alpha == 0.0:
+    A negative slope maps to ``-slope`` with the slope's SE; a positive one
+    to ``1/slope`` with SE ``slope_se / slope**2``, which is ``inf`` when
+    ``slope**2`` underflows to 0.
+    """
+    slope, slope_se = float(slope), float(slope_se)
+    if not math.isfinite(slope):
+        raise BetaAlgebraError(f"slope must be finite, got {slope}")
+    if slope == 0.0:
         raise BetaAlgebraError("slope of exactly 0 leaves the beta undefined")
-    return -alpha if alpha < 0.0 else 1.0 / alpha
+    if not (math.isfinite(slope_se) and slope_se >= 0.0):
+        raise BetaAlgebraError(f"slope se must be finite and >= 0, got {slope_se}")
+    if slope < 0.0:
+        return -slope, slope_se
+    slope_sq = slope * slope
+    return 1.0 / slope, slope_se / slope_sq if slope_sq else math.inf
 
 
-def chain_to_market(beta_xq: float, beta_qm: float) -> float:
-    """Market-referenced natural asset beta: product of the two betas."""
-    if not (_positive(beta_xq) and _positive(beta_qm)):
-        raise BetaAlgebraError("betas must be finite and positive")
-    return float(beta_xq) * float(beta_qm)
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise BetaAlgebraError(f"{name} overflows to {value}")
+    return value
 
 
-def natural_return(beta_xm: float, r_m: float) -> float:
-    """Rate of return on the natural asset given the market rate."""
-    if not _positive(beta_xm):
-        raise BetaAlgebraError("beta_xm must be finite and positive")
+def market_chain(beta_xq: float, beta_qm: float, r_m: float) -> tuple[dict, dict]:
+    """The report's ``betas`` and ``returns``: the firm-vs-resource beta
+    ``1/beta_xq``, the market-referenced natural asset beta ``beta_xq *
+    beta_qm``, and the firm and natural rates of return at market rate
+    ``r_m``.
+
+    Both betas must be finite and positive and ``r_m`` finite; a value
+    formed from them that overflows, or a ``beta_xm`` that underflows to 0,
+    raises.
+    """
+    beta_xq, beta_qm, r_m = float(beta_xq), float(beta_qm), float(r_m)
+    for name, beta in (("beta_xq", beta_xq), ("beta_qm", beta_qm)):
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise BetaAlgebraError(f"{name} must be finite and positive, got {beta}")
     if not math.isfinite(r_m):
-        raise BetaAlgebraError("market rate must be finite")
-    return float(beta_xm) * float(r_m)
-
-
-def build_beta_set(beta_xq: float, beta_qm: float) -> BetaSet:
-    if not (_positive(beta_xq) and _positive(beta_qm)):
-        raise BetaAlgebraError("betas must be finite and positive")
-    return BetaSet(
-        beta_xq=float(beta_xq),
-        beta_qx=1.0 / float(beta_xq),
-        beta_qm=float(beta_qm),
-        beta_xm=chain_to_market(beta_xq, beta_qm),
-    )
-
-
-def build_return_set(betas: BetaSet, r_m: float) -> ReturnSet:
-    if not math.isfinite(r_m):
-        raise BetaAlgebraError("market rate must be finite")
-    r_q = betas.beta_qm * float(r_m)
-    return ReturnSet(r_m=float(r_m), r_q=r_q, r_x=natural_return(betas.beta_xm, r_m))
+        raise BetaAlgebraError(f"market rate must be finite, got {r_m}")
+    beta_qx = _finite("beta_qx", 1.0 / beta_xq)
+    beta_xm = _finite("beta_xm", beta_xq * beta_qm)
+    if beta_xm == 0.0:
+        raise BetaAlgebraError(f"beta_xm underflows to 0 at beta_xq {beta_xq}, beta_qm {beta_qm}")
+    r_q = _finite("r_q", beta_qm * r_m)
+    r_x = _finite("r_x", beta_xm * r_m)
+    return ({"beta_xq": beta_xq, "beta_qx": beta_qx, "beta_qm": beta_qm, "beta_xm": beta_xm},
+            {"r_m": r_m, "r_q": r_q, "r_x": r_x})

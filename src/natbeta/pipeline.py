@@ -262,6 +262,12 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                          hint="draws=0 skips the intervals")
     if not 0.0 < level < 1.0:
         raise StageError("uncertainty", f"level must be in (0, 1), got {level}")
+    if not isinstance(instruments, str):
+        try:
+            instruments = list(instruments)
+        except TypeError:
+            raise StageError("econometrics", "instruments must be 'auto', 'lags:N' or "
+                             f"column names, got {instruments!r}") from None
 
     stub = slope is not None
     provenance: dict = {
@@ -272,7 +278,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             "r_m": float(r_m),
             "level": float(level),
             "draws": int(draws),
-            "instruments": instruments if isinstance(instruments, str) else list(instruments),
+            "instruments": instruments,
             "regression_level": REGRESSION_LEVEL,
         },
         "seed": seed,
@@ -337,18 +343,10 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # beta_algebra stage
     try:
-        beta_xq = ba.beta_from_slope(slope)
-        betas = ba.build_beta_set(beta_xq, beta_qm)
-        returns = ba.build_return_set(betas, float(r_m))
+        beta_xq, beta_se = ba.beta_from_slope(slope, slope_se)
+        betas, returns = ba.market_chain(beta_xq, beta_qm, r_m)
     except ba.BetaAlgebraError as exc:
         raise StageError("beta_algebra", str(exc)) from exc
-    # positive-branch reciprocal transform rescales the slope uncertainty; a
-    # slope whose square underflows to 0 leaves it unbounded
-    if slope < 0:
-        beta_se = float(slope_se)
-    else:
-        slope_sq = slope * slope
-        beta_se = float(slope_se) / slope_sq if slope_sq else math.inf
 
     # market_curves stage
     point, elasticities, _ = _market_stage(beta_xq, mean_ln_flow, mean_ln_price)
@@ -375,13 +373,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         regression=regression,
         slope=float(slope),
         slope_se=float(slope_se),
-        betas={
-            "beta_xq": betas.beta_xq,
-            "beta_qx": betas.beta_qx,
-            "beta_qm": betas.beta_qm,
-            "beta_xm": betas.beta_xm,
-        },
-        returns={"r_m": returns.r_m, "r_q": returns.r_q, "r_x": returns.r_x},
+        betas=betas,
+        returns=returns,
         # a shallow copy of the frozen point's float fields, in field order
         equilibrium=dict(vars(point)),
         elasticities=elasticities,

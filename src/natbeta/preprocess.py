@@ -45,9 +45,6 @@ class CenteredLogSeries:
     mean: float
     logs: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return np.exp(self.mean + self.deviations)
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def unit_price_series(value, flow) -> PriceSeries:

@@ -67,7 +67,7 @@ def estimate_beta_from_panel(panel):
     flow_dev = pp.center_log(panel.flow).deviations
     price_dev = pp.center_log(prices.values).deviations
     cf = em.control_function_fit(flow_dev, price_dev, dict(panel.instruments))
-    return beta_from_slope(cf.slope), cf
+    return beta_from_slope(cf.slope, cf.slope_se)[0], cf
 
 
 @pytest.fixture

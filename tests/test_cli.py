@@ -207,6 +207,11 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
                   "--slope-se", "0.018", "--seed", "7", "--draws", "20000"],
                  "2ac64635632b82c0878ff5d37c345fe749f495cbd58c656e9acdaf07b9bfb271",
                  id="negative-r-m"),
+    # a positive slope: the reciprocal beta and the delta-method se/slope^2
+    pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "2.0",
+                  "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
+                 "077b7f78dc486e6a9520ccc01c96f3c2e1115651c195911ca351a56ca94fac50",
+                 id="positive-slope"),
     pytest.param(["estimate", "--input", "panel.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--seed", "2"],
                  "bc6345d372c8349880741879560ae7d6297e47ec6bbd111067b2bceabb6c0c80",
@@ -339,6 +344,11 @@ UNWRITABLE = "<unwritable path>"
       "--mean-ln-flow", "1", "--mean-ln-price", "1", "--seed", "1",
       "--draws", "100000000000"], "uncertainty"),
     (PAPER_STUB + ["--draws", "100000000000"], "uncertainty"),
+    (["estimate", "--slope=-1", "--slope-se=0", "--beta-qm=1e308", "--r-m=10",
+      "--mean-ln-flow=0", "--mean-ln-price=0", "--draws=0", "--format=json"], "beta_algebra"),
+    (["estimate", "--slope=-0.01", "--slope-se=0.001", "--beta-qm=1e308", "--r-m=10",
+      "--mean-ln-flow=0", "--mean-ln-price=0", "--draws=1000", "--seed=1", "--format=json"],
+     "beta_algebra"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
         "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
@@ -348,7 +358,8 @@ UNWRITABLE = "<unwritable path>"
         "simulate-shock-overflow", "describe-norm-overflow", "estimate-norm-overflow",
         "curves-grid-overflow", "curves-sample-overflow", "curves-count-above-cap",
         "curves-count-beyond-int64", "simulate-level-underflow", "simulate-unwritable-out",
-        "curves-unwritable-out", "ci-draws-above-cap", "estimate-draws-above-cap"])
+        "curves-unwritable-out", "ci-draws-above-cap", "estimate-draws-above-cap",
+        "estimate-returns-overflow", "estimate-r-q-overflow-with-draws"])
 def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
     paths = {UNWRITABLE: tmp_path / "missing" / "x.csv"}
     for placeholder, text in (

@@ -146,7 +146,7 @@ def test_ci_reports_finite_intervals_or_a_stage_error(**values):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(slope=sampled_mean, slope_se=sampled_se, **market)
-# the supply elasticity 1/beta overflows
+# beta_qx = 1/beta overflows
 @example(slope=-5e-324, slope_se=0.0, beta_qm=1.0, r_m=0.03, mean_ln_flow=0.0,
          mean_ln_price=0.0, level=0.9, draws=0, seed=1)
 # a positive slope whose square underflows to 0 rescales the se by 1/0
@@ -154,6 +154,9 @@ def test_ci_reports_finite_intervals_or_a_stage_error(**values):
          mean_ln_price=1.0, level=0.9, draws=0, seed=1)
 @example(slope=1e-200, slope_se=0.1, beta_qm=1.0, r_m=0.03, mean_ln_flow=1.0,
          mean_ln_price=1.0, level=0.9, draws=10, seed=1)
+# r_q and r_x overflow
+@example(slope=-1.0, slope_se=0.0, beta_qm=1e308, r_m=10.0, mean_ln_flow=0.0,
+         mean_ln_price=0.0, level=0.9, draws=0, seed=1)
 # without draws nothing but the report's own slope_se field sees a NaN se
 @example(slope=-0.919, slope_se=math.nan, beta_qm=5.0, r_m=0.03, mean_ln_flow=1.0,
          mean_ln_price=1.0, level=0.9, draws=0, seed=1)

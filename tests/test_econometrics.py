@@ -210,7 +210,7 @@ def test_control_function_noiseless_demand_relation():
     cf = em.control_function_fit(x_dev, y_dev, instruments)
     assert cf.slope == pytest.approx(-2.0, abs=1e-10)
     assert cf.second_stage.coefficient("control_fn") == pytest.approx(0.0, abs=1e-10)
-    assert beta_from_slope(cf.slope) == pytest.approx(2.0, abs=1e-10)
+    assert beta_from_slope(cf.slope, cf.slope_se)[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_control_function_second_stage_has_three_rows():

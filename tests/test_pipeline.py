@@ -116,6 +116,15 @@ def test_zero_slope_reports_beta_algebra(paper):
     assert err.value.stage == "beta_algebra"
 
 
+@pytest.mark.parametrize("instruments", [None, 3])
+def test_instruments_that_are_no_selection_report_econometrics(instruments):
+    panel = synthesize_panel(make_config(n=30, seed=2))
+    with pytest.raises(StageError, match="instruments must be 'auto', 'lags:N' or column "
+                                         "names") as err:
+        run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments=instruments)
+    assert err.value.stage == "econometrics"
+
+
 def test_instrument_selection_named_and_missing():
     panel = synthesize_panel(make_config(n=30, seed=2))
     report = run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0,
