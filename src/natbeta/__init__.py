@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # Public names by the submodule that defines them: each submodule's __all__.
 _EXPORTS = {
-    "beta_algebra": ("BetaAlgebraError", "beta_from_slope", "market_chain"),
+    "beta_algebra": ("BetaAlgebraError", "beta_from_slope", "chain_products", "market_chain"),
     "econometrics": (
         "ControlFunctionFit", "FitResult", "NormalityResult", "RegressionError",
         "ResetResult", "control_fit_to_dict", "control_function_fit", "fit_to_dict",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["BetaAlgebraError", "beta_from_slope", "market_chain"]
+__all__ = ["BetaAlgebraError", "beta_from_slope", "chain_products", "market_chain"]
 
 
 class BetaAlgebraError(ValueError):
@@ -44,6 +44,14 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def chain_products(beta_xq, beta_qm, r_m):
+    """``beta_xm = beta_xq * beta_qm`` and ``r_x = beta_xm * r_m``, unchecked
+    and elementwise: scalars for ``market_chain``, arrays of draws for
+    ``natbeta.uncertainty``."""
+    beta_xm = beta_xq * beta_qm
+    return beta_xm, beta_xm * r_m
+
+
 def market_chain(beta_xq: float, beta_qm: float, r_m: float) -> tuple[dict, dict]:
     """The report's ``betas`` and ``returns``: the firm-vs-resource beta
     ``1/beta_xq``, the market-referenced natural asset beta ``beta_xq *
@@ -60,11 +68,12 @@ def market_chain(beta_xq: float, beta_qm: float, r_m: float) -> tuple[dict, dict
             raise BetaAlgebraError(f"{name} must be finite and positive, got {beta}")
     if not math.isfinite(r_m):
         raise BetaAlgebraError(f"market rate must be finite, got {r_m}")
+    beta_xm, r_x = chain_products(beta_xq, beta_qm, r_m)
     beta_qx = _finite("beta_qx", 1.0 / beta_xq)
-    beta_xm = _finite("beta_xm", beta_xq * beta_qm)
+    _finite("beta_xm", beta_xm)
     if beta_xm == 0.0:
         raise BetaAlgebraError(f"beta_xm underflows to 0 at beta_xq {beta_xq}, beta_qm {beta_qm}")
     r_q = _finite("r_q", beta_qm * r_m)
-    r_x = _finite("r_x", beta_xm * r_m)
+    _finite("r_x", r_x)
     return ({"beta_xq": beta_xq, "beta_qx": beta_qx, "beta_qm": beta_qm, "beta_xm": beta_xm},
             {"r_m": r_m, "r_q": r_q, "r_x": r_x})

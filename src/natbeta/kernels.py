@@ -7,9 +7,11 @@ inverts the t CDF by Newton's method from a Cornish-Fisher start, so a
 typical 95% interval costs two to four CDF evaluations.  The supply/demand
 equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
 arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
-``propagate_beta_draws`` evaluates it per Monte Carlo draw for the three
-quantities that are not monotone in beta everywhere; the monotone products
-``beta_xm`` and ``r_x`` never reach a per-draw kernel.
+``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
+quantities that are not monotone in beta everywhere: at a few order
+statistics of the beta where the map is monotone over them, at every draw
+where it is not.  The monotone products ``beta_xm`` and ``r_x`` never reach
+it.
 """
 
 from __future__ import annotations
@@ -317,30 +319,25 @@ def solve_equilibrium(beta, eps_s=None, eps_d=None):
     return -beta * y_e + eps_d, y_e
 
 
-def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price, out=None):
+def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price):
     """Per-draw equilibrium quantities, columns (ln_price, ln_quantity,
     ln_user_cost).
 
     These are the quantities not monotone in beta everywhere; ``beta_xm``
-    and ``r_x`` are, so ``natbeta.uncertainty`` maps their order statistics
-    from the beta's instead of evaluating them per draw.  The (n, 3) result
-    is the transpose of a C-ordered (3, n) array, so each column is
-    contiguous: every column is computed straight into its slot with unit
-    stride, and selecting order statistics from a column needs no gather.
-    Rows are computed in blocks of ``_PROPAGATE_BLOCK``, so the
+    and ``r_x`` are, so ``natbeta.uncertainty`` never passes them here.
+    The (n, 3) result is the transpose of a C-ordered (3, n) array, so each
+    column is contiguous: every column is computed straight into its slot
+    with unit stride, and selecting order statistics from a column needs no
+    gather.  Rows are computed in blocks of ``_PROPAGATE_BLOCK``, so the
     equilibrium's temporaries are block-sized and stay in cache instead of
     streaming n-long arrays through memory; the result is the same, element
-    by element.  Every step is elementwise, so the rows of permuted betas
-    are the same rows, permuted, bit for bit: ``natbeta.uncertainty``
-    passes the betas in partitioned order and relies on it.
-
-    ``out``, when given, is the (n, 3) array written and returned.
-    ``betas`` may be one of its columns: each block of betas is read in
-    full before the block's rows are written.
+    by element.  Every step is elementwise, so a beta's row has the same
+    bits wherever it lies among the betas passed: ``natbeta.uncertainty``
+    evaluates a few order statistics of the beta alone and relies on them
+    equalling the rows of a whole draw table.
     """
     betas = np.asarray(betas, dtype=np.float64)
-    if out is None:
-        out = np.empty((3, betas.shape[0])).T
+    out = np.empty((3, betas.shape[0])).T
     for start in range(0, betas.shape[0], _PROPAGATE_BLOCK):
         b = betas[start:start + _PROPAGATE_BLOCK]
         rows = out[start:start + _PROPAGATE_BLOCK]

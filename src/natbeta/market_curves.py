@@ -10,11 +10,16 @@ so beta = 1 puts the equilibrium exactly at the stored means.  Level prices
 and quantities are recovered by shifting the deviations with those means;
 curves are never re-fit in level space.  ``curve_samples`` tabulates both
 curves over one x grid for plotting.
+
+``TURNING_POINTS`` holds where each map turns: y_e at b ~ 1.8950, x_e at
+~ 0.3013 and ~ 3.3191, x_e + y_e at 1 and ~ 4.7156.  Each rises from b -> 0
+to its first turning point and is monotone between two of them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,35 @@ __all__ = [
 
 
 MAX_CURVE_SAMPLES = 10**6  # largest count curve_samples tabulates
+_MAX_NEWTON = 50
+
+
+def _slope_numerators(b: float) -> dict[str, tuple[float, float]]:
+    """By quantity, the numerator of its map's derivative over a positive
+    denominator, and that numerator's derivative."""
+    ln_b, b2 = math.log(b), b * b
+    g_y, dg_y = 1.0 + b2 - 2.0 * b2 * ln_b, -4.0 * b * ln_b  # y_e' b (1+b^2)^2
+    g_x, dg_x = 1.0 + b2 + (1.0 - b2) * ln_b, 2.0 * b * (1.0 - ln_b) + (1.0 - b2) / b
+    return {"ln_price": (g_y, dg_y), "ln_quantity": (g_x, dg_x),  # -x_e' (1+b^2)^2
+            "ln_user_cost": (g_y - b * g_x, dg_y - g_x - b * dg_x)}  # (x_e+y_e)' b (1+b^2)^2
+
+
+def _turning_point(name: str, b: float) -> float:
+    """Root of the numerator of ``name``'s slope by Newton's method from
+    ``b``, once a step moves it by at most a few ulps."""
+    for _ in range(_MAX_NEWTON):
+        g, dg = _slope_numerators(b)[name]
+        step = g / dg
+        b -= step
+        if abs(step) <= 4.0 * sys.float_info.epsilon * b:
+            return b
+    raise RuntimeError(f"no turning point of {name} found from {b}")
+
+
+# The betas where each equilibrium map turns, ascending; each search starts
+# next to its root.
+TURNING_POINTS = {name: tuple(_turning_point(name, b) for b in starts) for name, starts in (
+    ("ln_price", (1.9,)), ("ln_quantity", (0.3, 3.3)), ("ln_user_cost", (1.0, 4.7)))}
 
 
 class CurveError(ValueError):

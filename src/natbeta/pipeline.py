@@ -204,9 +204,9 @@ def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
     """Sample the beta, propagate the draws, and return the report's
     ``intervals`` block and its warnings; ``run_estimate`` and ``ci`` share it.
 
-    NumPy's overflow and invalid warnings are silenced over the sampling,
-    the draw table and the point row: ``derived_intervals`` raises on every
-    non-finite bound instead, which ends here as a StageError.
+    NumPy's overflow and invalid warnings are silenced over the sampling
+    and the propagation: ``derived_intervals`` raises on every non-finite
+    bound instead, which ends here as a StageError.
     """
     from . import uncertainty as unc
 
@@ -361,6 +361,9 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         if seed is None:
             raise StageError("uncertainty", "Monte Carlo intervals need a seed",
                              hint="pass seed=... or draws=0 to skip intervals")
+        if math.isinf(beta_se):
+            raise StageError("uncertainty", f"the beta's se, se/slope**2 for the reciprocal of "
+                                            f"positive slope {slope:g}, overflows to inf")
         intervals, tail_warnings = _uncertainty_stage(
             beta_xq, beta_se, draws=draws, seed=seed, level=level, beta_qm=beta_qm,
             r_m=float(r_m), mean_ln_flow=mean_ln_flow, mean_ln_price=mean_ln_price,

@@ -4,25 +4,27 @@ Betas are drawn from a normal distribution; non-positive draws are redrawn
 in whole-array rounds from the same Philox stream as the first pass, so
 the result depends only on the inputs and the seed.  The interval
 endpoints follow NumPy's linear (Hyndman & Fan type-7) rule: two
-neighbouring order statistics per endpoint, selected in place by
-partitioning, never by sorting.  The equilibrium quantities (log price,
-log quantity, log user cost) are not monotone in beta everywhere, so they
-are evaluated per draw and their own order statistics selected.  ``beta_xm``
-and ``r_x`` are monotone products of the beta, so their order statistics
-are the beta's, mapped: the same bits as selecting from per-draw values,
-without computing them.  Interval endpoints themselves are never mapped,
-only order statistics: endpoint mapping would be wrong for the price map.
+neighbouring order statistics per endpoint, lerped in the quantity's own
+values.  Every derived quantity is a function of the beta alone, and on a
+branch where that function is monotone its order statistics are its values
+at the beta's, in the same order or reversed (quantiles are equivariant
+under monotone maps; Hyndman & Fan, Am. Stat. 50(4), 1996).  So the betas
+alone are selected, in place by partitioning, never by sorting, and only a
+few of them are evaluated.
 
-The beta copy is partitioned first, and the equilibrium quantities are
-evaluated on it in that order, so each of their rows arrives in the beta's
-blocks (lower tail, middle, upper tail).  Where a map is monotone over the
-draws, the row is partitioned at the beta's cuts too; min/max scans of the
-blocks check it, and its endpoints are then selected inside the short tail
-blocks alone (the bracketing of Floyd & Rivest, CACM 18(3), 1975).  Where
-the check fails (a turning point among the draws, a NaN, two values that
-rounding puts across a cut) the row is selected from no cuts.  The kernel
-is elementwise, so a row's values do not depend on the order of the betas,
-and either way every bound keeps its bits.
+``beta_xm`` and ``r_x`` are products of the beta, monotone everywhere.  The
+equilibrium quantities (log price, log quantity, log user cost) turn at
+``market_curves.TURNING_POINTS``.  Such a quantity is evaluated at the
+needed betas alone where no turning point lies within a small margin of
+them, and at each draw of the tail blocks past a turning point, which must
+then lie on the outer side of the nearest needed beta's value: an exact
+comparison.  Where its needed betas straddle a turning point, lie too
+close together for the kernel's rounding to resolve, or a draw past a
+turning point fails that comparison, and for every quantity where a beta
+is not finite, the quantity is evaluated per draw and its order statistics
+are selected from that row.  A mapped endpoint equals the selected one
+unless the kernel's rounding reverses two draws within a few ulps of each
+other at a needed rank.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.  Neither function
@@ -33,12 +35,13 @@ for ``estimate`` and ``ci`` alike, with those warnings silenced.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import beta_algebra, kernels, market_curves
 
 __all__ = [
     "UncertaintyError",
@@ -51,6 +54,14 @@ __all__ = [
 QUANTITY_NAMES = ("ln_price", "ln_quantity", "ln_user_cost", "beta_xm", "r_x")
 
 MAX_DRAWS = 10**7  # largest draw count sample_betas allocates
+# Relative distance from a turning point within which a beta counts as past
+# it: far beyond the root's error, and wide enough that the map is steep at
+# the needed betas.
+_TURN_MARGIN = 2.0**-10
+# Least mean rise of a mapped quantity per rank between the needed betas,
+# relative to its largest value there: 4096 ulps, far above the kernel's
+# rounding.  Draws spaced more finely are selected per draw.
+_RESOLUTION = 2.0**-40
 _MASK64 = (1 << 64) - 1
 
 
@@ -148,91 +159,39 @@ def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
     return below, below + 1, virtual - below
 
 
-def _order_stats(rows: np.ndarray, ranks, cuts=()) -> tuple[dict[int, np.ndarray], list[int]]:
-    """Order statistics ``ranks`` of every row of ``rows``, selected in place.
+def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], list[int]]:
+    """Order statistics ``ranks`` of ``row``, selected in place.
 
-    ``cuts`` are positions at which every row is already partitioned: no
-    value before a cut exceeds the value at it, and none after it is
-    smaller.  The spans between them are selected apart.  Each step
-    partitions a span at the needed rank nearest its middle, then treats
-    the two sides the same way; a side that needs only its own smallest or
-    largest ranks takes them by a min or max scan.  From no cuts, for
-    type-7 endpoints the spans left are the short ones beyond each
-    endpoint, so the work is two single-``kth`` partitions and three scans
-    of the tails; from those two cuts, it is the three scans alone.  Rank
-    ``n - 1`` is NaN in a row that holds one: NaNs order last in a
-    partition, and min and max propagate them.  Returns the statistics and
-    every cut the rows are now partitioned at, ``cuts`` included, in order.
+    Each step partitions a span at the needed rank nearest its middle, then
+    treats the two sides the same way; a side that needs only its own
+    smallest or largest ranks takes them by a min or max scan.  For type-7
+    endpoints the spans left are the short ones beyond each endpoint, so the
+    work is two single-``kth`` partitions and scans of the tails (the
+    bracketing of Floyd & Rivest, CACM 18(3), 1975).  Rank ``n - 1`` is NaN
+    in a row that holds one: NaNs order last in a partition, and min and
+    max propagate them.  Returns the statistics and the positions the row
+    is now partitioned at, in order: no value before such a cut exceeds the
+    value at it, and none after it is smaller.
     """
-    need = sorted(set(ranks))
-    edges = [-1, *cuts, rows.shape[1]]
-    stats = {k: rows[:, k] for k in cuts if k in need}
-    spans = [(a + 1, b, [r for r in need if a < r < b]) for a, b in zip(edges, edges[1:])]
-    made = list(cuts)
+    stats = {}
+    cuts = []
+    spans = [(0, row.size, sorted(set(ranks)))]
     while spans:
         start, stop, need = spans.pop()
-        span = rows[:, start:stop]
+        span = row[start:stop]
         if not set(need) - {start, stop - 1}:
             if start in need:
-                stats[start] = span.min(axis=1)
+                stats[start] = span.min()
             if stop - 1 in need:
-                stats[stop - 1] = span.max(axis=1)
+                stats[stop - 1] = span.max()
             continue
         k = min(need, key=lambda r: abs(2 * r - start - stop + 1))
-        span.partition(k - start, axis=1)
-        stats[k] = rows[:, k]
-        made.append(k)
+        span.partition(k - start)
+        stats[k] = row[k]
+        cuts.append(k)
         spans.append((start, k, [r for r in need if r < k]))
         spans.append((k + 1, stop, [r for r in need if r > k]))
-    return stats, sorted(made)
-
-
-def _partitioned_at(row: np.ndarray, cuts, descending: bool = False) -> bool:
-    """Whether ``row`` is partitioned at every position of ``cuts``, in
-    ascending or in descending order.
-
-    Each block between two cuts is compared with the cut on either side of
-    it, by a max or min scan, shortest blocks first: where a turning point
-    lies among the draws, a short tail block usually shows it before the
-    long middle one is read.  Scans run forwards: a reduction over a
-    reversed view is several times slower.  False for a row that holds a
-    NaN: min and max propagate it, and every comparison with it is false.
-    """
-    edges = [-1, *cuts, row.size]
-    # (start, stop) of each block with the cut after it, then with the cut before it
-    sides = [(edges[i] + 1, k, k) for i, k in enumerate(cuts)]
-    sides += [(k + 1, edges[i + 2], k) for i, k in enumerate(cuts)]
-    for start, stop, k in sorted(sides, key=lambda side: side[1] - side[0]):
-        if start == stop:
-            continue
-        block = row[start:stop]
-        # a block before its cut holds the smaller values when ascending
-        if (stop == k) != descending:
-            if not block.max() <= row[k]:
-                return False
-        elif not row[k] <= block.min():
-            return False
-    return True
-
-
-def _row_order_stats(row: np.ndarray, ranks, cuts) -> dict[int, np.ndarray]:
-    """Order statistics ``ranks`` of ``row``, whose values lie in the order of
-    betas partitioned at ``cuts``.
-
-    Where the map from beta to ``row`` is monotone over the draws, the row
-    is partitioned at the beta's cuts too, ascending or descending, and the
-    ranks are selected between them; a descending row through its reversed
-    view, whose cuts are mirrored.  The check fails where a turning point
-    lies inside the draws, the row holds a NaN, or rounding puts two values
-    on the wrong sides of a cut; the row is then selected from no cuts.
-    Either way the statistics are the row's own.
-    """
-    if _partitioned_at(row, cuts):
-        return _order_stats(row[np.newaxis], ranks, cuts)[0]
-    if _partitioned_at(row, cuts, descending=True):
-        n = row.size
-        return _order_stats(row[::-1][np.newaxis], ranks, [n - 1 - k for k in reversed(cuts)])[0]
-    return _order_stats(row[np.newaxis], ranks)[0]
+    return stats, sorted(cuts)
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -253,10 +212,13 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                       mean_ln_price: float, level: float = 0.90) -> IntervalReport:
     """Empirical ((1-level)/2, (1+level)/2) intervals of the derived quantities.
 
-    ``draws`` comes from ``sample_betas``, so every beta is positive and all
-    of them are propagated.  The point column evaluates the same maps at the
-    sampling mean.  Raises when a bound is not finite or a quantity is NaN
-    for some draw.
+    ``draws`` comes from ``sample_betas``, so every beta is positive.  Its
+    ``values`` are partitioned in place, so they are left a permutation of
+    the draws; no second n-long array is held where every quantity is
+    mapped.  (Calls that held one made glibc trim the heap and fault it back
+    in, about 360 minor faults per call at 100k draws.)  The point column
+    evaluates the same maps at the sampling mean.  Raises when a bound is
+    not finite or a quantity is NaN for some draw.
     """
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
@@ -265,42 +227,87 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price) and math.isfinite(r_m)):
         raise UncertaintyError("means and market rate must be finite")
 
-    n = draws.values.size
+    values = draws.values
+    n = values.size
     lo_q = 0.5 * (1.0 - level)
     lo = _type7_rows(n, lo_q)
     hi = _type7_rows(n, 1.0 - lo_q)
-    ranks = {lo[0], lo[1], hi[0], hi[1], n - 1}
-    # r_x = beta_xm * r_m descends in beta when r_m is negative: its rank k
-    # is the beta's rank n-1-k.  At r_m = -0.0 every finite r_x is -0.0, so
+    ends = {lo[0], lo[1], hi[0], hi[1]}
+    # a quantity that descends in beta takes its rank k from the beta's rank n-1-k
+    needed = sorted(ends | {n - 1 - k for k in ends})
+    beta, cuts = _order_stats(values, {*needed, 0, n - 1})
+    b_lo, b_hi = beta[needed[0]], beta[needed[-1]]
+    # The branch of each equilibrium map that holds every needed beta, by
+    # column: its direction and the guards beyond which a draw may lie past
+    # a turning point.  Branch i descends where i is odd.
+    branches = {}
+    if np.isfinite(beta[0]) and np.isfinite(beta[n - 1]):
+        for j, name in enumerate(QUANTITY_NAMES[:3]):
+            turns = market_curves.TURNING_POINTS[name]
+            i = bisect.bisect(turns, b_lo)
+            low = turns[i - 1] * (1.0 + _TURN_MARGIN) if i else 0.0
+            high = turns[i] * (1.0 - _TURN_MARGIN) if i < len(turns) else math.inf
+            if low < b_lo and b_hi < high:
+                branches[j] = (-1.0 if i % 2 else 1.0, low, high)
+    # Tail draws past a guard, found by the extremes: all draws below the
+    # lowest needed beta lie before the first cut at or above its rank, all
+    # above the highest after the last cut at or below its rank.
+    below = above = values[:0]
+    if branches:
+        low = max(branch[1] for branch in branches.values())
+        high = min(branch[2] for branch in branches.values())
+        if beta[0] <= low:
+            block = values[:min((c for c in cuts if c >= needed[0]), default=n)]
+            below = block[block <= low]
+        if beta[n - 1] >= high:
+            block = values[max((c for c in cuts if c <= needed[-1]), default=-1) + 1:]
+            above = block[block >= high]
+    at = np.concatenate([[beta[k] for k in needed], below, above, [draws.mean]])
+    # every quantity at those betas, in QUANTITY_NAMES order
+    rows = np.column_stack([kernels.propagate_beta_draws(at, mean_ln_flow, mean_ln_price),
+                            *beta_algebra.chain_products(at, beta_qm, r_m)])
+    m = len(needed)
+    if branches:
+        # a rise the kernel's rounding cannot blur, per rank between the needed betas
+        resolved = _RESOLUTION * np.abs(rows[:m, :3]).max() * (needed[-1] - needed[0])
+        for j, (sign, _, _) in list(branches.items()):
+            # The map must resolve the draws, and each draw past a turning
+            # point must lie on the outer side of the nearest needed beta's
+            # value: exact comparisons, false for a NaN.
+            column = sign * rows[:, j]
+            if not (column[m - 1] - column[0] > resolved
+                    and np.all(column[m:m + below.size] <= column[0])
+                    and np.all(column[m + below.size:-1] >= column[m - 1])):
+                del branches[j]
+    # Whether each mapped quantity descends in beta.  r_x = beta_xm * r_m
+    # does where r_m is negative; at r_m = -0.0 every finite r_x is -0.0, so
     # either order gives the same bits.
-    mirror = (lambda k: n - 1 - k) if r_m < 0.0 else (lambda k: k)
-    # The betas are copied into the last column of the kernel's output and
-    # partitioned there, so the copy takes no array of its own: the kernel
-    # reads each block of betas before it writes the block's rows.  With
-    # one more n-long array alive while the kernel runs, calls at ~20k
-    # draws made glibc's malloc trim the heap and fault it back in each time.
-    table = np.empty((3, n)).T
-    betas = table[:, 2]
-    np.copyto(betas, draws.values)
-    beta, cuts = _order_stats(betas[np.newaxis], ranks | {mirror(k) for k in (*lo[:2], *hi[:2])})
-    # beta_xm of the beta's order statistics, formed before the kernel
-    # overwrites the column they are views of
-    beta_xm = {k: b * beta_qm for k, b in beta.items()}
-    # Every kernel step is elementwise, so a row's values do not depend on
-    # the order of the betas: only where they lie.
-    rows = [_row_order_stats(row, ranks, cuts) for row in kernels.propagate_beta_draws(
-        betas, mean_ln_flow, mean_ln_price, out=table).T]
-    equilibrium = {k: np.concatenate([stats[k] for stats in rows]) for k in ranks}
+    descending = {j: sign < 0.0 for j, (sign, _, _) in branches.items()} | {3: False, 4: r_m < 0.0}
+    row_at = dict(zip(needed, rows))
+    stats = []
+    table = None
+    for j in range(len(QUANTITY_NAMES)):
+        if j in descending:
+            # rank k is the value at the beta's rank k, or n-1-k where descending
+            stats.append({k: row_at[n - 1 - k if descending[j] else k][j] for k in ends})
+            continue
+        # a turning point among the draws, or a beta not finite: the row of
+        # every draw, selected from no cuts
+        if table is None:
+            table = kernels.propagate_beta_draws(values, mean_ln_flow, mean_ln_price)
+        stats.append(_order_stats(table[:, j], ends | {n - 1})[0])
 
     def quantities(k: int) -> np.ndarray:
         # rank k of every quantity, in QUANTITY_NAMES order
-        return np.concatenate([equilibrium[k], beta_xm[k], beta_xm[mirror(k)] * r_m])
+        return np.array([at_rank[k] for at_rank in stats])
 
     lows = _lerp(quantities(lo[0]), quantities(lo[1]), lo[2])
     highs = _lerp(quantities(hi[0]), quantities(hi[1]), hi[2])
-    # A NaN orders last; in r_x one (inf * 0) can only come from the largest beta.
-    top = beta_xm[n - 1]
-    has_nan = np.isnan(np.concatenate([equilibrium[n - 1], top, top * r_m]))
+    # A NaN orders last.  A mapped equilibrium quantity is finite; beta_xm
+    # and r_x can hold one (NaN * beta_qm, inf * 0) only at the largest beta.
+    top = beta_algebra.chain_products(beta[n - 1], beta_qm, r_m)
+    has_nan = [*(j not in descending and math.isnan(stats[j][n - 1]) for j in range(3)),
+               *map(math.isnan, top)]
     overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
                   if has_nan[j] or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
     if overflowed:
@@ -309,10 +316,6 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         name: (float(lows[j]), float(highs[j]))
         for j, name in enumerate(QUANTITY_NAMES)
     }
-    mean = np.array([draws.mean])
-    point_row = np.concatenate([
-        kernels.propagate_beta_draws(mean, mean_ln_flow, mean_ln_price)[0],
-        mean * beta_qm, mean * beta_qm * r_m])
-    point = {name: float(point_row[j]) for j, name in enumerate(QUANTITY_NAMES)}
+    point = dict(zip(QUANTITY_NAMES, map(float, rows[-1])))
     return IntervalReport(level=float(level), bounds=bounds, point=point,
                           draws_used=int(n))

@@ -92,6 +92,36 @@ def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
     assert "natbeta.simulator" not in after_panel
 
 
+# Prints the minor page faults per op of the paper stub at 100k draws, over
+# 20 ops after 5 warm-up ones.
+MINOR_FAULTS = """
+import resource
+from natbeta import pipeline
+
+def op(seed):
+    report = pipeline.run_estimate(None, beta_qm=5.36, r_m=0.029, slope=-0.919, slope_se=0.018,
+                                   mean_ln_flow=2.113, mean_ln_price=2.828, draws=100_000,
+                                   seed=seed)
+    pipeline.render_report(report, "json")
+
+for seed in range(5):
+    op(seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(5, 25):
+    op(seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc's heap trimming is what the fault count shows")
+def test_paper_stub_ops_fault_no_heap_back_in():
+    # About 0.01 faults per op.  One more n-long array alive per op made
+    # glibc trim the heap and fault it back in each time, 358 per op at 100k
+    # draws and ~200 at 20k.
+    assert float(fresh_python(MINOR_FAULTS)) < 50
+
+
 LAZY_EXPORTS = """
 import importlib, json
 from natbeta import econometrics  # the first natbeta import of this process
@@ -198,6 +228,11 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
                   "--slope-se", "0.018", "--seed", "7", "--draws", "100000"],
                  "780347b55c4f01fff7a8bc97b2daa248ef2c0d7c0039efdb40a4ad4db2eb5bcb",
                  id="paper-stub-100k"),
+    # two of these draws lie past b = 1, where ln_user_cost turns
+    pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919",
+                  "--slope-se", "0.018", "--seed", "6", "--draws", "100000"],
+                 "d40e4ee0e03accece34dee619b85551d44d50c869d2134f4cb9ba76679c04e62",
+                 id="paper-stub-100k-past-a-turning-point"),
     # the inputs of the truncated_20k benchmark workload: ~16% redrawn
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.1",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
@@ -243,7 +278,8 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     # SHA-256 of reports written before the Monte Carlo stage stopped
     # evaluating beta_xm and r_x per draw, before it selected the
-    # equilibrium endpoints inside the beta's tail blocks, and before the
+    # equilibrium endpoints inside the beta's tail blocks, before it mapped
+    # them from the beta's order statistics, and before the
     # panel fit and report stopped recomputing the regressand's moments and
     # the series' logs; the three panel reports were pinned again when the
     # slope row took its 2SLS statistics and weak first stages a warning.
@@ -349,6 +385,9 @@ UNWRITABLE = "<unwritable path>"
     (["estimate", "--slope=-0.01", "--slope-se=0.001", "--beta-qm=1e308", "--r-m=10",
       "--mean-ln-flow=0", "--mean-ln-price=0", "--draws=1000", "--seed=1", "--format=json"],
      "beta_algebra"),
+    (["estimate", "--slope", "1e-200", "--slope-se", "0.1", "--beta-qm", "1", "--r-m", "0.03",
+      "--mean-ln-flow", "1", "--mean-ln-price", "1", "--seed", "1", "--draws", "10"],
+     "uncertainty"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
         "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
@@ -359,7 +398,8 @@ UNWRITABLE = "<unwritable path>"
         "curves-grid-overflow", "curves-sample-overflow", "curves-count-above-cap",
         "curves-count-beyond-int64", "simulate-level-underflow", "simulate-unwritable-out",
         "curves-unwritable-out", "ci-draws-above-cap", "estimate-draws-above-cap",
-        "estimate-returns-overflow", "estimate-r-q-overflow-with-draws"])
+        "estimate-returns-overflow", "estimate-r-q-overflow-with-draws",
+        "estimate-reciprocal-se-overflow"])
 def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
     paths = {UNWRITABLE: tmp_path / "missing" / "x.csv"}
     for placeholder, text in (

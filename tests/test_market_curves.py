@@ -2,20 +2,24 @@
 
 The analytic equilibrium is cross-checked against an independent 2x2
 linear-system solve; curve-sample intersections against a linear
-interpolation oracle; the zero-sum quadrature against mpmath.
+interpolation oracle; the zero-sum quadrature and the turning points
+against mpmath.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from natbeta import kernels
 from natbeta.market_curves import (
     CurveError,
     EquilibriumPoint,
     MAX_CURVE_SAMPLES,
+    TURNING_POINTS,
     curve_samples,
     elasticities,
     equilibrium_deviation,
@@ -181,6 +185,37 @@ def test_zero_sum_integral_validation():
         zero_sum_integral(0.5)
     with pytest.raises(CurveError):
         zero_sum_integral(2.0, tolerance=0.0)
+
+
+def test_turning_points_are_where_the_finite_differences_change_sign():
+    # each map rises from b -> 0 and turns at each of its turning points,
+    # and nowhere else on a dense log grid
+    b = np.geomspace(1e-3, 1e3, 2_000_001)
+    x_e, y_e = kernels.solve_equilibrium(b)
+    for name, values in (("ln_price", y_e), ("ln_quantity", x_e), ("ln_user_cost", x_e + y_e)):
+        rising = np.diff(values) > 0.0
+        turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+        assert rising[0], name
+        assert len(turns) == len(TURNING_POINTS[name]), name
+        for i, t in zip(turns, TURNING_POINTS[name]):
+            assert b[i - 1] < t < b[i + 1], (name, t)
+
+
+def test_turning_points_are_roots_of_the_derivative_to_the_last_bits():
+    # Newton's residual: the 40-digit derivative is ~0 at each turning point
+    # and changes sign within 4 ulps of it
+    def y_e(b):
+        return mp.log(b) / (1 + b * b)
+
+    maps = {"ln_price": y_e, "ln_quantity": lambda b: -b * y_e(b),
+            "ln_user_cost": lambda b: (1 - b) * y_e(b)}
+    assert TURNING_POINTS["ln_user_cost"][0] == 1.0
+    with mp.workdps(40):
+        for name, turns in TURNING_POINTS.items():
+            for t in map(mp.mpf, turns):
+                assert abs(mp.diff(maps[name], t)) < 1e-15, (name, t)
+                below, above = (mp.diff(maps[name], t * (1 + d * 8.9e-16)) for d in (-1, 1))
+                assert below * above < 0, (name, t)
 
 
 def test_shocked_equilibrium_no_shock_is_equilibrium():

@@ -182,6 +182,17 @@ def test_positive_slope_branch_rescales_se(paper):
     assert half_width == pytest.approx(1.645 * (0.1 / 4.0) * paper["beta_qm"], rel=0.05)
 
 
+@pytest.mark.parametrize("slope", [1e-200, 1e-160])
+def test_positive_slope_whose_se_overflows_names_the_reciprocal_branch(paper, slope):
+    # slope**2 underflows to 0 at 1e-200, and se/slope**2 overflows at
+    # 1e-160; without draws the se goes unused
+    with pytest.raises(StageError, match=rf"^uncertainty: the beta's se, se/slope\*\*2 for "
+                                         rf"the reciprocal of positive slope {slope:g}, "
+                                         rf"overflows to inf$"):
+        paper_stub_report(paper, slope=slope, slope_se=0.1, draws=10, seed=1)
+    assert paper_stub_report(paper, slope=slope, slope_se=0.1, draws=0).intervals is None
+
+
 def test_json_round_trip(paper):
     report = paper_stub_report(paper)
     text = render_report(report, "json")

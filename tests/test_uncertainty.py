@@ -256,26 +256,32 @@ def test_derived_intervals_validation(paper):
     # the integers 1 and 3, so a descending r_x needs the beta's rank 0,
     # which no ascending endpoint selects; at n = 101, level 0.9 they fall
     # a rounding step from the integers 5 and 95.  At n = 1001, level 0.5
-    # they are the integers 250 and 750, and the beta is cut at 251 and 750:
-    # a descending row's reversed view is cut at 250 and 749.
-    (0.5, 5), (0.9, 101), (0.5, 1001),
+    # they are the integers 250 and 750, whose mirrors are 750 and 250 but
+    # whose neighbours 251 and 751 mirror to 749 and 249.  At n = 7, level
+    # 0.9 the upper endpoint takes rank n - 1.
+    (0.5, 5), (0.9, 101), (0.5, 1001), (0.9, 7),
 ])
 # a negative rate makes r_x descending; -0.0 makes every r_x a negative zero
 @pytest.mark.parametrize("r_m", [0.029, 0.0, -0.03, -0.0])
 def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
-    for mean, se in [
-        # the paper stub: every equilibrium row is monotone over the draws,
-        # so each is selected between the cuts of the beta's partition
-        (0.919, 0.018),
-        # draws that straddle the turning point of ln_price (b ~ 1.895), of
-        # ln_quantity (b ~ 0.301) and of ln_user_cost (b = 1): that row is
-        # selected from no cuts
-        (1.9, 0.3), (0.3013, 0.05), (1.0, 0.05),
-        # the minimum of ln_quantity (b ~ 3.319) lies among the largest 5%
-        # of the draws: only that block's max shows the row is not descending
-        (2.5, 0.4),
+    for mean, se, seed in [
+        # the paper stub: every equilibrium quantity is mapped from the
+        # beta's order statistics; at seed 6 two of 100 000 draws lie past
+        # b = 1, where ln_user_cost turns, and are evaluated per draw
+        (0.919, 0.018, n), (0.919, 0.018, 6),
+        # needed betas that straddle the turning point of ln_price
+        # (b ~ 1.895), of ln_quantity (b ~ 0.301) and of ln_user_cost
+        # (b = 1): that quantity is selected from the row of every draw
+        (1.9, 0.3, n), (0.3013, 0.05, n), (1.0, 0.05, n),
+        # tail blocks alone that straddle the minimum of ln_quantity
+        # (b ~ 3.319), the maximum of ln_price, both turning points of
+        # ln_quantity and of ln_user_cost (b ~ 4.716): their draws past it
+        # are evaluated, and those beyond the nearest endpoint's value
+        # make the quantity fall back
+        (2.5, 0.4, n), (1.81, 0.04, n), (0.32, 0.008, n), (3.17, 0.07, n),
+        (0.96, 0.02, n), (4.9, 0.09, n),
     ]:
-        draws = sample_betas(mean, se, n, seed=n)
+        draws = sample_betas(mean, se, n, seed=seed)
         table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
                                              paper["mean_ln_price"])
         assert table.shape == (n, 3)
@@ -311,23 +317,6 @@ def test_overflowed_endpoints_are_not_finite(r_m):
         derived_intervals(draws, 1e308, r_m, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("descending", [False, True])
-def test_row_partitioned_at_uneven_cuts_gives_its_own_order_stats(descending):
-    # at n = 1001, level 0.5 the beta is cut at 251 and 750, which do not
-    # mirror each other; the blocks are shuffled, so no value lies next to
-    # a cut by the chance of how np.partition leaves it
-    rng = np.random.default_rng(3)
-    n, cuts, ranks = 1001, [251, 750], [250, 251, 750, 751, 1000]
-    row = np.sort(rng.normal(size=n))
-    for start, stop in [(0, 251), (252, 750), (751, n)]:
-        rng.shuffle(row[start:stop])
-    if descending:
-        row = -row
-    expected = np.sort(row)[ranks]
-    stats = uncertainty._row_order_stats(row, ranks, cuts)
-    assert np.concatenate([stats[k] for k in ranks]).tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("at", [0, 12_345, 99_999])
 def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
     # an infinite beta puts a NaN (inf/inf) in every equilibrium row, which
@@ -343,22 +332,39 @@ def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
 
 
 def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
-    # the report's bits cannot tell the selection between the beta's cuts
-    # from the fallback, so count the calls: the beta alone is selected
-    # from no cuts, each equilibrium row between the beta's two cuts
-    calls = []
-    order_stats = uncertainty._order_stats
+    # The report's bits cannot tell mapped order statistics from per-draw
+    # selection, so record the work: the beta alone is selected, in place,
+    # and the kernel sees its four needed order statistics, the draws past
+    # b = 1 (where ln_user_cost turns; two at seed 6) and the mean.
+    selections, passed = [], []
+    order_stats, propagate = uncertainty._order_stats, kernels.propagate_beta_draws
 
-    def recording(rows, ranks, cuts=()):
-        calls.append(list(cuts))
-        return order_stats(rows, ranks, cuts)
+    def recording_selection(row, ranks):
+        selections.append(row)
+        return order_stats(row, ranks)
 
-    monkeypatch.setattr(uncertainty, "_order_stats", recording)
-    draws = sample_betas(0.919, 0.018, 100_000, seed=7)
-    derived_intervals(draws, paper["beta_qm"], paper["r_m"],
-                      paper["mean_ln_flow"], paper["mean_ln_price"])
-    assert calls[0] == []
-    assert calls[1:] == [[5_000, 94_999]] * 3
+    def recording_propagation(betas, *args):
+        passed.append(np.array(betas))
+        return propagate(betas, *args)
+
+    monkeypatch.setattr(uncertainty, "_order_stats", recording_selection)
+    monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
+    for seed, n_past in ((7, 0), (6, 2)):
+        draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
+        ordered = np.sort(draws.values)
+        selections.clear()
+        passed.clear()
+        derived_intervals(draws, paper["beta_qm"], paper["r_m"],
+                          paper["mean_ln_flow"], paper["mean_ln_price"])
+        assert len(selections) == 1 and selections[0] is draws.values
+        assert np.array_equal(np.sort(draws.values), ordered)  # a permutation
+        [betas] = passed
+        past = ordered[ordered >= 1.0]
+        assert past.size == n_past
+        assert betas.size == 4 + n_past + 1
+        assert betas[:4].tobytes() == ordered[[4_999, 5_000, 94_999, 95_000]].tobytes()
+        assert np.sort(betas[4:-1]).tobytes() == past.tobytes()
+        assert betas[-1] == 0.919
 
 
 def test_overflow_beyond_the_endpoints_leaves_descending_bounds_finite():
