@@ -26,7 +26,7 @@ _EXPORTS = {
         "jarque_bera", "lagged_instruments", "ols", "reset_test", "t_confidence_interval",
     ),
     "market_curves": (
-        "CurveError", "EquilibriumPoint", "ShockModel", "curve_samples",
+        "CurveError", "EquilibriumPoint", "ShockModel", "branch", "curve_samples",
         "elasticities", "equilibrium_deviation", "equilibrium_levels",
         "observed_range_warnings", "shocked_equilibrium", "zero_sum_integral",
     ),

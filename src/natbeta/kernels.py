@@ -8,10 +8,10 @@ typical 95% interval costs two to four CDF evaluations.  The supply/demand
 equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
 arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
-quantities that are not monotone in beta everywhere: at a few order
-statistics of the beta where the map is monotone over them, at every draw
-where it is not.  The monotone products ``beta_xm`` and ``r_x`` never reach
-it.
+quantities not monotone in beta everywhere: at a few order statistics of the
+beta, the draws past a turning point and a narrow window of ranks beside an
+endpoint they interleave with; at every draw where the needed ranks
+straddle a turning point.  ``beta_xm`` and ``r_x`` never reach it.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ to its first turning point and is monotone between two of them.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -37,11 +38,16 @@ __all__ = [
     "zero_sum_integral",
     "shocked_equilibrium",
     "observed_range_warnings",
+    "branch",
 ]
 
 
 MAX_CURVE_SAMPLES = 10**6  # largest count curve_samples tabulates
 _MAX_NEWTON = 50
+# Relative distance from a turning point within which a beta counts as past
+# it: far beyond the root's error, and wide enough that the map is steep
+# inside the guards.
+_TURN_MARGIN = 2.0**-10
 
 
 def _slope_numerators(b: float) -> dict[str, tuple[float, float]]:
@@ -70,6 +76,19 @@ def _turning_point(name: str, b: float) -> float:
 # next to its root.
 TURNING_POINTS = {name: tuple(_turning_point(name, b) for b in starts) for name, starts in (
     ("ln_price", (1.9,)), ("ln_quantity", (0.3, 3.3)), ("ln_user_cost", (1.0, 4.7)))}
+
+
+def branch(name: str, lo: float, hi: float) -> tuple[float, float, float] | None:
+    """(direction, low guard, high guard) of the branch of ``name``'s map
+    that holds ``[lo, hi]`` strictly between its guards, or None.  The
+    direction is 1.0 where the map rises and -1.0 where it falls; the guards
+    lie ``_TURN_MARGIN`` (relative) inside the branch's turning points.
+    """
+    turns = TURNING_POINTS[name]
+    i = bisect.bisect(turns, lo)
+    low = turns[i - 1] * (1.0 + _TURN_MARGIN) if i else 0.0
+    high = turns[i] * (1.0 - _TURN_MARGIN) if i < len(turns) else math.inf
+    return (-1.0 if i % 2 else 1.0, low, high) if low < lo and hi < high else None
 
 
 class CurveError(ValueError):

@@ -13,18 +13,18 @@ alone are selected, in place by partitioning, never by sorting, and only a
 few of them are evaluated.
 
 ``beta_xm`` and ``r_x`` are products of the beta, monotone everywhere.  The
-equilibrium quantities (log price, log quantity, log user cost) turn at
-``market_curves.TURNING_POINTS``.  Such a quantity is evaluated at the
-needed betas alone where no turning point lies within a small margin of
-them, and at each draw of the tail blocks past a turning point, which must
-then lie on the outer side of the nearest needed beta's value: an exact
-comparison.  Where its needed betas straddle a turning point, lie too
-close together for the kernel's rounding to resolve, or a draw past a
-turning point fails that comparison, and for every quantity where a beta
-is not finite, the quantity is evaluated per draw and its order statistics
-are selected from that row.  A mapped endpoint equals the selected one
-unless the kernel's rounding reverses two draws within a few ulps of each
-other at a needed rank.
+equilibrium quantities turn at ``market_curves.TURNING_POINTS``.  Where
+``market_curves.branch`` finds no turning point near the needed betas, such
+a quantity is evaluated at them and at the draws past a turning point.
+Where a past draw's value lies among the others, an endpoint is selected
+from the past values and a window of the beta's order statistics beside its
+rank: the map orders every other draw, so each lies on a known side of it.
+Where the needed betas straddle a turning point or lie too close together
+for the kernel's rounding to resolve, and for every quantity where a beta is
+not finite, the quantity is evaluated per draw and selected from that row.
+Every other endpoint equals the one selected per draw unless the kernel's
+rounding reverses two draws within a few ulps of each other at a needed
+rank.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.  Neither function
@@ -35,7 +35,6 @@ for ``estimate`` and ``ci`` alike, with those warnings silenced.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -54,10 +53,6 @@ __all__ = [
 QUANTITY_NAMES = ("ln_price", "ln_quantity", "ln_user_cost", "beta_xm", "r_x")
 
 MAX_DRAWS = 10**7  # largest draw count sample_betas allocates
-# Relative distance from a turning point within which a beta counts as past
-# it: far beyond the root's error, and wide enough that the map is steep at
-# the needed betas.
-_TURN_MARGIN = 2.0**-10
 # Least mean rise of a mapped quantity per rank between the needed betas,
 # relative to its largest value there: 4096 ulps, far above the kernel's
 # rounding.  Draws spaced more finely are selected per draw.
@@ -159,7 +154,7 @@ def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
     return below, below + 1, virtual - below
 
 
-def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], list[int]]:
+def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], set[int]]:
     """Order statistics ``ranks`` of ``row``, selected in place.
 
     Each step partitions a span at the needed rank nearest its middle, then
@@ -170,11 +165,10 @@ def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], list[int]]:
     bracketing of Floyd & Rivest, CACM 18(3), 1975).  Rank ``n - 1`` is NaN
     in a row that holds one: NaNs order last in a partition, and min and
     max propagate them.  Returns the statistics and the positions the row
-    is now partitioned at, in order: no value before such a cut exceeds the
-    value at it, and none after it is smaller.
+    is now split at: no value before such a split exceeds any from it on.
     """
     stats = {}
-    cuts = []
+    splits = {0, row.size}
     spans = [(0, row.size, sorted(set(ranks)))]
     while spans:
         start, stop, need = spans.pop()
@@ -188,10 +182,10 @@ def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], list[int]]:
         k = min(need, key=lambda r: abs(2 * r - start - stop + 1))
         span.partition(k - start)
         stats[k] = row[k]
-        cuts.append(k)
+        splits |= {k, k + 1}
         spans.append((start, k, [r for r in need if r < k]))
         spans.append((k + 1, stop, [r for r in need if r > k]))
-    return stats, sorted(cuts)
+    return stats, splits
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -214,9 +208,9 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
 
     ``draws`` comes from ``sample_betas``, so every beta is positive.  Its
     ``values`` are partitioned in place, so they are left a permutation of
-    the draws; no second n-long array is held where every quantity is
-    mapped.  (Calls that held one made glibc trim the heap and fault it back
-    in, about 360 minor faults per call at 100k draws.)  The point column
+    the draws; no second n-long array is held unless the needed betas
+    straddle a turning point.  (Calls that held one made glibc trim the heap
+    and fault it back in, about 360 minor faults per call at 100k draws.)  The point column
     evaluates the same maps at the sampling mean.  Raises when a bound is
     not finite or a quantity is NaN for some draw.
     """
@@ -235,54 +229,52 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     ends = {lo[0], lo[1], hi[0], hi[1]}
     # a quantity that descends in beta takes its rank k from the beta's rank n-1-k
     needed = sorted(ends | {n - 1 - k for k in ends})
-    beta, cuts = _order_stats(values, {*needed, 0, n - 1})
-    b_lo, b_hi = beta[needed[0]], beta[needed[-1]]
-    # The branch of each equilibrium map that holds every needed beta, by
-    # column: its direction and the guards beyond which a draw may lie past
-    # a turning point.  Branch i descends where i is odd.
-    branches = {}
-    if np.isfinite(beta[0]) and np.isfinite(beta[n - 1]):
-        for j, name in enumerate(QUANTITY_NAMES[:3]):
-            turns = market_curves.TURNING_POINTS[name]
-            i = bisect.bisect(turns, b_lo)
-            low = turns[i - 1] * (1.0 + _TURN_MARGIN) if i else 0.0
-            high = turns[i] * (1.0 - _TURN_MARGIN) if i < len(turns) else math.inf
-            if low < b_lo and b_hi < high:
-                branches[j] = (-1.0 if i % 2 else 1.0, low, high)
+    beta, splits = _order_stats(values, {*needed, 0, n - 1})
+    # the branch of each equilibrium map that holds every needed beta, by column
+    finite = np.isfinite(beta[0]) and np.isfinite(beta[n - 1])
+    branches = {j: found for j, name in enumerate(QUANTITY_NAMES[:3]) if finite and (
+        found := market_curves.branch(name, beta[needed[0]], beta[needed[-1]]))}
     # Tail draws past a guard, found by the extremes: all draws below the
-    # lowest needed beta lie before the first cut at or above its rank, all
-    # above the highest after the last cut at or below its rank.
+    # lowest needed beta lie before the first split at or above its rank,
+    # all above the highest from the last split at or below the next rank.
     below = above = values[:0]
     if branches:
         low = max(branch[1] for branch in branches.values())
         high = min(branch[2] for branch in branches.values())
         if beta[0] <= low:
-            block = values[:min((c for c in cuts if c >= needed[0]), default=n)]
+            block = values[:min(x for x in splits if x >= needed[0])]
             below = block[block <= low]
         if beta[n - 1] >= high:
-            block = values[max((c for c in cuts if c <= needed[-1]), default=-1) + 1:]
+            block = values[max(x for x in splits if x <= needed[-1] + 1):]
             above = block[block >= high]
     at = np.concatenate([[beta[k] for k in needed], below, above, [draws.mean]])
     # every quantity at those betas, in QUANTITY_NAMES order
     rows = np.column_stack([kernels.propagate_beta_draws(at, mean_ln_flow, mean_ln_price),
                             *beta_algebra.chain_products(at, beta_qm, r_m)])
     m = len(needed)
-    if branches:
-        # a rise the kernel's rounding cannot blur, per rank between the needed betas
-        resolved = _RESOLUTION * np.abs(rows[:m, :3]).max() * (needed[-1] - needed[0])
-        for j, (sign, _, _) in list(branches.items()):
-            # The map must resolve the draws, and each draw past a turning
-            # point must lie on the outer side of the nearest needed beta's
-            # value: exact comparisons, false for a NaN.
-            column = sign * rows[:, j]
-            if not (column[m - 1] - column[0] > resolved
-                    and np.all(column[m:m + below.size] <= column[0])
-                    and np.all(column[m + below.size:-1] >= column[m - 1])):
-                del branches[j]
     # Whether each mapped quantity descends in beta.  r_x = beta_xm * r_m
     # does where r_m is negative; at r_m = -0.0 every finite r_x is -0.0, so
     # either order gives the same bits.
-    descending = {j: sign < 0.0 for j, (sign, _, _) in branches.items()} | {3: False, 4: r_m < 0.0}
+    descending = {3: False, 4: r_m < 0.0}
+    # by quantity and rank k where a past value lies among the others, the
+    # beta ranks [a, c] that with the past draws hold rank k, and r
+    windows = {}
+    if branches:
+        # a rise the kernel's rounding cannot blur, per rank between the needed betas
+        resolved = _RESOLUTION * np.abs(rows[:m, :3]).max() * (needed[-1] - needed[0])
+        for j, (sign, _, _) in branches.items():
+            g = sign * rows[:-1, j]  # rises with the beta between the guards
+            if g[m - 1] - g[0] > resolved:
+                descending[j] = sign < 0.0
+                # d at rank r: past values below g there less the draws below
+                # the low guard.  The beta's rank r then holds rank r + d of g,
+                # and rank r of g lies among the beta's ranks r to r - d
+                shift = dict(zip(needed, np.sort(g[m:]).searchsorted(g[:m]) - below.size))
+                for k in ends:
+                    r = n - 1 - k if descending[j] else k
+                    if shift[r]:
+                        a, c = sorted((r, r - shift[r]))
+                        windows[j, k] = (max(a, below.size), min(c, n - 1 - above.size), r)
     row_at = dict(zip(needed, rows))
     stats = []
     table = None
@@ -291,11 +283,29 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
             # rank k is the value at the beta's rank k, or n-1-k where descending
             stats.append({k: row_at[n - 1 - k if descending[j] else k][j] for k in ends})
             continue
-        # a turning point among the draws, or a beta not finite: the row of
-        # every draw, selected from no cuts
+        # a turning point among the needed betas, or a beta not finite: the
+        # row of every draw, selected from no splits
         if table is None:
             table = kernels.propagate_beta_draws(values, mean_ln_flow, mean_ln_price)
         stats.append(_order_stats(table[:, j], ends | {n - 1})[0])
+    if windows:
+        # Split the betas at each window's ends, each inside the span that
+        # holds it, so that a window's positions hold its ranks; one kernel
+        # call evaluates every window
+        for x in {x for a, c, _ in windows.values() for x in (a, c + 1)}:
+            start = max(y for y in splits if y <= x)
+            if start < x:
+                values[start:min(y for y in splits if y > x)].partition(x - start)
+                splits |= {x, x + 1}
+        spans = [values[a:c + 1] for a, c, _ in windows.values()]
+        inside = kernels.propagate_beta_draws(np.concatenate(spans), mean_ln_flow, mean_ln_price)
+        stops = np.cumsum([span.size for span in spans])[:-1]
+        for ((j, k), (a, c, r)), window in zip(windows.items(), np.split(inside, stops)):
+            # each value outside the window and P lies on one side of rank r
+            # of g, a - p_b of them below it
+            sign, i = branches[j][0], r - a + below.size
+            g = sign * np.concatenate([window[:, j], rows[m:-1, j]])
+            stats[j][k] = sign * np.partition(g, i)[i]
 
     def quantities(k: int) -> np.ndarray:
         # rank k of every quantity, in QUANTITY_NAMES order

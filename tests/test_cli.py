@@ -92,15 +92,17 @@ def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
     assert "natbeta.simulator" not in after_panel
 
 
-# Prints the minor page faults per op of the paper stub at 100k draws, over
-# 20 ops after 5 warm-up ones.
+# Prints the minor page faults per op of the stub at the slope, slope SE and
+# draw count given as arguments, over 20 ops after 5 warm-up ones.
 MINOR_FAULTS = """
-import resource
+import resource, sys
 from natbeta import pipeline
 
+slope, slope_se, draws = float(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3])
+
 def op(seed):
-    report = pipeline.run_estimate(None, beta_qm=5.36, r_m=0.029, slope=-0.919, slope_se=0.018,
-                                   mean_ln_flow=2.113, mean_ln_price=2.828, draws=100_000,
+    report = pipeline.run_estimate(None, beta_qm=5.36, r_m=0.029, slope=slope, slope_se=slope_se,
+                                   mean_ln_flow=2.113, mean_ln_price=2.828, draws=draws,
                                    seed=seed)
     pipeline.render_report(report, "json")
 
@@ -116,10 +118,13 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="glibc's heap trimming is what the fault count shows")
 def test_paper_stub_ops_fault_no_heap_back_in():
-    # About 0.01 faults per op.  One more n-long array alive per op made
-    # glibc trim the heap and fault it back in each time, 358 per op at 100k
-    # draws and ~200 at 20k.
-    assert float(fresh_python(MINOR_FAULTS)) < 50
+    # About 0.05 faults per op at the paper stub and 0.5 at the inputs of
+    # the truncated_20k benchmark workload.  One more n-long array alive per
+    # op made glibc trim the heap and fault it back in each time, 358 per op
+    # at 100k draws and ~200 at 20k, as the per-draw table of ln_quantity did
+    # at the truncated_20k inputs before its endpoints came from rank windows.
+    for argv in (("-0.919", "0.018", "100000"), ("-0.1", "0.1", "20000")):
+        assert float(fresh_python(MINOR_FAULTS, *argv)) < 50, argv
 
 
 LAZY_EXPORTS = """
@@ -264,6 +269,13 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
                   "--r-m=-3%", "--seed", "7", "--draws", "100000"],
                  "3c3733fa945369971594d6013c66a20f2d98d6fdc4d384e5b01a0d40ec5ee9a2",
                  id="ci-user-cost-turning-point"),
+    # draws past the turning points of ln_user_cost (b = 1 and ~ 4.716) whose
+    # values fall among the others': a descending quantity whose endpoints
+    # come from windows of the beta's order statistics on both sides
+    pytest.param(["ci", "--beta-xq", "3.0", "--beta-xq-se", "0.8", *STUB_MARKET,
+                  "--r-m", "2.9%", "--seed", "7", "--draws", "20000"],
+                 "50b815ed1782eac42c0a116222d0c9b637d07a10bf9fd1a8d57a69f4040897dc",
+                 id="ci-descending-windows"),
     # the two cells of the coverage_sweep benchmark workload: both shocks,
     # the supply-shifter instruments
     pytest.param(["estimate", "--input", "shocked19.csv", "--beta-qm", "5.36", "--r-m", "0.029",
@@ -282,7 +294,9 @@ def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     # them from the beta's order statistics, and before the
     # panel fit and report stopped recomputing the regressand's moments and
     # the series' logs; the three panel reports were pinned again when the
-    # slope row took its 2SLS statistics and weak first stages a warning.
+    # slope row took its 2SLS statistics and weak first stages a warning,
+    # and ci-descending-windows before endpoints whose tail draws lie past a
+    # turning point came from windows of the beta's order statistics.
     # Any change of a bit fails here
     monkeypatch.chdir(tmp_path)
     panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))

@@ -20,6 +20,7 @@ from natbeta.market_curves import (
     EquilibriumPoint,
     MAX_CURVE_SAMPLES,
     TURNING_POINTS,
+    branch,
     curve_samples,
     elasticities,
     equilibrium_deviation,
@@ -216,6 +217,36 @@ def test_turning_points_are_roots_of_the_derivative_to_the_last_bits():
                 assert abs(mp.diff(maps[name], t)) < 1e-15, (name, t)
                 below, above = (mp.diff(maps[name], t * (1 + d * 8.9e-16)) for d in (-1, 1))
                 assert below * above < 0, (name, t)
+
+
+def test_branch_holds_an_interval_away_from_every_turning_point():
+    # On a log grid and a dense grid around each turning point, branch
+    # finds no branch exactly where [lo, hi] comes within the margin of a
+    # turning point; otherwise its guards lie that margin inside the
+    # turning points around [lo, hi], and the map moves in its direction at
+    # every grid point between them
+    margin = 2.0**-10
+    turns = [t for points in TURNING_POINTS.values() for t in points]
+    grid = np.unique(np.concatenate([
+        np.geomspace(1e-3, 1e3, 401),
+        *(t * (1.0 + margin * np.linspace(-3.0, 3.0, 121)) for t in turns),
+        *([t * (1.0 - margin), t * (1.0 + margin)] for t in turns)]))
+    x_e, y_e = kernels.solve_equilibrium(grid)
+    for name, values in (("ln_price", y_e), ("ln_quantity", x_e), ("ln_user_cost", x_e + y_e)):
+        points = TURNING_POINTS[name]
+        for width in (0, 1, 9):
+            for lo, hi in zip(grid, grid[width:]):
+                found = branch(name, lo, hi)
+                near = any(lo <= t * (1.0 + margin) and hi >= t * (1.0 - margin) for t in points)
+                assert (found is None) == near, (name, lo, hi)
+                if found is None:
+                    continue
+                sign, low, high = found
+                i = sum(t < lo for t in points)
+                assert low == (points[i - 1] * (1.0 + margin) if i else 0.0), (name, lo)
+                assert high == (points[i] * (1.0 - margin) if i < len(points) else math.inf)
+                inside = (low < grid) & (grid < high)
+                assert np.all(sign * np.diff(values[inside]) > 0.0), (name, lo, hi)
 
 
 def test_shocked_equilibrium_no_shock_is_equilibrium():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from natbeta import kernels, uncertainty
+from natbeta import kernels, market_curves, uncertainty
 from natbeta.uncertainty import (
     MAX_DRAWS,
     QUANTITY_NAMES,
@@ -280,6 +280,13 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
         # make the quantity fall back
         (2.5, 0.4, n), (1.81, 0.04, n), (0.32, 0.008, n), (3.17, 0.07, n),
         (0.96, 0.02, n), (4.9, 0.09, n),
+        # tails whose draws past a turning point take values among the
+        # others': such an endpoint is selected from those values and a
+        # window of the beta's order statistics beside its rank.  Between
+        # them both directions, both tails and both signs of the shift; at
+        # up to 1001 draws, which windows reach already
+        *[(mean, se, n) for mean, se in [(0.1, 0.1), (0.6, 0.3), (0.9, 0.08), (1.6, 0.5),
+                                         (2.5, 0.9), (3.0, 0.8), (4.0, 1.0)] if n < 100_000],
     ]:
         draws = sample_betas(mean, se, n, seed=seed)
         table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
@@ -365,6 +372,64 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         assert betas[:4].tobytes() == ordered[[4_999, 5_000, 94_999, 95_000]].tobytes()
         assert np.sort(betas[4:-1]).tobytes() == past.tobytes()
         assert betas[-1] == 0.919
+
+
+def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, paper):
+    # At the truncated_20k inputs about 530 of 20 000 draws lie past
+    # b ~ 0.3013, where ln_quantity turns, and some of their values fall
+    # among the others' below the upper endpoint.  That endpoint is selected
+    # from them and a window of the beta's order statistics beside its rank:
+    # the kernel sees the needed betas, the past draws and the mean, then
+    # the windows, never an n-long array, and only the betas are selected.
+    selections, passed = [], []
+    order_stats, propagate = uncertainty._order_stats, kernels.propagate_beta_draws
+
+    def recording_selection(row, ranks):
+        selections.append(row)
+        return order_stats(row, ranks)
+
+    def recording_propagation(betas, *args):
+        passed.append(np.array(betas))
+        return propagate(betas, *args)
+
+    monkeypatch.setattr(uncertainty, "_order_stats", recording_selection)
+    monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
+    means = (paper["mean_ln_flow"], paper["mean_ln_price"])
+    lo_q = 0.5 * (1.0 - 0.90)
+    _, _, guard = market_curves.branch("ln_quantity", 0.1, 0.1)
+    for seed in range(10):
+        draws = sample_betas(0.1, 0.1, 20_000, seed=seed)
+        beta_xm = draws.values * paper["beta_qm"]
+        table = np.column_stack([propagate(draws.values, *means), beta_xm,
+                                 beta_xm * paper["r_m"]])
+        expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+        selections.clear()
+        passed.clear()
+        report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
+        assert len(selections) == 1 and selections[0] is draws.values
+        assert len(passed) == 2 and sum(map(len, passed)) < 1_500, seed
+        assert passed[0].size - 5 == np.count_nonzero(draws.values >= guard)
+        for j, name in enumerate(QUANTITY_NAMES):
+            assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
+                (name, seed)
+
+
+def test_rank_windows_stop_at_the_draws_past_the_guards():
+    # Draws past both turning points of ln_user_cost (b = 1 and ~ 4.716)
+    # whose values fall so far among the others' that the window beside an
+    # endpoint would reach into their own beta ranks, below the lower guard
+    # in the first case and above the upper one in the second: it stops at
+    # the guards, or a past draw would be counted twice
+    for below, inside, above, level in [
+        (np.geomspace(1e-3, 0.99, 5), np.linspace(1.01, 4.6, 64), np.geomspace(4.8, 1e7, 20), 0.5),
+        (np.linspace(0.01, 0.04, 4), np.linspace(1.01, 4.0, 93), np.linspace(4.75, 5.5, 4), 0.9),
+    ]:
+        values = np.concatenate([below, inside, above])
+        lo_q = 0.5 * (1.0 - level)
+        expected = np.quantile(kernels.propagate_beta_draws(values, 0.0, 0.0), [lo_q, 1.0 - lo_q],
+                               axis=0)
+        report = derived_intervals(fixed_draws(values), 1.0, 0.029, 0.0, 0.0, level=level)
+        assert np.array(report.bounds["ln_user_cost"]).tobytes() == expected[:, 2].tobytes()
 
 
 def test_overflow_beyond_the_endpoints_leaves_descending_bounds_finite():
