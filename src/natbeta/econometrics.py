@@ -111,8 +111,6 @@ class NormalityResult:
     statistic: float
     p_value: float
     rejected: bool
-    skewness: float
-    kurtosis_excess: float
 
 
 @dataclass(frozen=True)
@@ -330,13 +328,10 @@ def control_function_fit(flow_dev, price_dev,
         raise RegressionError(f"2SLS standard error of the slope is {slope_se!r}")
     slope_t, slope_p = _t_test(slope, slope_se, df)
 
-    reset: ResetResult | None = None
-    normality: NormalityResult | None = None
-    if second.n - (len(second.names) + 2) >= 1:
-        try:
-            reset = reset_test(second)
-        except RegressionError:
-            reset = None
+    try:
+        reset = reset_test(second)
+    except RegressionError:
+        reset = None
     try:
         normality = jarque_bera(second.residuals)
     except RegressionError:
@@ -418,8 +413,7 @@ def jarque_bera(residuals) -> NormalityResult:
     stat = n / 6.0 * (skew**2 + 0.25 * kurt_excess**2)
     p_value = math.exp(-0.5 * stat)
     return NormalityResult(statistic=float(stat), p_value=p_value,
-                           rejected=p_value < ALPHA,
-                           skewness=skew, kurtosis_excess=kurt_excess)
+                           rejected=p_value < ALPHA)
 
 
 # ---------------------------------------------------------------------------

@@ -72,20 +72,7 @@ class EstimateReport:
     warnings: tuple[str, ...]
 
     def to_jsonable(self) -> dict:
-        return _sanitize({
-            "schema_version": SCHEMA_VERSION,
-            "provenance": self.provenance,
-            "descriptives": self.descriptives,
-            "regression": self.regression,
-            "slope": self.slope,
-            "slope_se": self.slope_se,
-            "betas": self.betas,
-            "returns": self.returns,
-            "equilibrium": self.equilibrium,
-            "elasticities": self.elasticities,
-            "intervals": self.intervals,
-            "warnings": list(self.warnings),
-        })
+        return _sanitize({"schema_version": SCHEMA_VERSION, **vars(self)})
 
 
 def _sanitize(obj):
@@ -110,8 +97,9 @@ def _sanitize(obj):
 
 
 def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
-                        selection) -> tuple[dict, int, str]:
-    """Resolve the instrument selection to (columns, row offset, description).
+                        selection: str) -> tuple[dict, int, str]:
+    """Resolve the instrument selection, ``auto``, ``lags:N`` or comma-separated
+    column names, to (columns, row offset, description).
 
     ``auto`` takes the panel's ``iv_`` columns; a panel without them needs
     an explicit selection.
@@ -124,17 +112,14 @@ def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
                              hint="pass --instruments lags:N (lagged price deviations) "
                                   "or add iv_ columns")
         return dict(panel.instruments), 0, "panel columns " + ",".join(panel.instruments)
-    if isinstance(selection, str) and selection.startswith("lags:"):
+    if selection.startswith("lags:"):
         try:
             n_lags = int(selection.split(":", 1)[1])
         except ValueError:
             raise em.RegressionError(f"bad lag spec {selection!r}") from None
         inst, offset = em.lagged_instruments(price_dev, n_lags)
         return inst, offset, f"lags:{n_lags}"
-    if isinstance(selection, str):
-        names = [s.strip() for s in selection.split(",") if s.strip()]
-    else:
-        names = list(selection)
+    names = [s.strip() for s in selection.split(",") if s.strip()]
     missing = [n for n in names if n not in panel.instruments]
     if missing:
         raise em.RegressionError(
@@ -241,7 +226,7 @@ def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
 
 def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                  level: float = 0.90, draws: int = 100_000, seed: int | None = None,
-                 instruments="auto", slope: float | None = None,
+                 instruments: str = "auto", slope: float | None = None,
                  slope_se: float | None = None, mean_ln_flow: float | None = None,
                  mean_ln_price: float | None = None,
                  input_path: str | None = None) -> EstimateReport:
@@ -263,11 +248,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     if not 0.0 < level < 1.0:
         raise StageError("uncertainty", f"level must be in (0, 1), got {level}")
     if not isinstance(instruments, str):
-        try:
-            instruments = list(instruments)
-        except TypeError:
-            raise StageError("econometrics", "instruments must be 'auto', 'lags:N' or "
-                             f"column names, got {instruments!r}") from None
+        raise StageError("econometrics", "instruments must be 'auto', 'lags:N' or "
+                         f"column names, got {instruments!r}")
 
     stub = slope is not None
     provenance: dict = {

@@ -27,6 +27,7 @@ from .panel_io import RawPanel
 __all__ = ["SimulatorError", "ScenarioConfig", "simulate_equilibria",
            "synthesize_panel", "ground_truth"]
 
+MAX_ROWS = 10**6  # largest panel a scenario synthesizes
 _MASK64 = (1 << 64) - 1
 
 
@@ -49,6 +50,8 @@ class ScenarioConfig:
             raise SimulatorError(f"beta must be positive, got {self.beta_xq}")
         if self.n < 5:
             raise SimulatorError(f"n must be >= 5, got {self.n}")
+        if self.n > MAX_ROWS:
+            raise SimulatorError(f"n must be <= {MAX_ROWS}, got {self.n}")
         if not (math.isfinite(self.mean_ln_flow) and math.isfinite(self.mean_ln_price)):
             raise SimulatorError("log means must be finite")
         if self.iv_noise_sd < 0:

@@ -72,7 +72,6 @@ class BetaDraws:
     n_redrawn: int
     seed: int
     mean: float
-    se: float
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
         if mean <= 0.0:
             raise UncertaintyError(f"degenerate distribution at non-positive mean {mean}")
         return BetaDraws(values=np.full(draws, float(mean)), n_redrawn=0,
-                         seed=seed, mean=float(mean), se=0.0)
+                         seed=seed, mean=float(mean))
 
     budget = 0.5 * draws
     key = np.array([seed & _MASK64, 0], dtype=np.uint64)
@@ -135,8 +134,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
             raise UncertaintyError(
                 f"excessive truncation: more than half of {draws} draws rejected"
             )
-    return BetaDraws(values=values, n_redrawn=rejected, seed=seed,
-                     mean=float(mean), se=float(se))
+    return BetaDraws(values=values, n_redrawn=rejected, seed=seed, mean=float(mean))
 
 
 def _type7_rows(n: int, q: float) -> tuple[int, int, float]:

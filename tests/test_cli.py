@@ -389,6 +389,7 @@ UNWRITABLE = "<unwritable path>"
     (["curves", "--beta-xq=1", "--count=100000000000000000000"], "market_curves"),
     (["simulate", "--beta-xq=1", "--mean-ln-flow=-800", "--seed=1", "--out=-"], "simulator"),
     (["simulate", "--beta-xq=1", "--seed=1", "--out", UNWRITABLE], "panel_io"),
+    (["simulate", "--beta-xq=0.9", "--n=1000000000000000", "--seed=1", "--out=-"], "simulator"),
     (["curves", "--beta-xq=1", "--out", UNWRITABLE], "panel_io"),
     (["ci", "--beta-xq", "0.9", "--beta-xq-se", "0.01", "--beta-qm", "5", "--r-m", "0.03",
       "--mean-ln-flow", "1", "--mean-ln-price", "1", "--seed", "1",
@@ -411,6 +412,7 @@ UNWRITABLE = "<unwritable path>"
         "simulate-shock-overflow", "describe-norm-overflow", "estimate-norm-overflow",
         "curves-grid-overflow", "curves-sample-overflow", "curves-count-above-cap",
         "curves-count-beyond-int64", "simulate-level-underflow", "simulate-unwritable-out",
+        "simulate-rows-above-cap",
         "curves-unwritable-out", "ci-draws-above-cap", "estimate-draws-above-cap",
         "estimate-returns-overflow", "estimate-r-q-overflow-with-draws",
         "estimate-reciprocal-se-overflow"])

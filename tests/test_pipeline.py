@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natbeta import econometrics, pipeline
+from natbeta.cli import main
 from natbeta.panel_io import parse_panel
 from natbeta.pipeline import StageError, _json_text, render_report, run_estimate
 from natbeta.simulator import synthesize_panel
@@ -116,13 +118,22 @@ def test_zero_slope_reports_beta_algebra(paper):
     assert err.value.stage == "beta_algebra"
 
 
-@pytest.mark.parametrize("instruments", [None, 3])
+@pytest.mark.parametrize("instruments", [None, 3, ["iv_sup1"]])
 def test_instruments_that_are_no_selection_report_econometrics(instruments):
     panel = synthesize_panel(make_config(n=30, seed=2))
     with pytest.raises(StageError, match="instruments must be 'auto', 'lags:N' or column "
                                          "names") as err:
         run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments=instruments)
     assert err.value.stage == "econometrics"
+
+
+@pytest.mark.parametrize("n,diagnostics", [(5, []), (6, ["reset"])])
+def test_reset_needs_one_residual_degree_of_freedom_beyond_its_regressors(n, diagnostics):
+    # stage two fits three coefficients and RESET adds two: five rows leave
+    # it no degree of freedom, six leave one
+    panel = synthesize_panel(make_config(n=n, seed=2))
+    report = run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments="iv_sup1")
+    assert sorted(report.regression["diagnostics"]) == diagnostics
 
 
 def test_instrument_selection_named_and_missing():
@@ -227,6 +238,18 @@ def test_csv_render(paper):
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "betas.beta_xm" in keys
     assert "equilibrium.ln_price" in keys
+
+
+def test_csv_render_bytes_are_pinned(capsys):
+    # SHA-256 of the paper stub's CSV report; its rows follow the report's
+    # field order, which the JSON digests (sorted keys) do not pin
+    code = main(["estimate", "--beta-qm", "5.36", "--r-m", "2.9%", "--mean-ln-flow", "2.113",
+                 "--mean-ln-price", "2.828", "--slope", "-0.919", "--slope-se", "0.018",
+                 "--seed", "7", "--draws", "100000", "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0e418b984a4c5b9ab396defa168dcc481246d3a27a16c2b55de72d1a338aa3ce")
 
 
 def test_unknown_format_rejected(paper):

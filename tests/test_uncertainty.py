@@ -30,8 +30,7 @@ def normal_quantile(p):
 def fixed_draws(values):
     """BetaDraws holding the given positive betas, as sample_betas returns them."""
     values = np.array(values, dtype=np.float64)
-    return BetaDraws(values=values, n_redrawn=0, seed=0, mean=float(values.mean()),
-                     se=float(values.std()))
+    return BetaDraws(values=values, n_redrawn=0, seed=0, mean=float(values.mean()))
 
 
 def test_zero_se_gives_constant_draws():
