@@ -152,7 +152,7 @@ def _t_test(coef: float, se: float, df: int) -> tuple[float, float]:
     unbounded t unless the coefficient is 0 too."""
     if se > 0.0:
         t = coef / se
-        return t, kernels.student_t_two_sided(t, float(df))
+        return t, kernels.f_upper_tail(t * t, 1.0, float(df))
     if coef == 0.0:
         return 0.0, 1.0
     return (math.inf if coef > 0 else -math.inf), 0.0
@@ -309,12 +309,6 @@ def control_function_fit(flow_dev, price_dev,
         raise RegressionError("instruments must be non-empty")
     x = np.asarray(flow_dev, dtype=np.float64)
     y = np.asarray(price_dev, dtype=np.float64)
-    if x.shape != y.shape:
-        raise RegressionError("flow and price series must have equal length")
-    for name, col in instruments.items():
-        if np.asarray(col).shape != y.shape:
-            raise RegressionError(f"instrument '{name}' length mismatch")
-
     first = ols(y, dict(instruments))
     second = ols(x, {"price_dev": y, "control_fn": first.residuals})
 

@@ -1,12 +1,13 @@
-"""Hot numeric kernels: special functions, quadrature, and batch propagation.
+"""Hot numeric kernels: special functions and batch propagation.
 
-Scalar routines (the regularized incomplete beta, the Student-t and F tails,
-adaptive quadrature) follow the classic Cephes/continued-fraction
-constructions in double precision, in plain Python.  The Student-t quantile
-inverts the t CDF by Newton's method from a Cornish-Fisher start, so a
-typical 95% interval costs two to four CDF evaluations.  The supply/demand
-equilibrium is written once, in ``solve_equilibrium``, as broadcasting NumPy
-arithmetic; the batch kernels and ``natbeta.market_curves`` all call it.
+Scalar routines (the regularized incomplete beta, the Student-t and F tails)
+follow the classic Cephes/continued-fraction constructions in double
+precision, in plain Python.  A two-sided t p-value is the F(1, df) tail at
+t^2.  The Student-t quantile inverts the t CDF by Newton's method from a
+Cornish-Fisher start, so a typical 95% interval costs two to four CDF
+evaluations.  The supply/demand equilibrium is written once, in
+``solve_equilibrium``, as broadcasting NumPy arithmetic; the batch kernels
+and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
 quantities not monotone in beta everywhere: at a few order statistics of the
 beta, the draws past a turning point and a narrow window of ranks beside an
@@ -22,11 +23,9 @@ import numpy as np
 
 __all__ = [
     "reg_inc_beta",
-    "student_t_two_sided",
     "student_t_cdf",
     "student_t_quantile",
     "f_upper_tail",
-    "log_beta_weight_integral",
     "solve_equilibrium",
     "propagate_beta_draws",
     "equilibria_from_shocks",
@@ -104,13 +103,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_two_sided(t: float, df: float) -> float:
-    """Two-sided p-value P(|T_df| > |t|)."""
-    if t == 0.0:
-        return 1.0
-    return reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
-
-
 def student_t_cdf(t: float, df: float) -> float:
     """CDF of the Student t distribution with df degrees of freedom.
 
@@ -128,7 +120,7 @@ def student_t_cdf(t: float, df: float) -> float:
             return 0.5 + half
         if half < 0.25:
             return 0.5 - half
-    p = student_t_two_sided(t, df)
+    p = f_upper_tail(t * t, 1.0, df)
     if t >= 0.0:
         return 1.0 - 0.5 * p
     return 0.5 * p
@@ -230,69 +222,6 @@ def f_upper_tail(f: float, d1: float, d2: float) -> float:
     if f <= 0.0:
         return 1.0
     return reg_inc_beta(0.5 * d2, 0.5 * d1, d2 / (d2 + d1 * f))
-
-
-# ---------------------------------------------------------------------------
-# Adaptive quadrature for the opportunity-cost weight ln(b)/(1+b^2).
-#
-# Substituting u = ln(b) turns the integrand into u / (2*cosh(u)), which is
-# smooth on any finite interval; each half-domain [1/B, 1] and [1, B] is
-# integrated separately so the cancellation between the two halves is a
-# genuinely computed result rather than an artifact of symmetric nodes.
-# ---------------------------------------------------------------------------
-
-
-def _cosh_weight(u: float) -> float:
-    if u > 700.0 or u < -700.0:
-        return 0.0
-    return u / (math.exp(u) + math.exp(-u))
-
-
-def _adaptive_simpson_cosh(a: float, b: float, tol: float) -> tuple[float, bool]:
-    # Iterative adaptive Simpson; each stack entry is
-    # (a, b, f(a), f(mid), f(b), Simpson estimate, tolerance).
-    max_depth = 2048
-    fa = _cosh_weight(a)
-    fb = _cosh_weight(b)
-    fm = _cosh_weight(0.5 * (a + b))
-    stack = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol)]
-    total = 0.0
-    evals = 0
-    while stack:
-        a0, b0, fa0, fm0, fb0, s0, tol0 = stack.pop()
-        m0 = 0.5 * (a0 + b0)
-        flm = _cosh_weight(0.5 * (a0 + m0))
-        frm = _cosh_weight(0.5 * (m0 + b0))
-        evals += 2
-        s_left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        s_right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        s2 = s_left + s_right
-        err = s2 - s0
-        if abs(err) <= 15.0 * tol0 or (b0 - a0) < 1e-14:
-            total += s2 + err / 15.0
-            continue
-        if len(stack) + 2 > max_depth or evals > 2_000_000:
-            return total, False
-        half_tol = 0.5 * tol0
-        stack.append((a0, m0, fa0, flm, fm0, s_left, half_tol))
-        stack.append((m0, b0, fm0, frm, fb0, s_right, half_tol))
-    return total, True
-
-
-def log_beta_weight_integral(upper: float, tol: float) -> float:
-    """Integral of ln(b)/(1+b^2) over [1/upper, upper] to absolute accuracy tol.
-
-    Raises RuntimeError when the adaptive refinement fails to converge.
-    """
-    if upper == 1.0:
-        return 0.0
-    log_u = math.log(upper)
-    quarter = 0.25 * tol
-    left, ok_l = _adaptive_simpson_cosh(-log_u, 0.0, quarter)
-    right, ok_r = _adaptive_simpson_cosh(0.0, log_u, quarter)
-    if not (ok_l and ok_r):
-        raise RuntimeError("adaptive quadrature did not converge")
-    return left + right
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,13 @@ __all__ = [
 
 
 MAX_CURVE_SAMPLES = 10**6  # largest count curve_samples tabulates
+# Accuracy of zero_sum_integral at any upper bound: each half is within
+# 2.3e-16 of a 40-digit reference up to upper = 1.7e308.
+_ZERO_SUM_ACCURACY = 1e-14
+# Widest panel, in u = ln b, of zero_sum_integral's rule.  The integrand
+# u/(e^u + e^-u) is analytic within pi/2 of the real axis, so 16 nodes on
+# such a panel are exact to rounding.
+_PANEL_WIDTH = 0.5
 # Relative distance from a turning point within which a beta counts as past
 # it: far beyond the root's error, and wide enough that the map is steep
 # inside the guards.
@@ -171,23 +178,41 @@ def curve_samples(beta_xq: float, x_range: tuple[float, float], count: int) -> n
     return table
 
 
+def _weight_integral(lo: float, hi: float) -> float:
+    """Integral of y_e(e^u) * e^u over u in [lo, hi]: the weight
+    ln(b)/(1+b^2) over b in [e^lo, e^hi], by 16-point Gauss-Legendre on
+    equal panels at most ``_PANEL_WIDTH`` wide."""
+    # imported here: it adds ~5 ms to a cold start, and no command needs it
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / _PANEL_WIDTH) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    b = np.exp(edges[:-1, None] + half * (1.0 + nodes))
+    # past u ~ 355 b*b overflows and y_e is its limit 0
+    with np.errstate(over="ignore"):
+        _, y_e = kernels.solve_equilibrium(b)
+    return float(np.sum(half * (y_e * b) @ weights))
+
+
 def zero_sum_integral(upper: float, tolerance: float = 1e-8) -> float:
     """Numerically integrate ln(b)/(1+b^2) over [1/upper, upper].
 
-    The exact value is zero by the antisymmetry under b -> 1/b; the returned
-    quadrature value should be below ``tolerance`` in magnitude.
+    The exact value is zero by the antisymmetry under b -> 1/b.  Each half,
+    [1/upper, 1] and [1, upper], is integrated on its own, so the
+    cancellation is computed rather than built into symmetric nodes.  The
+    rule meets any ``tolerance`` down to ``_ZERO_SUM_ACCURACY``; a smaller
+    (or NaN) tolerance raises.
     """
     upper = float(upper)
-    if upper < 1.0:
-        raise CurveError(f"upper bound must be >= 1, got {upper}")
-    if tolerance <= 0.0:
-        raise CurveError("tolerance must be positive")
+    if not 1.0 <= upper < math.inf:
+        raise CurveError(f"upper bound must be finite and >= 1, got {upper}")
+    if not tolerance >= _ZERO_SUM_ACCURACY:
+        raise CurveError(f"tolerance must be >= {_ZERO_SUM_ACCURACY}, got {tolerance}")
     if upper == 1.0:
         return 0.0
-    try:
-        return float(kernels.log_beta_weight_integral(upper, tolerance))
-    except RuntimeError as exc:
-        raise CurveError(str(exc)) from exc
+    log_upper = math.log(upper)
+    return _weight_integral(-log_upper, 0.0) + _weight_integral(0.0, log_upper)
 
 
 def shocked_equilibrium(beta_xq: float, eps_s: float, eps_d: float,

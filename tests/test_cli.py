@@ -56,13 +56,15 @@ def test_cli_import_loads_no_test_or_scipy_modules():
     assert fresh_python(code) == "[]\n"
 
 
-# Prints, as JSON, the natbeta submodules and ``csv`` loaded after ``import
-# natbeta`` and after running the JSON-encoded argv through ``cli.main``.
+# Prints, as JSON, the natbeta submodules, ``csv`` and ``numpy.polynomial``
+# loaded after ``import natbeta`` and after running the JSON-encoded argv
+# through ``cli.main``.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("natbeta.") or m == "csv")
+    return sorted(m for m in sys.modules
+                  if m.startswith("natbeta.") or m in ("csv", "numpy.polynomial"))
 
 import natbeta
 bare = loaded()
@@ -82,7 +84,7 @@ def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
     assert bare == []
     assert "natbeta.uncertainty" in after_stub
     for module in ("natbeta.econometrics", "natbeta.preprocess", "natbeta.panel_io",
-                   "natbeta.simulator", "csv"):
+                   "natbeta.simulator", "csv", "numpy.polynomial"):
         assert module not in after_stub
     panel_run = ["estimate", "--input", str(panel), "--beta-qm", "5.36", "--r-m", "2.9%",
                  "--draws", "0"]
@@ -90,6 +92,8 @@ def test_each_command_loads_only_the_modules_of_its_stages(tmp_path):
     assert "natbeta.econometrics" in after_panel
     assert "natbeta.uncertainty" not in after_panel
     assert "natbeta.simulator" not in after_panel
+    # importing it adds about 5 ms to a cold start; only zero_sum_integral needs it
+    assert "numpy.polynomial" not in after_panel
 
 
 # Prints the minor page faults per op of the stub at the slope, slope SE and

@@ -226,6 +226,23 @@ def test_control_function_requires_instruments():
         em.control_function_fit(np.zeros(10), np.zeros(10), {})
 
 
+@pytest.mark.parametrize("case,message", [
+    ("short flow", "regressor 'price_dev' has wrong length"),
+    ("2-d flow", "regressand must be 1-d"),
+    ("short iv", "regressor 'iv' has wrong length"),
+    ("2-d iv", "regressor 'iv' has wrong length"),
+])
+def test_control_function_rejects_series_of_the_wrong_shape(case, message):
+    # ols checks each series against the length of the price deviations
+    rng = np.random.default_rng(2)
+    y = rng.normal(0, 1, 40)
+    series = {"flow": -0.5 * y + 0.01 * rng.normal(0, 1, 40), "iv": np.roll(y, 2)}
+    shape, name = case.split()
+    series[name] = series[name][:39] if shape == "short" else series[name][:, None]
+    with pytest.raises(em.RegressionError, match=message):
+        em.control_function_fit(series["flow"], y, {"iv": series["iv"]})
+
+
 def test_simulated_demand_shocks_recover_beta_two():
     # demand shocks trace the supply relation: the flow-on-price slope is
     # +1/beta and the sign rule maps it back to beta
@@ -280,8 +297,8 @@ def _reference_fit_dict(fit):
     for i, name in enumerate(fit.names):
         coef, se = fit.coefficients[i], fit.standard_errors[i]
         if se > 0.0:
-            t = coef / se
-            p = kernels.student_t_two_sided(float(t), float(fit.df_residual))
+            t = float(coef / se)
+            p = kernels.f_upper_tail(t * t, 1.0, float(fit.df_residual))
         elif coef == 0.0:
             t, p = 0.0, 1.0
         else:
@@ -348,7 +365,7 @@ def test_slope_statistics_are_the_two_stage_least_squares_ones():
         assert cf.slope_se != cf.second_stage.standard_error("price_dev")
         df = cf.second_stage.n - 2
         assert cf.slope_t == cf.slope / cf.slope_se
-        assert cf.slope_p == kernels.student_t_two_sided(cf.slope_t, df)
+        assert cf.slope_p == kernels.f_upper_tail(cf.slope_t * cf.slope_t, 1.0, df)
         assert cf.slope_ci == em.t_confidence_interval(cf.slope, cf.slope_se, df, 0.95)
 
 
@@ -553,11 +570,13 @@ def test_jarque_bera_needs_eight_points():
 
 
 def test_tail_probability_t_zero():
-    assert kernels.student_t_two_sided(0.0, 7.0) == 1.0
+    t = 0.0
+    assert kernels.f_upper_tail(t * t, 1.0, 7.0) == 1.0
 
 
 def test_tail_probability_published_t_statistic():
-    p = kernels.student_t_two_sided(-50.36, 16.0)
+    t = -50.36
+    p = kernels.f_upper_tail(t * t, 1.0, 16.0)
     assert p < 1e-15
     assert f"{p:.3f}" == "0.000"
 

@@ -2,8 +2,8 @@
 
 The analytic equilibrium is cross-checked against an independent 2x2
 linear-system solve; curve-sample intersections against a linear
-interpolation oracle; the zero-sum quadrature and the turning points
-against mpmath.
+interpolation oracle; each half of the zero-sum integral and the turning
+points against mpmath.
 """
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natbeta import kernels
+from natbeta import kernels, market_curves
 from natbeta.market_curves import (
     CurveError,
     EquilibriumPoint,
@@ -186,6 +186,37 @@ def test_zero_sum_integral_validation():
         zero_sum_integral(0.5)
     with pytest.raises(CurveError):
         zero_sum_integral(2.0, tolerance=0.0)
+    # a non-finite bound, and a tolerance below the rule's accuracy
+    for upper, tolerance in [(math.inf, 1e-8), (math.nan, 1e-8), (2.0, math.nan),
+                             (2.0, 1e-15)]:
+        with pytest.raises(CurveError):
+            zero_sum_integral(upper, tolerance)
+
+
+@pytest.mark.parametrize("upper", [2.0, 10.0, 1e3])
+def test_zero_sum_quadrature_tight(upper):
+    assert abs(zero_sum_integral(upper, 1e-10)) <= 1e-8
+
+
+def test_zero_sum_quadrature_wide_oracle():
+    # high-precision reference for the widest interval
+    ref = mp.quad(lambda b: mp.log(b) / (1 + b**2), [mp.mpf(10) ** -6, 1, mp.mpf(10) ** 6])
+    assert abs(float(ref)) < 1e-12
+    assert abs(zero_sum_integral(1e6, 1e-7)) <= 1e-6
+
+
+@pytest.mark.parametrize("upper", [1 + 2**-40, 2.0, 10.0, 1e3, 1e6, 1e41, 1e42, 1e100,
+                                   1e300, 1.7e308])
+def test_zero_sum_halves_match_mpmath(upper):
+    # each half is +-0.9160 (Catalan's constant) for a wide interval, so a
+    # sum near 0 alone would not show a wrong half
+    log_upper = math.log(upper)
+    with mp.workdps(40):
+        u_max = mp.mpf(log_upper)
+        cuts = [u for u in (10, 50) if u < u_max]
+        half = mp.quad(lambda u: u / (mp.exp(u) + mp.exp(-u)), [0, *cuts, u_max])
+        assert abs(market_curves._weight_integral(0.0, log_upper) - half) <= 1e-15
+        assert abs(market_curves._weight_integral(-log_upper, 0.0) + half) <= 1e-15
 
 
 def test_turning_points_are_where_the_finite_differences_change_sign():
@@ -203,7 +234,7 @@ def test_turning_points_are_where_the_finite_differences_change_sign():
 
 
 def test_turning_points_are_roots_of_the_derivative_to_the_last_bits():
-    # Newton's residual: the 40-digit derivative is ~0 at each turning point
+    # the literal's residual: the 40-digit derivative is ~0 at each turning point
     # and changes sign within 4 ulps of it
     def y_e(b):
         return mp.log(b) / (1 + b * b)
