@@ -164,7 +164,8 @@ def _as_design(regressors: Mapping[str, Sequence], include_constant: bool, n: in
     for name in names:
         col = np.asarray(regressors[name], dtype=np.float64)
         if col.ndim != 1 or col.shape[0] != n:
-            raise RegressionError(f"regressor '{name}' has wrong length")
+            raise RegressionError(f"regressor '{name}' has wrong length: "
+                                  f"shape {col.shape}, regressand length {n}")
         cols.append(col)
     if include_constant:
         names.append("constant")

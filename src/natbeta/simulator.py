@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .market_curves import CurveError, ShockModel
+from .market_curves import ShockModel
 from .panel_io import RawPanel
 
 __all__ = ["SimulatorError", "ScenarioConfig", "simulate_equilibria",
@@ -79,11 +79,8 @@ def _draw_shocks(config: ScenarioConfig, rng: np.random.Generator):
 def _shocked_deviations(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re-centered (flow deviations, price deviations) and the supply shocks
     that moved them; ``simulate_equilibria`` documents the errors."""
-    try:
-        eps_s, eps_d = _draw_shocks(config, _rng(config))
-        x, y = kernels.equilibria_from_shocks(config.beta_xq, eps_s, eps_d)
-    except CurveError as exc:
-        raise SimulatorError(str(exc)) from exc
+    eps_s, eps_d = _draw_shocks(config, _rng(config))
+    x, y = kernels.equilibria_from_shocks(config.beta_xq, eps_s, eps_d)
     x, y = x - x.mean(), y - y.mean()
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise SimulatorError("non-finite shocks or deviations: shock scales too large")

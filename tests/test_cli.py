@@ -131,46 +131,17 @@ def test_paper_stub_ops_fault_no_heap_back_in():
         assert float(fresh_python(MINOR_FAULTS, *argv)) < 50, argv
 
 
-LAZY_EXPORTS = """
-import importlib, json
-from natbeta import econometrics  # the first natbeta import of this process
-import natbeta
-
-facts = {"econometrics": econometrics.__name__, "all": natbeta.__all__,
-         "dir": dir(natbeta), "foreign": [], "star": []}  # before any name is bound
-namespace = {}
-exec("from natbeta import *", namespace)
-for name in natbeta.__all__:
-    obj = getattr(natbeta, name)
-    if name != "__version__":
-        module = importlib.import_module(obj.__module__)
-        if getattr(module, name, None) is not obj:
-            facts["foreign"].append(name)
-    if namespace.get(name) is not obj:
-        facts["star"].append(name)
-try:
-    natbeta.no_such_name
-    facts["unknown"] = "resolved"
-except AttributeError as exc:
-    facts["unknown"] = str(exc)
-print(json.dumps(facts))
-"""
-
-
-def test_lazy_exports_resolve_to_their_defining_modules():
-    facts = json.loads(fresh_python(LAZY_EXPORTS))
-    assert facts["econometrics"] == "natbeta.econometrics"
-    names = facts["all"]
-    assert len(names) == len(set(names)) and "run_estimate" in names
-    assert facts["foreign"] == [] and facts["star"] == []
-    assert set(names) <= set(facts["dir"])
-    assert facts["unknown"] == "module 'natbeta' has no attribute 'no_such_name'"
-
-
-@pytest.mark.parametrize("module", sorted(natbeta._EXPORTS))
-def test_lazy_export_table_lists_each_modules_all(module):
+@pytest.mark.parametrize("module", [
+    "beta_algebra", "econometrics", "kernels", "market_curves", "panel_io", "pipeline",
+    "preprocess", "simulator", "uncertainty",
+])
+def test_each_modules_all_names_what_it_defines(module):
+    # callers import each public name from the module that defines it
     defining = importlib.import_module(f"natbeta.{module}")
-    assert sorted(natbeta._EXPORTS[module]) == sorted(defining.__all__)
+    names = defining.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(defining, name).__module__ == defining.__name__, name
 
 
 def test_parse_rate_forms():

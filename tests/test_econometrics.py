@@ -227,13 +227,13 @@ def test_control_function_requires_instruments():
 
 
 @pytest.mark.parametrize("case,message", [
-    ("short flow", "regressor 'price_dev' has wrong length"),
+    ("short flow", r"regressor 'price_dev' has wrong length: shape \(40,\), regressand length 39"),
     ("2-d flow", "regressand must be 1-d"),
     ("short iv", "regressor 'iv' has wrong length"),
     ("2-d iv", "regressor 'iv' has wrong length"),
 ])
 def test_control_function_rejects_series_of_the_wrong_shape(case, message):
-    # ols checks each series against the length of the price deviations
+    # ols checks each regressor against the length of its regressand
     rng = np.random.default_rng(2)
     y = rng.normal(0, 1, 40)
     series = {"flow": -0.5 * y + 0.01 * rng.normal(0, 1, 40), "iv": np.roll(y, 2)}
