@@ -43,8 +43,6 @@ __all__ = [
     "RegressionError",
     "FitResult",
     "ControlFunctionFit",
-    "ResetResult",
-    "NormalityResult",
     "ols",
     "control_function_fit",
     "t_confidence_interval",
@@ -95,40 +93,21 @@ class FitResult:
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
 
-    def standard_error(self, name: str) -> float:
-        return float(self.standard_errors[self.names.index(name)])
-
-
-@dataclass(frozen=True)
-class ResetResult:
-    statistic: float
-    p_value: float
-    rejected: bool
-
-
-@dataclass(frozen=True)
-class NormalityResult:
-    statistic: float
-    p_value: float
-    rejected: bool
-
 
 @dataclass(frozen=True)
 class ControlFunctionFit:
     """Two-stage control-function output plus post-hoc diagnostics.
 
-    ``second_stage`` is the plain OLS fit; ``slope_se``, ``slope_t``,
-    ``slope_p`` and ``slope_ci`` are the slope's 2SLS statistics at df n-2.
+    ``second_stage`` is the plain OLS fit; ``slope_se`` is the slope's 2SLS
+    standard error, at df n-2.  ``diagnostics`` maps ``"reset"`` and then
+    ``"jarque_bera"`` to the report block of each test; a test the sample
+    does not admit has its block left out of ``diagnostics``.
     """
 
     second_stage: FitResult
     first_stage: FitResult
-    reset: ResetResult | None
-    normality: NormalityResult | None
     slope_se: float
-    slope_t: float
-    slope_p: float
-    slope_ci: tuple[float, float]
+    diagnostics: dict
 
     @property
     def slope(self) -> float:
@@ -302,8 +281,8 @@ def control_function_fit(flow_dev, price_dev,
     with ``s^2 = u'u/(n-2)``, ``u = x - b*y - c`` formed with the observed
     price deviations and ``yhat`` the stage-1 fitted values.
     RESET and residual-normality diagnostics run on stage 2 when the sample
-    admits them (otherwise the corresponding field is None); normality is
-    None also when ``jarque_bera`` finds the residuals' moments out of range.
+    admits them (otherwise its block is left out of ``diagnostics``, as it
+    is when ``jarque_bera`` finds the residuals' moments out of range).
     Raises RegressionError when the 2SLS standard error is not finite.
     """
     if not instruments:
@@ -321,25 +300,22 @@ def control_function_fit(flow_dev, price_dev,
         slope_se = float(np.sqrt((u @ u) / df / (explained @ explained)))
     if not slope_se < math.inf:
         raise RegressionError(f"2SLS standard error of the slope is {slope_se!r}")
-    slope_t, slope_p = _t_test(slope, slope_se, df)
 
-    try:
-        reset = reset_test(second)
-    except RegressionError:
-        reset = None
-    try:
-        normality = jarque_bera(second.residuals)
-    except RegressionError:
-        normality = None
+    diagnostics = {}
+    for name, test, arg in (("reset", reset_test, second),
+                            ("jarque_bera", jarque_bera, second.residuals)):
+        try:
+            diagnostics[name] = test(arg)
+        except RegressionError:
+            pass
     return ControlFunctionFit(second_stage=second, first_stage=first,
-                              reset=reset, normality=normality, slope_se=slope_se,
-                              slope_t=slope_t, slope_p=slope_p,
-                              slope_ci=t_confidence_interval(slope, slope_se, df, LEVEL))
+                              slope_se=slope_se, diagnostics=diagnostics)
 
 
-def reset_test(fit: FitResult) -> ResetResult:
+def reset_test(fit: FitResult) -> dict:
     """Ramsey RESET: F-test of ``RESET_POWERS`` of the fitted values as
-    added regressors, rejected at size ``ALPHA``.
+    added regressors, rejected at size ``ALPHA``; returns the report block
+    ``{statistic, p_value, rejected, alpha, powers}``.
 
     Raises RegressionError, without a NumPy warning, when the highest power
     of the fitted values overflows, or underflows below the smallest normal
@@ -372,13 +348,14 @@ def reset_test(fit: FitResult) -> ResetResult:
         raise RegressionError("degenerate RESET statistic (zero residual variance)")
     stat = max(stat, 0.0)
     p_value = kernels.f_upper_tail(stat, float(m), float(df_full))
-    return ResetResult(statistic=float(stat), p_value=float(p_value),
-                       rejected=bool(p_value < ALPHA))
+    return {"statistic": float(stat), "p_value": float(p_value),
+            "rejected": bool(p_value < ALPHA), "alpha": ALPHA, "powers": list(RESET_POWERS)}
 
 
-def jarque_bera(residuals) -> NormalityResult:
+def jarque_bera(residuals) -> dict:
     """Jarque-Bera normality test: JB = n/6 (skew^2 + kurtosis_excess^2/4),
-    with the chi-square(2) p-value ``exp(-JB/2)``, rejected at size ``ALPHA``.
+    with the chi-square(2) p-value ``exp(-JB/2)``, rejected at size ``ALPHA``;
+    returns the report block ``{statistic, p_value, rejected, alpha}``.
 
     Raises RegressionError for fewer than 8 residuals and, without a NumPy
     warning, when their second central moment is not positive and finite or
@@ -407,8 +384,8 @@ def jarque_bera(residuals) -> NormalityResult:
     kurt_excess = m4 / m2_squared - 3.0
     stat = n / 6.0 * (skew**2 + 0.25 * kurt_excess**2)
     p_value = math.exp(-0.5 * stat)
-    return NormalityResult(statistic=float(stat), p_value=p_value,
-                           rejected=p_value < ALPHA)
+    return {"statistic": float(stat), "p_value": p_value, "rejected": p_value < ALPHA,
+            "alpha": ALPHA}
 
 
 # ---------------------------------------------------------------------------
@@ -443,30 +420,15 @@ def fit_to_dict(fit: FitResult) -> dict:
 
 def control_fit_to_dict(cf: ControlFunctionFit) -> dict:
     """JSON-ready mapping; the second stage's ``price_dev`` row carries the
-    slope's 2SLS statistics."""
+    slope's 2SLS statistics at df n-2, and each diagnostics block is a copy."""
     second = fit_to_dict(cf.second_stage)
-    ci_low, ci_high = cf.slope_ci
+    df = cf.second_stage.n - 2
+    slope_t, slope_p = _t_test(cf.slope, cf.slope_se, df)
+    ci_low, ci_high = t_confidence_interval(cf.slope, cf.slope_se, df, LEVEL)
     second["coefficients"]["price_dev"].update(
-        std_err=cf.slope_se, t_value=cf.slope_t, p_value=cf.slope_p,
-        ci_low=ci_low, ci_high=ci_high)
-    out = {
+        std_err=cf.slope_se, t_value=slope_t, p_value=slope_p, ci_low=ci_low, ci_high=ci_high)
+    return {
         "second_stage": second,
         "first_stage": fit_to_dict(cf.first_stage),
-        "diagnostics": {},
+        "diagnostics": {name: dict(block) for name, block in cf.diagnostics.items()},
     }
-    if cf.reset is not None:
-        out["diagnostics"]["reset"] = {
-            "statistic": cf.reset.statistic,
-            "p_value": cf.reset.p_value,
-            "rejected": cf.reset.rejected,
-            "alpha": ALPHA,
-            "powers": list(RESET_POWERS),
-        }
-    if cf.normality is not None:
-        out["diagnostics"]["jarque_bera"] = {
-            "statistic": cf.normality.statistic,
-            "p_value": cf.normality.p_value,
-            "rejected": cf.normality.rejected,
-            "alpha": ALPHA,
-        }
-    return out

@@ -285,6 +285,25 @@ def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt,digest", [
+    ("csv", "718cbc0604fbc6506ed5e9f4dd6d83d2b6278239598fa9490f737b55db716e7c"),
+    ("text", "de78ea4c42cad936af62769d5f04276c5aedee7a6cdc491ec36a3987e429dbeb"),
+])
+def test_panel_report_csv_and_text_bytes_are_pinned(tmp_path, monkeypatch, capsys, fmt, digest):
+    # SHA-256 of the coverage-panel-19 report as CSV and text; the CSV rows
+    # follow the regression block's key order (coefficient rows, then the
+    # diagnostics), which the sorted-key JSON digests do not pin
+    monkeypatch.chdir(tmp_path)
+    shocked = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05,
+                                           n=19, seed=31))
+    (tmp_path / "shocked19.csv").write_text(serialize_panel(shocked))
+    code, out, err = run_cli(capsys, [
+        "estimate", "--input", "shocked19.csv", "--beta-qm", "5.36", "--r-m", "0.029",
+        "--instruments", "iv_sup1,iv_sup2", "--draws", "0", "--format", fmt])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_estimate_on_panel_file(tmp_path, capsys):
     panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))
     path = tmp_path / "panel.csv"

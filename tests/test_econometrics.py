@@ -321,21 +321,38 @@ def _reference_fit_dict(fit):
 
 
 def _reference_control_dict(cf):
-    """``control_fit_to_dict`` with the normality test gated, as before, on
-    a separate ``np.var(residuals) > 0`` pass, and the slope row's
-    statistics replaced by the fit's 2SLS ones."""
+    """``control_fit_to_dict`` with the slope row's statistics replaced by
+    the fit's 2SLS ones at df n-2, the RESET block built from the augmented
+    oracle fit, and the normality test gated, as before, on a separate
+    ``np.var(residuals) > 0`` pass."""
     out = {"second_stage": _reference_fit_dict(cf.second_stage),
            "first_stage": _reference_fit_dict(cf.first_stage),
-           "diagnostics": em.control_fit_to_dict(cf)["diagnostics"]}
+           "diagnostics": {}}
+    df = cf.second_stage.n - 2
+    if cf.slope_se > 0.0:
+        t = cf.slope / cf.slope_se
+        p = kernels.f_upper_tail(t * t, 1.0, float(df))
+    elif cf.slope == 0.0:
+        t, p = 0.0, 1.0
+    else:
+        t, p = (np.inf if cf.slope > 0 else -np.inf), 0.0
+    ci_low, ci_high = em.t_confidence_interval(cf.slope, cf.slope_se, df, 0.95)
     out["second_stage"]["coefficients"]["price_dev"].update(
-        std_err=cf.slope_se, t_value=cf.slope_t, p_value=cf.slope_p,
-        ci_low=cf.slope_ci[0], ci_high=cf.slope_ci[1])
-    out["diagnostics"].pop("jarque_bera", None)
-    residuals = cf.second_stage.residuals
+        std_err=cf.slope_se, t_value=t, p_value=p, ci_low=ci_low, ci_high=ci_high)
+    fit = cf.second_stage
+    try:
+        stat = _reset_via_augmented_ols(fit)
+    except em.RegressionError:
+        pass
+    else:
+        n, k = fit.design.shape
+        reset_p = kernels.f_upper_tail(stat, 2.0, float(n - k - 2))
+        out["diagnostics"]["reset"] = {"statistic": stat, "p_value": reset_p,
+                                       "rejected": reset_p < em.ALPHA, "alpha": em.ALPHA,
+                                       "powers": [2, 3]}
+    residuals = fit.residuals
     if residuals.size >= 8 and float(np.var(residuals)) > 0.0:
-        jb = em.jarque_bera(residuals)
-        out["diagnostics"]["jarque_bera"] = {"statistic": jb.statistic, "p_value": jb.p_value,
-                                             "rejected": jb.rejected, "alpha": em.ALPHA}
+        out["diagnostics"]["jarque_bera"] = em.jarque_bera(residuals)
     return out
 
 
@@ -362,11 +379,14 @@ def test_slope_statistics_are_the_two_stage_least_squares_ones():
         assert cf.slope == pytest.approx(slope, rel=1e-9)
         assert cf.slope_se == pytest.approx(se, rel=1e-9)
         # the OLS standard error of the same row ignores the generated regressor
-        assert cf.slope_se != cf.second_stage.standard_error("price_dev")
+        assert cf.slope_se != cf.second_stage.standard_errors[0]
         df = cf.second_stage.n - 2
-        assert cf.slope_t == cf.slope / cf.slope_se
-        assert cf.slope_p == kernels.f_upper_tail(cf.slope_t * cf.slope_t, 1.0, df)
-        assert cf.slope_ci == em.t_confidence_interval(cf.slope, cf.slope_se, df, 0.95)
+        row = em.control_fit_to_dict(cf)["second_stage"]["coefficients"]["price_dev"]
+        assert row["std_err"] == cf.slope_se
+        assert row["t_value"] == cf.slope / cf.slope_se
+        assert row["p_value"] == kernels.f_upper_tail(row["t_value"] ** 2, 1.0, df)
+        assert (row["ci_low"], row["ci_high"]) == em.t_confidence_interval(
+            cf.slope, cf.slope_se, df, 0.95)
 
 
 def _reference_describe(series):
@@ -395,8 +415,17 @@ def test_panel_fit_and_descriptives_equal_the_recomputed_reference(n):
         })
         instruments = {k: panel.instruments[k] for k in ("iv_sup1", "iv_sup2")}
         cf = em.control_function_fit(flow_logs.deviations, price_logs.deviations, instruments)
-        assert cf.normality is not None
+        assert "jarque_bera" in cf.diagnostics
         _assert_bitwise_equal(em.control_fit_to_dict(cf), _reference_control_dict(cf))
+
+
+def test_report_diagnostics_are_copies_of_the_fits_blocks(simulated_panel):
+    _, cf = estimate_beta_from_panel(simulated_panel)
+    diagnostics = em.control_fit_to_dict(cf)["diagnostics"]
+    assert list(diagnostics) == ["reset", "jarque_bera"]
+    assert diagnostics == cf.diagnostics
+    for name, block in diagnostics.items():
+        assert block is not cf.diagnostics[name]
 
 
 def test_fit_without_constant_equals_the_recomputed_reference():
@@ -407,12 +436,12 @@ def test_fit_without_constant_equals_the_recomputed_reference():
 
 def test_zero_residual_variance_fit_equals_the_recomputed_reference():
     # a zero regressand is fitted exactly: zero coefficients, standard errors
-    # and residuals, so no normality test is reported
+    # and residuals, so neither RESET nor the normality test is reported
     panel = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05, n=19))
     price_dev = pp.center_log(panel.value / panel.flow).deviations
     cf = em.control_function_fit(np.zeros(19), price_dev,
                                  {"iv_sup1": panel.instruments["iv_sup1"]})
-    assert cf.normality is None
+    assert "jarque_bera" not in cf.diagnostics
     assert not cf.second_stage.residuals.any()
     _assert_bitwise_equal(em.control_fit_to_dict(cf), _reference_control_dict(cf))
 
@@ -433,7 +462,7 @@ def test_reset_size_on_linear_data():
         x = rng.standard_normal(100)
         y = 1.0 + 2.0 * x + rng.standard_normal(100)
         fit = em.ols(y, {"x": x})
-        rejections += em.reset_test(fit).p_value < 0.05
+        rejections += em.reset_test(fit)["p_value"] < 0.05
     rate = rejections / 500
     band = 3 * math.sqrt(0.05 * 0.95 / 500)
     assert abs(rate - 0.05) <= band
@@ -445,8 +474,8 @@ def test_reset_power_on_cubic_data():
     y = 1.0 + x + 2.0 * x**3 + 0.5 * rng.standard_normal(200)
     fit = em.ols(y, {"x": x})
     result = em.reset_test(fit)
-    assert result.p_value < 0.01
-    assert result.rejected
+    assert result["p_value"] < 0.01
+    assert result["rejected"]
 
 
 def _reset_via_augmented_ols(fit):
@@ -467,7 +496,7 @@ def test_reset_matches_augmented_ols_reference(simulated_panel):
     x = rng.standard_normal(200)
     cubic = em.ols(1.0 + x + 2.0 * x**3 + 0.5 * rng.standard_normal(200), {"x": x})
     for fit in (cf.second_stage, cubic):
-        assert em.reset_test(fit).statistic == _reset_via_augmented_ols(fit)
+        assert em.reset_test(fit)["statistic"] == _reset_via_augmented_ols(fit)
 
 
 def test_reset_degenerate_fitted_values():
@@ -480,7 +509,7 @@ def test_jarque_bera_size_on_normal_data():
     rejections = 0
     for seed in range(500):
         rng = _philox(77, seed)
-        rejections += em.jarque_bera(rng.standard_normal(5000)).p_value < 0.05
+        rejections += em.jarque_bera(rng.standard_normal(5000))["p_value"] < 0.05
     rate = rejections / 500
     band = 3 * math.sqrt(0.05 * 0.95 / 500)
     assert abs(rate - 0.05) <= band
@@ -489,8 +518,8 @@ def test_jarque_bera_size_on_normal_data():
 def test_jarque_bera_power_on_skewed_data():
     rng = _philox(78, 0)
     result = em.jarque_bera(rng.exponential(1.0, 500))
-    assert result.p_value < 0.01
-    assert result.rejected
+    assert result["p_value"] < 0.01
+    assert result["rejected"]
 
 
 def test_jarque_bera_constant_residuals():
@@ -554,9 +583,9 @@ def test_jarque_bera_p_value_matches_the_mpmath_oracle(x):
     pairs, ones, kappa = 50.0, 49.0, 3.0 + math.sqrt(24.0 * x / 100.0)
     a2 = (kappa * ones + pairs * math.sqrt(ones * (kappa - 1.0))) / (pairs - kappa)
     jb = em.jarque_bera(np.array([math.sqrt(a2), -math.sqrt(a2)] + [1.0, -1.0] * 49))
-    assert jb.statistic == pytest.approx(x, rel=1e-9)
-    oracle = mp.gammainc(1, mp.mpf(jb.statistic) / 2, mp.inf, regularized=True)
-    assert jb.p_value == pytest.approx(float(oracle), rel=1e-15)
+    assert jb["statistic"] == pytest.approx(x, rel=1e-9)
+    oracle = mp.gammainc(1, mp.mpf(jb["statistic"]) / 2, mp.inf, regularized=True)
+    assert jb["p_value"] == pytest.approx(float(oracle), rel=1e-15)
 
 
 def test_jarque_bera_needs_eight_points():

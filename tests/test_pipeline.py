@@ -127,10 +127,13 @@ def test_instruments_that_are_no_selection_report_econometrics(instruments):
     assert err.value.stage == "econometrics"
 
 
-@pytest.mark.parametrize("n,diagnostics", [(5, []), (6, ["reset"])])
-def test_reset_needs_one_residual_degree_of_freedom_beyond_its_regressors(n, diagnostics):
+@pytest.mark.parametrize("n,diagnostics", [
+    (5, []), (6, ["reset"]), (7, ["reset"]), (8, ["jarque_bera", "reset"]),
+])
+def test_each_diagnostic_needs_the_rows_its_test_admits(n, diagnostics):
     # stage two fits three coefficients and RESET adds two: five rows leave
-    # it no degree of freedom, six leave one
+    # it no degree of freedom, six leave one; Jarque-Bera needs eight
+    # residuals, so seven rows leave it out of the diagnostics
     panel = synthesize_panel(make_config(n=n, seed=2))
     report = run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments="iv_sup1")
     assert sorted(report.regression["diagnostics"]) == diagnostics
