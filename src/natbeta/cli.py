@@ -12,6 +12,7 @@ regression, and only ``simulate`` loads the simulator.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -162,8 +163,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting ``-<digit>`` or
+    ``-.<digit>`` as a value, as Python 3.13's does: ``--r-m -3%`` and
+    ``--slope -5e-1`` then parse as ``--r-m=-3%`` and ``--slope=-5e-1``.
+    Older versions take only plain decimals for values.  ``add_subparsers``
+    builds each subparser with the root parser's class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="natbeta",
         description="Natural-asset-beta estimation and sustainability exchange pricing.",
     )

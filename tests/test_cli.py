@@ -17,7 +17,7 @@ from natbeta.cli import main, parse_rate
 from natbeta.panel_io import parse_panel, serialize_panel
 from natbeta.simulator import synthesize_panel
 
-from conftest import make_config
+from conftest import STUB_SEED_TWO_PAST_ONE, make_config
 
 PAPER_STUB = [
     "estimate",
@@ -209,8 +209,8 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
                  "780347b55c4f01fff7a8bc97b2daa248ef2c0d7c0039efdb40a4ad4db2eb5bcb",
                  id="paper-stub-100k"),
     # two of these draws lie past b = 1, where ln_user_cost turns
-    pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919",
-                  "--slope-se", "0.018", "--seed", "6", "--draws", "100000"],
+    pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919", "--slope-se",
+                  "0.018", "--seed", str(STUB_SEED_TWO_PAST_ONE), "--draws", "100000"],
                  "d40e4ee0e03accece34dee619b85551d44d50c869d2134f4cb9ba76679c04e62",
                  id="paper-stub-100k-past-a-turning-point"),
     # the inputs of the truncated_20k benchmark workload: ~16% redrawn
@@ -283,6 +283,26 @@ def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["--r-m", "-3%", "--slope", "-0.919"], ["--r-m=-3%", "--slope", "-0.919"]),
+    (["--r-m", "2.9%", "--slope", "-5e-1"], ["--r-m", "2.9%", "--slope=-5e-1"]),
+])
+def test_negative_values_in_exponent_or_percent_form_follow_their_flag(capsys, spaced, joined):
+    # a token that starts with '-' and a digit is a value, as the joined form is
+    rest = [*STUB_MARKET, "--slope-se", "0.018", "--seed", "7", "--draws", "1000",
+            "--format", "json"]
+    code, out, err = run_cli(capsys, ["estimate", *spaced, *rest])
+    assert code == 0, err
+    assert (code, out, err) == run_cli(capsys, ["estimate", *joined, *rest])
+
+
+def test_a_flag_before_another_flag_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "--draws", "5"])
+    assert exc.value.code == 2
+    assert "argument --slope: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt,digest", [

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
-from natbeta import kernels, market_curves, uncertainty
+from natbeta import beta_algebra, kernels, market_curves, uncertainty
 from natbeta.uncertainty import (
     MAX_DRAWS,
     QUANTITY_NAMES,
@@ -13,6 +14,8 @@ from natbeta.uncertainty import (
     derived_intervals,
     sample_betas,
 )
+
+from conftest import NEAR_BUDGET_SEED, STUB_SEED_NONE_PAST_ONE, STUB_SEED_TWO_PAST_ONE
 
 
 def normal_quantile(p):
@@ -69,7 +72,7 @@ def base_normals(seed, n):
 REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
     (0.1, 0.1, 20_000, 7),
     (0.5, 0.25, 50_000, 4),
-    (0.043, 0.1, 10_000, 11),  # near the budget of 5000 redraws
+    (0.043, 0.1, 10_000, NEAR_BUDGET_SEED),  # near the budget of 5000 redraws
     (0.1, 0.1, 20_000, 2**64 - 1),  # key word >= 2**63
 ])
 
@@ -95,8 +98,15 @@ def test_redraws_continue_the_base_stream(mean, se, draws, seed):
 
 
 def test_redraws_near_budget_case_is_near_budget():
-    n_redrawn = sample_betas(0.043, 0.1, 10_000, 11).n_redrawn
+    n_redrawn = sample_betas(0.043, 0.1, 10_000, NEAR_BUDGET_SEED).n_redrawn
     assert 0.9 * 5_000 <= n_redrawn <= 5_000
+
+
+def test_stub_seeds_keep_their_draws_past_a_turning_point():
+    # the premises of the paper-stub cases that count draws past b = 1
+    for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
+        values = sample_betas(0.919, 0.018, 100_000, seed).values
+        assert np.count_nonzero(values >= 1.0) == n_past, seed
 
 
 def test_redrawn_betas_follow_the_truncated_normal():
@@ -111,6 +121,57 @@ def test_redrawn_betas_follow_the_truncated_normal():
     ranks = np.arange(1, n + 1) / n
     d = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
     assert d < 1.628 / math.sqrt(n)  # Kolmogorov-Smirnov, 1% level
+
+
+LIMIT_CASES = pytest.mark.parametrize("mean, se, n", [
+    (0.919, 0.018, 100_000),  # the paper stub
+    (0.1, 0.1, 20_000),  # the truncated_20k inputs: ~16% of first-pass draws redrawn
+    (0.9, 0.03, 20_000),  # beside the turning point of ln_user_cost at b = 1
+    (1.6, 0.1, 20_000),  # between it and the turning point of ln_price at b ~ 1.895
+])
+
+
+@LIMIT_CASES
+def test_endpoints_lie_near_their_exact_limits(paper, mean, se, n):
+    # sample_betas draws N(mean, se) truncated to (0, inf), whose q-quantile
+    # Q(q) and density p come from scipy.  On a monotone map f, a type-7
+    # endpoint tends to f(Q(q)), with SD sqrt(q(1-q)/n) / p(Q(q)) * |f'(Q(q))|
+    # (the normal limit of a sample quantile).  Every endpoint checked lies
+    # within 4 such SDs at each of 20 seeds.  The np.quantile checks read the
+    # same draws as the code under test; this one fails on draws from the
+    # wrong law: a biased redraw round, a wrong truncation, a mis-keyed
+    # stream.  An equilibrium quantity is checked only where no turning
+    # point lies within 6 se of the mean.
+    level = 0.9
+    means = (paper["mean_ln_flow"], paper["mean_ln_price"])
+    q = np.array([0.5 * (1.0 - level), 0.5 * (1.0 + level)])
+    a = -mean / se
+    beta_q = truncnorm.ppf(q, a, np.inf, loc=mean, scale=se)
+    beta_sd = np.sqrt(q * (1.0 - q) / n) / truncnorm.pdf(beta_q, a, np.inf, loc=mean, scale=se)
+
+    def f(betas):
+        # every quantity at each beta, in QUANTITY_NAMES order
+        return np.column_stack([kernels.propagate_beta_draws(betas, *means),
+                                *beta_algebra.chain_products(betas, paper["beta_qm"],
+                                                             paper["r_m"])])
+
+    h = 1e-6 * beta_q
+    slope = (f(beta_q + h) - f(beta_q - h)) / (2.0 * h[:, None])
+    limit, sd = f(beta_q), beta_sd[:, None] * np.abs(slope)
+    # a falling quantity takes its lower endpoint from the beta's upper quantile
+    falling = slope[0] < 0.0
+    limit[:, falling], sd[:, falling] = limit[::-1, falling], sd[::-1, falling]
+    checked = [name for name in QUANTITY_NAMES
+               if all(abs(t - mean) > 6.0 * se for t in market_curves.TURNING_POINTS.get(name, ()))]
+    columns = [QUANTITY_NAMES.index(name) for name in checked]
+    z = np.array([
+        [derived_intervals(sample_betas(mean, se, n, seed), paper["beta_qm"], paper["r_m"],
+                           *means, level=level).bounds[name] for name in checked]
+        for seed in range(20)
+    ]).transpose(0, 2, 1)  # seed, endpoint, quantity
+    z = (z - limit[:, columns]) / sd[:, columns]
+    worst = np.unravel_index(np.abs(z).argmax(), z.shape)
+    assert np.abs(z).max() < 4.0, (checked[worst[2]], int(worst[0]), float(z[worst]))
 
 
 def test_seeds_are_masked_to_64_bits():
@@ -265,9 +326,10 @@ def test_derived_intervals_validation(paper):
 def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
     for mean, se, seed in [
         # the paper stub: every equilibrium quantity is mapped from the
-        # beta's order statistics; at seed 6 two of 100 000 draws lie past
-        # b = 1, where ln_user_cost turns, and are evaluated per draw
-        (0.919, 0.018, n), (0.919, 0.018, 6),
+        # beta's order statistics; at STUB_SEED_TWO_PAST_ONE two of 100 000
+        # draws lie past b = 1, where ln_user_cost turns, and are evaluated
+        # per draw
+        (0.919, 0.018, n), (0.919, 0.018, STUB_SEED_TWO_PAST_ONE),
         # needed betas that straddle the turning point of ln_price
         # (b ~ 1.895), of ln_quantity (b ~ 0.301) and of ln_user_cost
         # (b = 1): that quantity is selected from the row of every draw
@@ -341,7 +403,7 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
     # The report's bits cannot tell mapped order statistics from per-draw
     # selection, so record the work: the beta alone is selected, in place,
     # and the kernel sees its four needed order statistics, the draws past
-    # b = 1 (where ln_user_cost turns; two at seed 6) and the mean.
+    # b = 1 (where ln_user_cost turns) and the mean.
     selections, passed = [], []
     order_stats, propagate = uncertainty._order_stats, kernels.propagate_beta_draws
 
@@ -355,7 +417,7 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
 
     monkeypatch.setattr(uncertainty, "_order_stats", recording_selection)
     monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
-    for seed, n_past in ((7, 0), (6, 2)):
+    for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
         draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
         ordered = np.sort(draws.values)
         selections.clear()
