@@ -1,8 +1,9 @@
 """Monte Carlo propagation of the beta uncertainty to derived quantities.
 
 Betas are drawn from a normal distribution; non-positive draws are redrawn
-in whole-array rounds from the same Philox stream as the first pass, so
-the result depends only on the inputs and the seed.  The interval
+in whole-array rounds from the same SFC64 generator as the first pass,
+seeded from the seed mod 2**64, so the result depends only on the inputs
+and the seed.  The interval
 endpoints follow NumPy's linear (Hyndman & Fan type-7) rule: two
 neighbouring order statistics per endpoint, lerped in the quantity's own
 values.  Every derived quantity is a function of the beta alone, and on a
@@ -85,8 +86,9 @@ class IntervalReport:
 def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     """Draw positive betas from N(mean, se), redrawing non-positive values.
 
-    Every draw, first pass and redraws alike, comes from one Philox stream
-    keyed (seed, 0), so the output depends only on (mean, se, draws, seed).
+    Every draw, first pass and redraws alike, comes from one SFC64 generator
+    seeded from ``seed mod 2**64``, so the output depends only on (mean, se,
+    draws, seed).
     The non-positive draws are redrawn together in rounds: each round draws
     one normal per index still non-positive, in index order, until none is
     left.  ``n_redrawn`` counts every rejected candidate, so the stream
@@ -112,8 +114,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
                          seed=seed, mean=float(mean))
 
     budget = 0.5 * draws
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    main = np.random.Generator(np.random.Philox(key=key))
+    main = np.random.Generator(np.random.SFC64(seed & _MASK64))
     values = main.standard_normal(draws)
     values *= se  # in place: the same mean + se * z, without two n-long temporaries
     values += mean

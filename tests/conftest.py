@@ -32,9 +32,10 @@ PAPER = {
 # Seeds picked for a rare event of the Monte Carlo stream, shared by the tests
 # that rely on it.  tests/test_uncertainty.py checks each event straight from
 # sample_betas, so a change of stream cannot quietly hollow out a case.
-STUB_SEED_NONE_PAST_ONE = 7  # the paper stub at 100 000 draws: no draw >= 1
-STUB_SEED_TWO_PAST_ONE = 6  # the same: exactly two draws >= 1, where ln_user_cost turns
-NEAR_BUDGET_SEED = 11  # (0.043, 0.1) at 10 000 draws: 4 500 to 5 000 redraws
+STUB_SEED_NONE_PAST_ONE = 1  # the paper stub at 100 000 draws: no draw >= 1
+STUB_SEED_TWO_PAST_ONE = 38  # the same: exactly two draws >= 1, where ln_user_cost turns
+NEAR_BUDGET_SEED = 1  # (0.043, 0.1) at 10 000 draws: 4 500 to 5 000 redraws
+TRUNCATED_N3_SEED = 0  # (0.1, 0.1) at 3 draws: at most one rejected, so no abort
 
 
 @pytest.fixture(scope="session")

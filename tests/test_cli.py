@@ -206,30 +206,30 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
 @pytest.mark.parametrize("argv,digest", [
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919",
                   "--slope-se", "0.018", "--seed", "7", "--draws", "100000"],
-                 "780347b55c4f01fff7a8bc97b2daa248ef2c0d7c0039efdb40a4ad4db2eb5bcb",
+                 "932cda4d9b53b567a5a339abba950e2b0e2235ea35934bbc98330c078aa7c439",
                  id="paper-stub-100k"),
     # two of these draws lie past b = 1, where ln_user_cost turns
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919", "--slope-se",
                   "0.018", "--seed", str(STUB_SEED_TWO_PAST_ONE), "--draws", "100000"],
-                 "d40e4ee0e03accece34dee619b85551d44d50c869d2134f4cb9ba76679c04e62",
+                 "ab5114044648faf24922fee23f75b4d724c6a4086e4f41f7c4da3ef3c6d6fb30",
                  id="paper-stub-100k-past-a-turning-point"),
     # the inputs of the truncated_20k benchmark workload: ~16% redrawn
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.1",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
-                 "8f0bbd867027f35d0987d4c7961a3bedc0b3e02d43c8befbab88cb90db363438",
+                 "5a85c387cc9d1a1a95a96081b256c7300f98e1b17beda4eefc8bf43922f4a64a",
                  id="truncated-20k"),
     pytest.param(["estimate", *STUB_MARKET, "--r-m=-3%", "--slope", "-0.919",
                   "--slope-se", "0.018", "--seed", "7", "--draws", "20000"],
-                 "2ac64635632b82c0878ff5d37c345fe749f495cbd58c656e9acdaf07b9bfb271",
+                 "06445af9690d4215b0b097d2919e10e02bfc01fa1bc7b567bef0bf5c8acb7eb8",
                  id="negative-r-m"),
     # a positive slope: the reciprocal beta and the delta-method se/slope^2
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "2.0",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
-                 "077b7f78dc486e6a9520ccc01c96f3c2e1115651c195911ca351a56ca94fac50",
+                 "17b6acf9cc16c876822a9ee3344a5eab68e523a2d2331d3217d8517af13665a7",
                  id="positive-slope"),
     pytest.param(["estimate", "--input", "panel.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--seed", "2"],
-                 "bc6345d372c8349880741879560ae7d6297e47ec6bbd111067b2bceabb6c0c80",
+                 "a69e26639a258be6acde9c003050fdb434d012e799ba14c5bfda9a4f56a1b7ac",
                  id="panel-input"),
     pytest.param(["equilibrium", "--beta-xq", "1"],
                  "cbf1852613e9a5f4ef315a7a52952aab8197f4d61b5d7bbcfdf24e8a52bab3d0",
@@ -238,18 +238,18 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
     # ln_quantity and ln_user_cost (b ~ 0.301 and 1) with r_x descending
     pytest.param(["ci", "--beta-xq", "1.9", "--beta-xq-se", "0.3", *STUB_MARKET,
                   "--r-m", "2.9%", "--seed", "7", "--draws", "100000"],
-                 "c2ce3bb37dcf917ff941720850e1623944ad13980f0167f0ae789d734d41a7cc",
+                 "f7c106bc1922f9075793b51d49acbdf2c2ceadb4d8fe08a12eff443921c35585",
                  id="ci-price-turning-point"),
     pytest.param(["ci", "--beta-xq", "1.0", "--beta-xq-se", "0.05", *STUB_MARKET,
                   "--r-m=-3%", "--seed", "7", "--draws", "100000"],
-                 "3c3733fa945369971594d6013c66a20f2d98d6fdc4d384e5b01a0d40ec5ee9a2",
+                 "3961a37a0f25410ce30ddf548f78cd748c66e9a5ecc0cdfbec43694d04cb04bb",
                  id="ci-user-cost-turning-point"),
     # draws past the turning points of ln_user_cost (b = 1 and ~ 4.716) whose
     # values fall among the others': a descending quantity whose endpoints
     # come from windows of the beta's order statistics on both sides
     pytest.param(["ci", "--beta-xq", "3.0", "--beta-xq-se", "0.8", *STUB_MARKET,
                   "--r-m", "2.9%", "--seed", "7", "--draws", "20000"],
-                 "50b815ed1782eac42c0a116222d0c9b637d07a10bf9fd1a8d57a69f4040897dc",
+                 "6296733da0348d5a7d8532f4e60ac80be791ca992bea12416615765819824a79",
                  id="ci-descending-windows"),
     # the two cells of the coverage_sweep benchmark workload: both shocks,
     # the supply-shifter instruments
@@ -271,7 +271,9 @@ def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, diges
     # the series' logs; the three panel reports were pinned again when the
     # slope row took its 2SLS statistics and weak first stages a warning,
     # and ci-descending-windows before endpoints whose tail draws lie past a
-    # turning point came from windows of the beta's order statistics.
+    # turning point came from windows of the beta's order statistics; every
+    # report with Monte Carlo intervals was pinned again when the betas
+    # moved from a Philox stream to an SFC64 generator.
     # Any change of a bit fails here
     monkeypatch.chdir(tmp_path)
     panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))
@@ -667,10 +669,10 @@ def test_ci_text_shows_huge_finite_rate_bounds_compactly(capsys):
     assert code == 0, err
     assert "inf" not in out
     lows, highs = out.splitlines()[2:4]
-    assert lows.endswith("     4.2e+309%") and highs.endswith("    5.87e+309%")
+    assert lows.endswith("    4.18e+309%") and highs.endswith("    5.84e+309%")
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     r_x = json.loads(out)["bounds"]["r_x"]
-    assert r_x[0] == pytest.approx(4.2e307, rel=1e-3) and r_x[1] == pytest.approx(5.87e307, rel=1e-3)
+    assert r_x[0] == pytest.approx(4.18e307, rel=1e-3) and r_x[1] == pytest.approx(5.84e307, rel=1e-3)
 
 
 def test_ci_subcommand_text_and_json(capsys):

@@ -252,7 +252,7 @@ def test_csv_render_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0e418b984a4c5b9ab396defa168dcc481246d3a27a16c2b55de72d1a338aa3ce")
+        "7f0da95dc2912bdb761908c2f34b9f84d908474f247169207df847cdae0cd352")
 
 
 def test_unknown_format_rejected(paper):

@@ -15,7 +15,8 @@ from natbeta.uncertainty import (
     sample_betas,
 )
 
-from conftest import NEAR_BUDGET_SEED, STUB_SEED_NONE_PAST_ONE, STUB_SEED_TWO_PAST_ONE
+from conftest import (NEAR_BUDGET_SEED, STUB_SEED_NONE_PAST_ONE, STUB_SEED_TWO_PAST_ONE,
+                      TRUNCATED_N3_SEED)
 
 
 def normal_quantile(p):
@@ -64,9 +65,8 @@ def test_mild_truncation_redraws_and_counts():
 
 
 def base_normals(seed, n):
-    """The first ``n`` normals of the Philox stream keyed (seed, 0)."""
-    key = np.array([seed & ((1 << 64) - 1), 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    """The first ``n`` normals of the SFC64 generator seeded from seed mod 2**64."""
+    return np.random.Generator(np.random.SFC64(seed & ((1 << 64) - 1))).standard_normal(n)
 
 
 REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
@@ -102,11 +102,13 @@ def test_redraws_near_budget_case_is_near_budget():
     assert 0.9 * 5_000 <= n_redrawn <= 5_000
 
 
-def test_stub_seeds_keep_their_draws_past_a_turning_point():
-    # the premises of the paper-stub cases that count draws past b = 1
+def test_seeds_picked_for_a_rare_event_keep_it():
+    # the premises of the cases that count the paper stub's draws past b = 1,
+    # and of the 3-draw truncated case; the near-budget seed's is the test above
     for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
         values = sample_betas(0.919, 0.018, 100_000, seed).values
         assert np.count_nonzero(values >= 1.0) == n_past, seed
+    assert sample_betas(0.1, 0.1, 3, TRUNCATED_N3_SEED).n_redrawn <= 1
 
 
 def test_redrawn_betas_follow_the_truncated_normal():
@@ -182,10 +184,9 @@ def test_seeds_are_masked_to_64_bits():
     assert np.all(sample_betas(0.1, 0.1, 20_000, 2**64 - 1).values > 0.0)
 
 
-def test_redraw_abort_matches_per_index_philox():
+def test_redraw_abort_is_reported_as_a_redraw_abort():
     # the first pass rejects fewer than half the draws; the redraw rounds
-    # then cross the budget and abort with the message the per-index
-    # redraw loop gave for these arguments
+    # then cross the budget and abort with the redraw rounds' message
     with pytest.raises(UncertaintyError) as got:
         sample_betas(0.01, 0.1, 10_000, 3)
     assert str(got.value) == "excessive truncation: more than half of 10000 draws rejected"
@@ -345,9 +346,11 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
         # others': such an endpoint is selected from those values and a
         # window of the beta's order statistics beside its rank.  Between
         # them both directions, both tails and both signs of the shift; at
-        # up to 1001 draws, which windows reach already
-        *[(mean, se, n) for mean, se in [(0.1, 0.1), (0.6, 0.3), (0.9, 0.08), (1.6, 0.5),
-                                         (2.5, 0.9), (3.0, 0.8), (4.0, 1.0)] if n < 100_000],
+        # up to 1001 draws, which windows reach already.  At 3 draws seed 3
+        # rejects too many of (0.1, 0.1), so that case takes another seed
+        *[(mean, se, TRUNCATED_N3_SEED if (n, mean) == (3, 0.1) else n)
+          for mean, se in [(0.1, 0.1), (0.6, 0.3), (0.9, 0.08), (1.6, 0.5), (2.5, 0.9),
+                           (3.0, 0.8), (4.0, 1.0)] if n < 100_000],
     ]:
         draws = sample_betas(mean, se, n, seed=seed)
         table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
