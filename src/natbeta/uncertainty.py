@@ -3,15 +3,14 @@
 Betas are drawn from a normal distribution; non-positive draws are redrawn
 in whole-array rounds from the same SFC64 generator as the first pass,
 seeded from the seed mod 2**64, so the result depends only on the inputs
-and the seed.  The interval
-endpoints follow NumPy's linear (Hyndman & Fan type-7) rule: two
-neighbouring order statistics per endpoint, lerped in the quantity's own
-values.  Every derived quantity is a function of the beta alone, and on a
-branch where that function is monotone its order statistics are its values
-at the beta's, in the same order or reversed (quantiles are equivariant
-under monotone maps; Hyndman & Fan, Am. Stat. 50(4), 1996).  So the betas
-alone are selected, in place by partitioning, never by sorting, and only a
-few of them are evaluated.
+and the seed.  The interval endpoints follow NumPy's linear (Hyndman & Fan
+type-7) rule: two neighbouring order statistics per endpoint, lerped in the
+quantity's own values.  Every derived quantity is a function of the beta
+alone, and on a branch where that function is monotone its order statistics
+are its values at the beta's, in the same order or reversed (quantiles are
+equivariant under monotone maps; Hyndman & Fan, Am. Stat. 50(4), 1996).
+So the betas alone are selected, in place by partitioning, never by
+sorting, and only a few of them are evaluated.
 
 ``beta_xm`` and ``r_x`` are products of the beta, monotone everywhere.  The
 equilibrium quantities turn at ``market_curves.TURNING_POINTS``.  Where
@@ -86,15 +85,15 @@ class IntervalReport:
 def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     """Draw positive betas from N(mean, se), redrawing non-positive values.
 
-    Every draw, first pass and redraws alike, comes from one SFC64 generator
-    seeded from ``seed mod 2**64``, so the output depends only on (mean, se,
-    draws, seed).
-    The non-positive draws are redrawn together in rounds: each round draws
-    one normal per index still non-positive, in index order, until none is
-    left.  ``n_redrawn`` counts every rejected candidate, so the stream
-    yields exactly ``draws + n_redrawn`` normals.  Raises when that count
-    exceeds half the requested draws: the normal is then too inconsistent
-    with the positivity restriction to represent the beta.
+    Every draw, first pass and redraws alike, comes from one SFC64
+    generator seeded from ``seed mod 2**64``, so the output depends only on
+    (mean, se, draws, seed).  The non-positive draws are redrawn together in
+    rounds: each round draws one normal per index still non-positive, in
+    index order, until none is left.  ``n_redrawn`` counts every rejected
+    candidate, so the stream yields exactly ``draws + n_redrawn`` normals.
+    Raises when that count exceeds half the requested draws: the normal is
+    then too inconsistent with the positivity restriction to represent the
+    beta.
     """
     if draws < 1:
         raise UncertaintyError(f"draws must be >= 1, got {draws}")

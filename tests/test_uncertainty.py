@@ -125,15 +125,12 @@ def test_redrawn_betas_follow_the_truncated_normal():
     assert d < 1.628 / math.sqrt(n)  # Kolmogorov-Smirnov, 1% level
 
 
-LIMIT_CASES = pytest.mark.parametrize("mean, se, n", [
+@pytest.mark.parametrize("mean, se, n", [
     (0.919, 0.018, 100_000),  # the paper stub
     (0.1, 0.1, 20_000),  # the truncated_20k inputs: ~16% of first-pass draws redrawn
     (0.9, 0.03, 20_000),  # beside the turning point of ln_user_cost at b = 1
     (1.6, 0.1, 20_000),  # between it and the turning point of ln_price at b ~ 1.895
 ])
-
-
-@LIMIT_CASES
 def test_endpoints_lie_near_their_exact_limits(paper, mean, se, n):
     # sample_betas draws N(mean, se) truncated to (0, inf), whose q-quantile
     # Q(q) and density p come from scipy.  On a monotone map f, a type-7
