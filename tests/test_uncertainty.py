@@ -181,9 +181,10 @@ def test_seeds_are_masked_to_64_bits():
     assert np.all(sample_betas(0.1, 0.1, 20_000, 2**64 - 1).values > 0.0)
 
 
-def test_redraw_abort_is_reported_as_a_redraw_abort():
+def test_redraw_abort_matches_per_index_philox():
     # the first pass rejects fewer than half the draws; the redraw rounds
-    # then cross the budget and abort with the redraw rounds' message
+    # then cross the budget and abort with the message the per-index
+    # Philox redraw loop gave for these arguments, which the SFC64 rounds keep
     with pytest.raises(UncertaintyError) as got:
         sample_betas(0.01, 0.1, 10_000, 3)
     assert str(got.value) == "excessive truncation: more than half of 10000 draws rejected"
