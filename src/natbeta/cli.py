@@ -55,6 +55,12 @@ def _write_text(path: str, blocks) -> None:
         raise StageError("panel_io", f"cannot write {path}: {exc}") from exc
 
 
+def _write_output(format: str, data, lines) -> int:
+    """Write ``data`` as JSON for ``format`` 'json', else ``lines`` as text, to stdout."""
+    sys.stdout.write(_json_text(data) if format == "json" else "\n".join(lines) + "\n")
+    return 0
+
+
 def _cmd_estimate(args) -> int:
     panel = _load_panel(args.input) if args.input else None
     report = run_estimate(
@@ -78,11 +84,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_describe(args) -> int:
     descriptives, _, _ = _preprocess_stage(_load_panel(args.input))
     rows = {name: descriptives[name] for name in ("ln_flow", "ln_price")}
-    if args.format == "json":
-        sys.stdout.write(_json_text(rows))
-        return 0
-    sys.stdout.write("\n".join(_descriptives_text(rows)) + "\n")
-    return 0
+    return _write_output(args.format, rows, _descriptives_text(rows))
 
 
 def _market_payload(args, curves=None):
@@ -95,11 +97,7 @@ def _market_payload(args, curves=None):
 
 def _cmd_equilibrium(args) -> int:
     payload, _ = _market_payload(args)
-    if args.format == "json":
-        sys.stdout.write(_json_text(payload))
-        return 0
-    sys.stdout.write("\n".join(_equilibrium_text(payload)) + "\n")
-    return 0
+    return _write_output(args.format, payload, _equilibrium_text(payload))
 
 
 CSV_BLOCK_ROWS = 4096  # curve samples formatted per written block
@@ -129,12 +127,8 @@ def _cmd_ci(args) -> int:
         beta_qm=args.beta_qm, r_m=args.r_m, mean_ln_flow=args.mean_ln_flow,
         mean_ln_price=args.mean_ln_price,
     )
-    if args.format == "json":
-        sys.stdout.write(_json_text({**intervals, "warnings": warnings}))
-        return 0
-    lines = _intervals_text(intervals) + _warnings_text(warnings)
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return _write_output(args.format, {**intervals, "warnings": warnings},
+                         _intervals_text(intervals) + _warnings_text(warnings))
 
 
 def _cmd_simulate(args) -> int:

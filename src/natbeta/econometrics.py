@@ -17,11 +17,12 @@ AIC/BIC use the concentrated-Gaussian convention
 ``n*ln(SSR/n) + penalty*k`` with ``k`` the number of estimated mean
 coefficients.
 
-A fit keeps the regressand's mean and centred sum of squares, so the JSON
-mapping reads them instead of passing over the regressand again; the
-residual-normality test is reported only when the residuals' second moment
-is positive and finite and their fourth moment within the float range
-(``jarque_bera`` raises otherwise).
+Each fit returns its report block, built as each statistic is computed:
+``ols`` gives the table of one fit and ``control_function_fit`` the whole
+regression block with the 2SLS slope row, which the report prints as it
+stands.  The residual-normality test is reported only when the residuals'
+second moment is positive and finite and their fourth moment within the
+float range (``jarque_bera`` raises otherwise).
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
     "reset_test",
     "jarque_bera",
     "lagged_instruments",
-    "fit_to_dict",
-    "control_fit_to_dict",
 ]
 
 
@@ -60,35 +59,28 @@ class RegressionError(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Output of a single least-squares fit.
+    """Output of a single least-squares fit: the arrays callers compute with,
+    and the fit's report block.
 
     Coefficient-aligned arrays follow the order of ``names``.  The design
     matrix and regressand are retained so diagnostic tests can re-fit
-    augmented models.  ``mean_dependent`` is ``regressand.mean()`` and
-    ``centered_ss`` the sum of squared deviations of the regressand from it,
-    with or without a constant in the design; ``sqrt(centered_ss / (n - 1))``
-    equals ``regressand.std(ddof=1)`` bit for bit.
+    augmented models.  ``block`` maps ``"coefficients"`` (one row of
+    ``coef``, ``std_err``, ``t_value``, ``p_value``, ``ci_low`` and
+    ``ci_high`` per name, the interval at ``LEVEL``), then ``conf_level``,
+    ``r_squared``, ``f_stat``, ``f_p``, ``aic``, ``bic``, ``n_obs``,
+    ``df_residual``, ``mean_dependent`` (``regressand.mean()``) and
+    ``sd_dependent`` (``regressand.std(ddof=1)``, bit for bit), with or
+    without a constant in the design.
     """
 
     names: tuple[str, ...]
     coefficients: np.ndarray
     standard_errors: np.ndarray
-    t_values: np.ndarray
-    p_values: np.ndarray
-    conf_intervals: np.ndarray  # shape (k, 2), at LEVEL
-    r_squared: float
-    f_statistic: float
-    f_p_value: float
-    aic: float
-    bic: float
-    n: int
-    df_residual: int
     residuals: np.ndarray
     fitted: np.ndarray
     regressand: np.ndarray
     design: np.ndarray
-    mean_dependent: float
-    centered_ss: float
+    block: dict
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -96,18 +88,21 @@ class FitResult:
 
 @dataclass(frozen=True)
 class ControlFunctionFit:
-    """Two-stage control-function output plus post-hoc diagnostics.
+    """Two-stage control-function output and its report block.
 
     ``second_stage`` is the plain OLS fit; ``slope_se`` is the slope's 2SLS
-    standard error, at df n-2.  ``diagnostics`` maps ``"reset"`` and then
-    ``"jarque_bera"`` to the report block of each test; a test the sample
+    standard error, at df n-2.  ``block`` maps ``"second_stage"`` to the
+    second stage's block with the ``price_dev`` row's ``std_err``, t-test
+    and interval replaced by the 2SLS ones at df n-2, ``"first_stage"`` to
+    the first stage's block, and ``"diagnostics"`` to ``"reset"`` and then
+    ``"jarque_bera"``, the report block of each test; a test the sample
     does not admit has its block left out of ``diagnostics``.
     """
 
     second_stage: FitResult
     first_stage: FitResult
     slope_se: float
-    diagnostics: dict
+    block: dict
 
     @property
     def slope(self) -> float:
@@ -198,22 +193,20 @@ def ols(regressand, regressors: Mapping[str, Sequence],
     xtx_inv = r_inv @ r_inv.T
     se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
 
-    t_vals, p_vals = zip(*[_t_test(c, s, df_resid) for c, s in zip(coef.tolist(), se.tolist())])
     q = float(kernels.student_t_quantile(0.5 * (1.0 + LEVEL), float(df_resid)))
-    ci = np.column_stack([coef - q * se, coef + q * se])
+    rows = {}
+    for name, c, s in zip(names, coef.tolist(), se.tolist()):
+        t, p = _t_test(c, s, df_resid)
+        rows[name] = {"coef": c, "std_err": s, "t_value": t, "p_value": p,
+                      "ci_low": c - q * s, "ci_high": c + q * s}
 
     y_mean = y.mean()
     centered_ss = float(np.sum((y - y_mean) ** 2))
     if include_constant:
-        sst = centered_ss
-        n_slopes = k - 1
+        sst, n_slopes = centered_ss, k - 1
     else:
-        sst = float(y @ y)
-        n_slopes = k
-    if sst > 0.0:
-        r2 = 1.0 - ssr / sst
-    else:
-        r2 = 0.0
+        sst, n_slopes = float(y @ y), k
+    r2 = 1.0 - ssr / sst if sst > 0.0 else 0.0
     if n_slopes > 0 and sst > 0.0 and ssr > 0.0:
         f_stat = ((sst - ssr) / n_slopes) / (ssr / df_resid)
         f_p = kernels.f_upper_tail(f_stat, float(n_slopes), float(df_resid))
@@ -228,27 +221,21 @@ def ols(regressand, regressors: Mapping[str, Sequence],
     else:
         aic = bic = float("-inf")
 
-    return FitResult(
-        names=names,
-        coefficients=coef,
-        standard_errors=se,
-        t_values=np.array(t_vals),
-        p_values=np.array(p_vals),
-        conf_intervals=ci,
-        r_squared=float(r2),
-        f_statistic=float(f_stat),
-        f_p_value=float(f_p),
-        aic=float(aic),
-        bic=float(bic),
-        n=int(n),
-        df_residual=int(df_resid),
-        residuals=resid,
-        fitted=fitted,
-        regressand=y,
-        design=X,
-        mean_dependent=float(y_mean),
-        centered_ss=centered_ss,
-    )
+    block = {
+        "coefficients": rows,
+        "conf_level": LEVEL,
+        "r_squared": float(r2),
+        "f_stat": float(f_stat),
+        "f_p": float(f_p),
+        "aic": float(aic),
+        "bic": float(bic),
+        "n_obs": n,
+        "df_residual": df_resid,
+        "mean_dependent": float(y_mean),
+        "sd_dependent": math.sqrt(centered_ss / (n - 1)),  # n > k >= 1
+    }
+    return FitResult(names=names, coefficients=coef, standard_errors=se, residuals=resid,
+                     fitted=fitted, regressand=y, design=X, block=block)
 
 
 def lagged_instruments(price_dev, n_lags: int):
@@ -293,13 +280,18 @@ def control_function_fit(flow_dev, price_dev,
     second = ols(x, {"price_dev": y, "control_fn": first.residuals})
 
     slope = second.coefficient("price_dev")
-    df = second.n - 2
+    df = second.block["n_obs"] - 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = x - slope * y - second.coefficient("constant")
-        explained = first.fitted - first.mean_dependent
+        explained = first.fitted - first.block["mean_dependent"]
         slope_se = float(np.sqrt((u @ u) / df / (explained @ explained)))
     if not slope_se < math.inf:
         raise RegressionError(f"2SLS standard error of the slope is {slope_se!r}")
+    slope_t, slope_p = _t_test(slope, slope_se, df)
+    ci_low, ci_high = t_confidence_interval(slope, slope_se, df, LEVEL)
+    rows = second.block["coefficients"]
+    slope_row = {**rows["price_dev"], "std_err": slope_se, "t_value": slope_t,
+                 "p_value": slope_p, "ci_low": ci_low, "ci_high": ci_high}
 
     diagnostics = {}
     for name, test, arg in (("reset", reset_test, second),
@@ -308,8 +300,13 @@ def control_function_fit(flow_dev, price_dev,
             diagnostics[name] = test(arg)
         except RegressionError:
             pass
-    return ControlFunctionFit(second_stage=second, first_stage=first,
-                              slope_se=slope_se, diagnostics=diagnostics)
+    block = {
+        "second_stage": {**second.block, "coefficients": {**rows, "price_dev": slope_row}},
+        "first_stage": first.block,
+        "diagnostics": diagnostics,
+    }
+    return ControlFunctionFit(second_stage=second, first_stage=first, slope_se=slope_se,
+                              block=block)
 
 
 def reset_test(fit: FitResult) -> dict:
@@ -386,49 +383,3 @@ def jarque_bera(residuals) -> dict:
     p_value = math.exp(-0.5 * stat)
     return {"statistic": float(stat), "p_value": p_value, "rejected": p_value < ALPHA,
             "alpha": ALPHA}
-
-
-# ---------------------------------------------------------------------------
-# JSON-ready mappings (rendered by natbeta.pipeline)
-# ---------------------------------------------------------------------------
-
-
-def fit_to_dict(fit: FitResult) -> dict:
-    """JSON-ready mapping with the fixed field names."""
-    ci_low, ci_high = fit.conf_intervals.T.tolist()
-    rows = {
-        name: {"coef": coef, "std_err": se, "t_value": t, "p_value": p,
-               "ci_low": low, "ci_high": high}
-        for name, coef, se, t, p, low, high in zip(
-            fit.names, fit.coefficients.tolist(), fit.standard_errors.tolist(),
-            fit.t_values.tolist(), fit.p_values.tolist(), ci_low, ci_high)
-    }
-    return {
-        "coefficients": rows,
-        "conf_level": LEVEL,
-        "r_squared": fit.r_squared,
-        "f_stat": fit.f_statistic,
-        "f_p": fit.f_p_value,
-        "aic": fit.aic,
-        "bic": fit.bic,
-        "n_obs": fit.n,
-        "df_residual": fit.df_residual,
-        "mean_dependent": fit.mean_dependent,
-        "sd_dependent": math.sqrt(fit.centered_ss / (fit.n - 1)) if fit.n > 1 else 0.0,
-    }
-
-
-def control_fit_to_dict(cf: ControlFunctionFit) -> dict:
-    """JSON-ready mapping; the second stage's ``price_dev`` row carries the
-    slope's 2SLS statistics at df n-2, and each diagnostics block is a copy."""
-    second = fit_to_dict(cf.second_stage)
-    df = cf.second_stage.n - 2
-    slope_t, slope_p = _t_test(cf.slope, cf.slope_se, df)
-    ci_low, ci_high = t_confidence_interval(cf.slope, cf.slope_se, df, LEVEL)
-    second["coefficients"]["price_dev"].update(
-        std_err=cf.slope_se, t_value=slope_t, p_value=slope_p, ci_low=ci_low, ci_high=ci_high)
-    return {
-        "second_stage": second,
-        "first_stage": fit_to_dict(cf.first_stage),
-        "diagnostics": {name: dict(block) for name, block in cf.diagnostics.items()},
-    }

@@ -69,31 +69,10 @@ class EstimateReport:
     equilibrium: dict
     elasticities: dict
     intervals: dict | None
-    warnings: tuple[str, ...]
+    warnings: list[str]
 
     def to_jsonable(self) -> dict:
-        return _sanitize({"schema_version": SCHEMA_VERSION, **vars(self)})
-
-
-def _sanitize(obj):
-    """Make a report JSON-safe: plain types only, non-finite floats -> None."""
-    cls = type(obj)
-    if cls is float:
-        return obj if math.isfinite(obj) else None
-    if cls is str or cls is int or cls is bool or obj is None:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    return obj
+        return {"schema_version": SCHEMA_VERSION, **vars(self)}
 
 
 def _select_instruments(panel: RawPanel, price_dev: np.ndarray,
@@ -263,7 +242,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
             "instruments": instruments,
             "regression_level": REGRESSION_LEVEL,
         },
-        "seed": seed,
+        "seed": None if seed is None else int(seed),
         "regression_stub": stub,
     }
 
@@ -304,7 +283,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                                                           instruments)
             cf = em.control_function_fit(flow_logs.deviations[offset:],
                                          price_logs.deviations[offset:], inst)
-            regression = em.control_fit_to_dict(cf)
+            regression = {**cf.block, "instruments": inst_desc}
             # a standard error that is 0 (or underflows) leaves a t-value unbounded
             for stage in ("first", "second"):
                 for name, row in regression[f"{stage}_stage"]["coefficients"].items():
@@ -315,10 +294,9 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         except em.RegressionError as exc:
             raise StageError("econometrics", str(exc),
                              hint="check instrument selection and sample size") from exc
-        regression["instruments"] = inst_desc
         slope = cf.slope
         slope_se = cf.slope_se
-        first_f = cf.first_stage.f_statistic
+        first_f = regression["first_stage"]["f_stat"]
         if first_f < MIN_FIRST_STAGE_F:
             warnings.append(f"weak_instruments: first-stage F {first_f:.3g} < "
                             f"{MIN_FIRST_STAGE_F:g}; the slope's interval may undercover")
@@ -364,7 +342,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         equilibrium=dict(vars(point)),
         elasticities=elasticities,
         intervals=intervals,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -549,16 +527,15 @@ def _flatten(obj, prefix=""):
 
 def render_report(report: EstimateReport, format: str = "text") -> str:
     """Render an EstimateReport as 'json', 'text' or 'csv'."""
-    data = report.to_jsonable()
     if format == "json":
-        return _json_text(data)
+        return _json_text(report.to_jsonable())
     if format == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
-        for key, value in _flatten(data):
+        for key, value in _flatten(report.to_jsonable()):
             writer.writerow([key, "" if value is None else value])
         return buf.getvalue()
     if format != "text":

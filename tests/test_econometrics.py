@@ -50,6 +50,11 @@ def random_problem(seed, n=19, k=3):
     return X, y
 
 
+def _column(fit, key):
+    """One statistic of every coefficient row of a fit's block, in name order."""
+    return np.array([row[key] for row in fit.block["coefficients"].values()])
+
+
 # ---------------------------------------------------------------------------
 # OLS
 # ---------------------------------------------------------------------------
@@ -61,7 +66,7 @@ def test_ols_exact_line():
     fit = em.ols(x_dev, {"price_dev": y_dev})
     assert fit.coefficient("price_dev") == pytest.approx(-2.0, abs=1e-12)
     assert fit.coefficient("constant") == pytest.approx(0.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit.block["r_squared"] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-12)
 
 
@@ -70,8 +75,8 @@ def test_ols_constant_regressand():
     x = np.arange(10.0)
     fit = em.ols(y, {"x": x})
     assert fit.coefficient("x") == pytest.approx(0.0, abs=1e-12)
-    assert fit.r_squared == 0.0
-    assert fit.f_statistic == 0.0
+    assert fit.block["r_squared"] == 0.0
+    assert fit.block["f_stat"] == 0.0
 
 
 def test_ols_matches_extended_precision_oracle():
@@ -94,12 +99,14 @@ def test_ols_fifty_random_problems_against_oracle():
 def test_ols_invariants():
     X, y = random_problem(3)
     fit = em.ols(y, {"a": X[:, 0], "b": X[:, 1]})
-    assert fit.df_residual == fit.n - len(fit.names)
+    n = fit.block["n_obs"]
+    assert fit.block["df_residual"] == n - len(fit.names)
     mask = fit.standard_errors > 0
     np.testing.assert_allclose(
-        fit.t_values[mask], fit.coefficients[mask] / fit.standard_errors[mask], atol=1e-10
+        _column(fit, "t_value")[mask], fit.coefficients[mask] / fit.standard_errors[mask],
+        atol=1e-10
     )
-    assert abs(fit.residuals.sum()) <= fit.n * 1e-10
+    assert abs(fit.residuals.sum()) <= n * 1e-10
     # residual orthogonality, scaled by column norms
     for j in range(fit.design.shape[1]):
         col = fit.design[:, j]
@@ -112,10 +119,11 @@ def test_ols_aic_bic_convention():
     X, y = random_problem(4)
     fit = em.ols(y, {"a": X[:, 0], "b": X[:, 1]})
     ssr = float(fit.residuals @ fit.residuals)
-    k, n = 3, fit.n
-    assert fit.aic == pytest.approx(n * math.log(ssr / n) + 2 * k, rel=1e-12)
-    assert fit.bic == pytest.approx(n * math.log(ssr / n) + k * math.log(n), rel=1e-12)
-    assert fit.bic - fit.aic == pytest.approx(k * (math.log(n) - 2), rel=1e-9)
+    k, n = 3, fit.block["n_obs"]
+    aic, bic = fit.block["aic"], fit.block["bic"]
+    assert aic == pytest.approx(n * math.log(ssr / n) + 2 * k, rel=1e-12)
+    assert bic == pytest.approx(n * math.log(ssr / n) + k * math.log(n), rel=1e-12)
+    assert bic - aic == pytest.approx(k * (math.log(n) - 2), rel=1e-9)
 
 
 def test_ols_rank_deficiency():
@@ -137,8 +145,9 @@ def test_ols_permutation_invariance():
     fit_p = em.ols(y[perm], {"a": X[perm, 0], "b": X[perm, 1]})
     np.testing.assert_allclose(fit_p.coefficients, fit.coefficients, atol=1e-10)
     np.testing.assert_allclose(fit_p.standard_errors, fit.standard_errors, atol=1e-10)
-    assert fit_p.r_squared == pytest.approx(fit.r_squared, abs=1e-10)
-    assert fit_p.f_statistic == pytest.approx(fit.f_statistic, abs=1e-10 * max(1, fit.f_statistic))
+    f_stat = fit.block["f_stat"]
+    assert fit_p.block["r_squared"] == pytest.approx(fit.block["r_squared"], abs=1e-10)
+    assert fit_p.block["f_stat"] == pytest.approx(f_stat, abs=1e-10 * max(1, f_stat))
 
 
 @pytest.mark.parametrize("c", [1e-3, 2.0, 1e4])
@@ -148,10 +157,10 @@ def test_ols_regressand_rescaling(c):
     scaled = em.ols(c * y, {"a": X[:, 0], "b": X[:, 1]})
     np.testing.assert_allclose(scaled.coefficients, c * base.coefficients, rtol=1e-9)
     np.testing.assert_allclose(scaled.standard_errors, c * base.standard_errors, rtol=1e-9)
-    np.testing.assert_allclose(scaled.t_values, base.t_values, rtol=1e-9)
-    np.testing.assert_allclose(scaled.p_values, base.p_values, atol=1e-9)
-    assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-9)
-    assert scaled.f_statistic == pytest.approx(base.f_statistic, rel=1e-9)
+    np.testing.assert_allclose(_column(scaled, "t_value"), _column(base, "t_value"), rtol=1e-9)
+    np.testing.assert_allclose(_column(scaled, "p_value"), _column(base, "p_value"), atol=1e-9)
+    assert scaled.block["r_squared"] == pytest.approx(base.block["r_squared"], abs=1e-9)
+    assert scaled.block["f_stat"] == pytest.approx(base.block["f_stat"], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +283,7 @@ def test_simulated_two_shock_control_function_recovery():
 
 def test_control_fit_report_layout(simulated_panel):
     _, cf = estimate_beta_from_panel(simulated_panel)
-    table = em.control_fit_to_dict(cf)
+    table = cf.block
     rows = table["second_stage"]["coefficients"]
     assert list(rows) == ["price_dev", "control_fn", "constant"]
     for row in rows.values():
@@ -290,15 +299,22 @@ def test_control_fit_report_layout(simulated_panel):
 
 
 def _reference_fit_dict(fit):
-    """``fit_to_dict`` with the arithmetic it had before fits kept the
-    regressand's moments: t- and p-values from indexed NumPy scalars, and
-    the regressand's mean and sample SD recomputed."""
+    """A fit's block recomputed from its arrays with the documented formulas:
+    t- and p-values from indexed NumPy scalars, the interval at ``LEVEL``
+    from ``kernels.student_t_quantile``, R-squared and the F-test against
+    the centred (or, without a constant, the raw) sum of squares, the
+    concentrated-Gaussian AIC and BIC with ``np.log``, and the regressand's
+    mean and sample SD."""
+    y, resid = fit.regressand, fit.residuals
+    n, k = fit.design.shape
+    df = n - k
+    q = kernels.student_t_quantile(0.5 * (1.0 + em.LEVEL), float(df))
     rows = {}
     for i, name in enumerate(fit.names):
         coef, se = fit.coefficients[i], fit.standard_errors[i]
         if se > 0.0:
             t = float(coef / se)
-            p = kernels.f_upper_tail(t * t, 1.0, float(fit.df_residual))
+            p = kernels.f_upper_tail(t * t, 1.0, float(df))
         elif coef == 0.0:
             t, p = 0.0, 1.0
         else:
@@ -308,27 +324,46 @@ def _reference_fit_dict(fit):
             "std_err": float(se),
             "t_value": float(t),
             "p_value": float(p),
-            "ci_low": float(fit.conf_intervals[i, 0]),
-            "ci_high": float(fit.conf_intervals[i, 1]),
+            "ci_low": float(coef - q * se),
+            "ci_high": float(coef + q * se),
         }
+    ssr = float(resid @ resid)
+    if "constant" in fit.names:
+        sst, n_slopes = float(np.sum((y - y.mean()) ** 2)), k - 1
+    else:
+        sst, n_slopes = float(y @ y), k
+    r_squared = 1.0 - ssr / sst if sst > 0.0 else 0.0
+    if n_slopes == 0 or sst == 0.0:
+        f_stat, f_p = 0.0, 1.0
+    elif ssr == 0.0:
+        f_stat, f_p = math.inf, 0.0
+    else:
+        f_stat = ((sst - ssr) / n_slopes) / (ssr / df)
+        f_p = kernels.f_upper_tail(f_stat, float(n_slopes), float(df))
+    if ssr > 0.0:
+        aic = float(n * np.log(ssr / n) + 2.0 * k)
+        bic = float(n * np.log(ssr / n) + k * np.log(n))
+    else:
+        aic = bic = -math.inf
     return {
-        "coefficients": rows, "conf_level": em.LEVEL, "r_squared": fit.r_squared,
-        "f_stat": fit.f_statistic, "f_p": fit.f_p_value, "aic": fit.aic, "bic": fit.bic,
-        "n_obs": fit.n, "df_residual": fit.df_residual,
-        "mean_dependent": float(fit.regressand.mean()),
-        "sd_dependent": float(fit.regressand.std(ddof=1)) if fit.n > 1 else 0.0,
+        "coefficients": rows, "conf_level": em.LEVEL, "r_squared": r_squared,
+        "f_stat": f_stat, "f_p": f_p, "aic": aic, "bic": bic,
+        "n_obs": n, "df_residual": df,
+        "mean_dependent": float(y.mean()),
+        "sd_dependent": float(y.std(ddof=1)),
     }
 
 
 def _reference_control_dict(cf):
-    """``control_fit_to_dict`` with the slope row's statistics replaced by
-    the fit's 2SLS ones at df n-2, the RESET block built from the augmented
+    """The control-function block recomputed from the stages' reference
+    blocks, with the slope row's statistics replaced by the fit's 2SLS ones
+    at df n-2, the RESET block built from the augmented
     oracle fit, and the normality test gated, as before, on a separate
     ``np.var(residuals) > 0`` pass."""
     out = {"second_stage": _reference_fit_dict(cf.second_stage),
            "first_stage": _reference_fit_dict(cf.first_stage),
            "diagnostics": {}}
-    df = cf.second_stage.n - 2
+    df = cf.second_stage.regressand.size - 2
     if cf.slope_se > 0.0:
         t = cf.slope / cf.slope_se
         p = kernels.f_upper_tail(t * t, 1.0, float(df))
@@ -380,8 +415,8 @@ def test_slope_statistics_are_the_two_stage_least_squares_ones():
         assert cf.slope_se == pytest.approx(se, rel=1e-9)
         # the OLS standard error of the same row ignores the generated regressor
         assert cf.slope_se != cf.second_stage.standard_errors[0]
-        df = cf.second_stage.n - 2
-        row = em.control_fit_to_dict(cf)["second_stage"]["coefficients"]["price_dev"]
+        df = cf.second_stage.block["n_obs"] - 2
+        row = cf.block["second_stage"]["coefficients"]["price_dev"]
         assert row["std_err"] == cf.slope_se
         assert row["t_value"] == cf.slope / cf.slope_se
         assert row["p_value"] == kernels.f_upper_tail(row["t_value"] ** 2, 1.0, df)
@@ -415,23 +450,14 @@ def test_panel_fit_and_descriptives_equal_the_recomputed_reference(n):
         })
         instruments = {k: panel.instruments[k] for k in ("iv_sup1", "iv_sup2")}
         cf = em.control_function_fit(flow_logs.deviations, price_logs.deviations, instruments)
-        assert "jarque_bera" in cf.diagnostics
-        _assert_bitwise_equal(em.control_fit_to_dict(cf), _reference_control_dict(cf))
-
-
-def test_report_diagnostics_are_copies_of_the_fits_blocks(simulated_panel):
-    _, cf = estimate_beta_from_panel(simulated_panel)
-    diagnostics = em.control_fit_to_dict(cf)["diagnostics"]
-    assert list(diagnostics) == ["reset", "jarque_bera"]
-    assert diagnostics == cf.diagnostics
-    for name, block in diagnostics.items():
-        assert block is not cf.diagnostics[name]
+        assert "jarque_bera" in cf.block["diagnostics"]
+        _assert_bitwise_equal(cf.block, _reference_control_dict(cf))
 
 
 def test_fit_without_constant_equals_the_recomputed_reference():
     X, y = random_problem(5)
     fit = em.ols(y, {f"x{j}": X[:, j] for j in range(X.shape[1])}, include_constant=False)
-    _assert_bitwise_equal(em.fit_to_dict(fit), _reference_fit_dict(fit))
+    _assert_bitwise_equal(fit.block, _reference_fit_dict(fit))
 
 
 def test_zero_residual_variance_fit_equals_the_recomputed_reference():
@@ -441,9 +467,9 @@ def test_zero_residual_variance_fit_equals_the_recomputed_reference():
     price_dev = pp.center_log(panel.value / panel.flow).deviations
     cf = em.control_function_fit(np.zeros(19), price_dev,
                                  {"iv_sup1": panel.instruments["iv_sup1"]})
-    assert "jarque_bera" not in cf.diagnostics
+    assert "jarque_bera" not in cf.block["diagnostics"]
     assert not cf.second_stage.residuals.any()
-    _assert_bitwise_equal(em.control_fit_to_dict(cf), _reference_control_dict(cf))
+    _assert_bitwise_equal(cf.block, _reference_control_dict(cf))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +512,7 @@ def _reset_via_augmented_ols(fit):
     full = em.ols(fit.regressand, aug, include_constant=False)
     ssr_restricted = float(fit.residuals @ fit.residuals)
     ssr_full = float(full.residuals @ full.residuals)
-    df_full = full.df_residual
+    df_full = full.block["df_residual"]
     return max(((ssr_restricted - ssr_full) / 2) / (ssr_full / df_full), 0.0)
 
 

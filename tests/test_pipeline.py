@@ -213,6 +213,11 @@ def test_json_round_trip(paper):
     assert json.loads(text) == report.to_jsonable()
 
 
+def test_numpy_integer_seed_renders_the_bytes_of_its_int(paper):
+    report = paper_stub_report(paper, seed=np.int64(7))
+    assert render_report(report, "json") == render_report(paper_stub_report(paper, seed=7), "json")
+
+
 def test_json_byte_determinism(paper):
     a = render_report(paper_stub_report(paper), "json")
     b = render_report(paper_stub_report(paper), "json")
