@@ -44,6 +44,11 @@ SCHEMA_VERSION = 1
 MIN_PANEL_ROWS = 5
 MIN_TAIL_DRAWS = 10  # fewer draws beyond an interval endpoint earn a sparse_tail warning
 MIN_FIRST_STAGE_F = 10.0  # a weaker first stage earns a weak_instruments warning
+# A narrower spread of the log prices is a flat price series, whose slope is not
+# identified.  A log difference is a relative one, so the bound is unit-free: it
+# lies far above the rounding of a value/flow quotient and its log (about 1e-15)
+# and far below the smallest spread of a shocked simulated panel (about 0.03).
+MIN_LOG_PRICE_SPREAD = 1e-9
 # econometrics.LEVEL, restated so that a stub estimate need not import econometrics
 REGRESSION_LEVEL = 0.95
 
@@ -278,6 +283,13 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     else:
         from . import econometrics as em
 
+        spread = descriptives["ln_price"]["max"] - descriptives["ln_price"]["min"]
+        if spread < MIN_LOG_PRICE_SPREAD:
+            raise StageError("econometrics",
+                             f"the price series is flat: its logs span {spread:.3g} "
+                             f"(< {MIN_LOG_PRICE_SPREAD:g}), so the flow-on-price slope "
+                             f"is not identified",
+                             hint="the slope needs prices that vary over the sample")
         try:
             inst, offset, inst_desc = _select_instruments(panel, price_logs.deviations,
                                                           instruments)

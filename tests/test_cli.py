@@ -498,6 +498,21 @@ def test_unbounded_t_value_is_an_econometrics_error(tmp_path, capsys):
                           "error 0, so its t-value is unbounded\n")
 
 
+def test_flat_price_panel_is_an_econometrics_error(monkeypatch, capsys):
+    # without shocks every year sits at the equilibrium, so the prices do not
+    # vary and no instrument identifies the slope
+    code, panel_csv, err = run_cli(capsys, ["simulate", "--beta-xq", "0.919", "--sigma-s", "0",
+                                            "--sigma-d", "0", "--seed", "3", "--out", "-"])
+    assert code == 0, err
+    monkeypatch.setattr("sys.stdin", io.StringIO(panel_csv))
+    code, out, err = run_cli(capsys, ["estimate", "--input", "-", "--beta-qm", "5.36",
+                                      "--r-m", "0.029", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == ("error: econometrics: the price series is flat: its logs span 0 (< 1e-09), "
+                   "so the flow-on-price slope is not identified\n"
+                   "hint: the slope needs prices that vary over the sample\n")
+
+
 def test_describe(tmp_path, capsys):
     panel = synthesize_panel(make_config(n=19, seed=4))
     path = tmp_path / "p.csv"
