@@ -187,10 +187,7 @@ def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
     except unc.UncertaintyError as exc:
         raise StageError("uncertainty", str(exc)) from exc
     intervals = {
-        "level": report.level,
-        "bounds": {k: list(v) for k, v in report.bounds.items()},
-        "point": dict(report.point),
-        "draws_used": report.draws_used,
+        **vars(report),
         # sample_betas redraws every non-positive beta, so none is discarded;
         # the field stays so that schema-1 JSON keeps its shape
         "n_discarded": 0,
@@ -372,8 +369,10 @@ def _json_text(obj) -> str:
     yields every token through nested generators.  Strings go through
     ``json.encoder.encode_basestring_ascii`` and finite floats (``np.float64``
     among them) through ``float.__repr__``; non-finite floats read ``NaN``
-    and ``Infinity``, tuples are lists, and keys follow ``json``'s rules.
-    Any other type raises ``TypeError`` as ``json.dumps`` does.  A container
+    and ``Infinity`` and tuples are lists.  Any other type raises
+    ``TypeError`` as ``json.dumps`` does.  Keys must be strings: where
+    ``json.dumps`` turns an int, float, bool or None key into a string, a
+    key that is not a string raises ``TypeError``.  A container
     that holds itself is not detected: it ends in ``RecursionError``, where
     ``json.dumps`` raises ``ValueError``.
     """
@@ -391,7 +390,7 @@ def _json_value(obj, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         return "{" + inner + ("," + inner).join([
-            f"{_json_key(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items())
+            f"{_encode_string(k)}: {_json_value(v, inner)}" for k, v in sorted(obj.items())
         ]) + newline + "}"
     if isinstance(obj, str):
         return _encode_string(obj)
@@ -409,16 +408,6 @@ def _json_value(obj, newline: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _json_key(key) -> str:
-    """A dict key as JSON text: strings as they are, and float, bool, None
-    and int keys as the string of their JSON value."""
-    if isinstance(key, str):
-        return _encode_string(key)
-    if key is None or isinstance(key, (float, int)):
-        return '"' + _json_value(key, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _compact(x: float, prec: int = 3, width: int = 12) -> str:
@@ -442,10 +431,8 @@ def _pct(x: float) -> str:
     return _compact(percent, 1) + "%"
 
 
-def _cell(x, width: int, prec: int = 3) -> str:
+def _cell(x: float, width: int, prec: int = 3) -> str:
     """Fixed format, falling back to compact notation for oversized values."""
-    if x is None:
-        return f"{'--':>{width}}"
     return f"{_compact(x, prec, width - 1):>{width}}"
 
 
@@ -492,18 +479,15 @@ def _regression_text(reg: Mapping) -> list[str]:
 
 
 def _intervals_text(iv: Mapping) -> list[str]:
-    from .uncertainty import QUANTITY_NAMES
-
+    """The interval table, one column per bound in the block's order."""
     pct = f"{100 * iv['level']:.10g}"
-    names = list(QUANTITY_NAMES)
+    bounds = iv["bounds"]
     lines = [f"{pct}% confidence interval of estimates",
-             f"{'Between':<10}" + "".join(f"{n:>14}" for n in names)]
+             f"{'Between':<10}" + "".join(f"{n:>14}" for n in bounds)]
     for which, idx in (("Minimum", 0), ("Maximum", 1)):
-        cells = []
-        for n in names:
-            v = iv["bounds"][n][idx]
-            cells.append(f"{_pct(v):>14}" if n == "r_x" else _cell(v, 14))
-        lines.append(f"{which:<10}" + "".join(cells))
+        lines.append(f"{which:<10}" + "".join(
+            f"{_pct(b[idx]):>14}" if n == "r_x" else _cell(b[idx], 14)
+            for n, b in bounds.items()))
     return lines
 
 
@@ -519,7 +503,7 @@ def _equilibrium_text(eq: Mapping) -> list[str]:
         f"ln price = {eq['ln_price']:.4f}, ln quantity = {eq['ln_quantity']:.4f}, "
         f"ln user cost = {eq['ln_user_cost']:.4f}",
         f"price = {eq['price']:.6g}, quantity = {eq['quantity']:.6g}",
-        f"elasticities: supply {el['supply']:.4f}, demand {el['demand']:.4f}",
+        f"elasticities: supply {_compact(el['supply'], 4)}, demand {_compact(el['demand'], 4)}",
     ]
 
 
@@ -562,7 +546,8 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
         lines.extend(_regression_text(report.regression))
         lines.append("")
     elif report.provenance.get("regression_stub"):
-        lines.append(f"[regression stub: slope {report.slope:.3f}, se {report.slope_se:.3f}]")
+        lines.append(f"[regression stub: slope {_compact(report.slope)}, "
+                     f"se {_compact(report.slope_se)}]")
         lines.append("")
     b, r = report.betas, report.returns
     lines += [
@@ -576,8 +561,8 @@ def render_report(report: EstimateReport, format: str = "text") -> str:
         f"Equilibrium: ln price = {eq['ln_price']:.3f}, ln quantity = {eq['ln_quantity']:.3f}, "
         f"ln user cost = {eq['ln_user_cost']:.3f}",
         f"             price = {eq['price']:.4g}, quantity = {eq['quantity']:.4g}",
-        f"Elasticities: supply = {report.elasticities['supply']:.3f}, "
-        f"demand = {report.elasticities['demand']:.3f}",
+        f"Elasticities: supply = {_compact(report.elasticities['supply'])}, "
+        f"demand = {_compact(report.elasticities['demand'])}",
     ]
     if report.intervals is not None:
         lines.append("")

@@ -76,8 +76,12 @@ class BetaDraws:
 
 @dataclass(frozen=True)
 class IntervalReport:
+    """The head of the report's ``intervals`` block: each bound a
+    ``[low, high]`` list, in ``QUANTITY_NAMES`` order, and the fields in the
+    order the CSV report writes them."""
+
     level: float
-    bounds: dict[str, tuple[float, float]]
+    bounds: dict[str, list[float]]
     point: dict[str, float]
     draws_used: int
 
@@ -321,7 +325,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     if overflowed:
         raise UncertaintyError(f"interval bounds of {', '.join(overflowed)} are not finite")
     bounds = {
-        name: (float(lows[j]), float(highs[j]))
+        name: [float(lows[j]), float(highs[j])]
         for j, name in enumerate(QUANTITY_NAMES)
     }
     point = dict(zip(QUANTITY_NAMES, map(float, rows[-1])))

@@ -370,10 +370,15 @@ def test_repeated_instrument_column_is_a_stage_error(tmp_path, capsys):
 # value and flow norms overflow, and for a path in a missing directory.
 BAD_PANEL = "<non-positive panel>"
 OVERFLOW_PANEL = "<overflowing panel>"
+EMPTY_PANEL = "<empty panel>"
+DUPLICATE_IV_PANEL = "<duplicate iv_ header>"
+SIX_ROW_PANEL = "<valid 6-row panel>"
 UNWRITABLE = "<unwritable path>"
+PANEL_ESTIMATE = ["estimate", "--beta-qm=1", "--r-m=0.03", "--draws=0", "--input"]
 
 
-@pytest.mark.parametrize("argv,stage", [
+# each case names the failing stage, or the stage and the whole message
+@pytest.mark.parametrize("argv,error", [
     (PAPER_STUB + ["--beta-qm", "nan"], "beta_algebra"),
     (PAPER_STUB + ["--draws", "-5"], "uncertainty"),
     (["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "inf",
@@ -419,6 +424,16 @@ UNWRITABLE = "<unwritable path>"
     (["estimate", "--slope", "1e-200", "--slope-se", "0.1", "--beta-qm", "1", "--r-m", "0.03",
       "--mean-ln-flow", "1", "--mean-ln-price", "1", "--seed", "1", "--draws", "10"],
      "uncertainty"),
+    (PANEL_ESTIMATE + [EMPTY_PANEL], "panel_io: empty input: missing header row"),
+    (PANEL_ESTIMATE + [DUPLICATE_IV_PANEL], "panel_io: duplicate instrument column names"),
+    (PANEL_ESTIMATE + [SIX_ROW_PANEL, "--instruments", "lags:x"],
+     "econometrics: bad lag spec 'lags:x'"),
+    (PANEL_ESTIMATE + [SIX_ROW_PANEL, "--instruments", "lags:0"],
+     "econometrics: n_lags must be >= 1"),
+    (PANEL_ESTIMATE + [SIX_ROW_PANEL, "--instruments", ","],
+     "econometrics: empty instrument selection"),
+    (["equilibrium", "--beta-xq", "1e-310"],
+     "market_curves: supply elasticity 1/beta overflows at beta 1e-310"),
 ], ids=["estimate-beta-qm-nan", "estimate-negative-draws", "ci-beta-qm-inf",
         "equilibrium-overflow", "curves-overflow", "estimate-overflow",
         "estimate-level-nan-no-draws", "estimate-level-above-one-no-draws",
@@ -431,20 +446,30 @@ UNWRITABLE = "<unwritable path>"
         "simulate-rows-above-cap",
         "curves-unwritable-out", "ci-draws-above-cap", "estimate-draws-above-cap",
         "estimate-returns-overflow", "estimate-r-q-overflow-with-draws",
-        "estimate-reciprocal-se-overflow"])
-def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, stage):
+        "estimate-reciprocal-se-overflow", "estimate-empty-panel",
+        "estimate-duplicate-iv-header", "estimate-bad-lag-spec", "estimate-zero-lags",
+        "estimate-empty-instrument-selection", "equilibrium-supply-elasticity-overflow"])
+def test_non_finite_or_negative_inputs_exit_nonzero(tmp_path, capsys, argv, error):
     paths = {UNWRITABLE: tmp_path / "missing" / "x.csv"}
     for placeholder, text in (
             (BAD_PANEL, "year,value,flow\n2001,2.5,-1.0\n2002,8.0,2.0\n2003,9.0,2.5\n"
                         "2004,12.0,3.0\n2005,20.0,4.0\n2006,23.0,4.5\n"),
             (OVERFLOW_PANEL, "year,value,flow\n2001,1e308,1e308\n2002,1e308,1\n"
-                             "2003,1,1e308\n2004,2,2\n2005,3,3\n")):
+                             "2003,1,1e308\n2004,2,2\n2005,3,3\n"),
+            (EMPTY_PANEL, ""),
+            (DUPLICATE_IV_PANEL, "year,value,flow,iv_a,iv_a\n2001,1,1,0.1,0.2\n"),
+            (SIX_ROW_PANEL, "year,value,flow,iv_a\n2001,10,2.0,0.1\n2002,14,2.5,-0.09\n"
+                            "2003,16,3.0,0.12\n2004,20,3.5,-0.07\n2005,22,4.0,0.14\n"
+                            "2006,26,4.5,-0.05\n")):
         paths[placeholder] = tmp_path / f"panel{len(paths)}.csv"
         paths[placeholder].write_text(text)
     argv = [str(paths.get(arg, arg)) for arg in argv]
     code, out, err = run_cli(capsys, argv)
     assert code != 0
+    stage, _, message = error.partition(": ")
     assert err.startswith(f"error: {stage}: ")
+    if message:
+        assert err.splitlines()[0] == f"error: {error}"
     assert "Traceback" not in err and "Warning" not in err
 
 
@@ -675,6 +700,19 @@ def test_estimate_text_shows_huge_finite_betas_and_rates_compactly(capsys):
     assert "r_m = 3.0%   r_q = 3e+308%   r_x = 2.76e+308%" in lines
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert json.loads(out)["returns"]["r_q"] == 3e306
+
+
+def test_text_shows_huge_slopes_and_elasticities_compactly(capsys):
+    code, out, err = run_cli(capsys, ["equilibrium", "--beta-xq", "1e-300", "--format", "text"])
+    assert code == 0, err
+    assert out.splitlines()[-1] == "elasticities: supply 1e+300, demand 0.0000"
+    code, out, err = run_cli(capsys, [
+        "estimate", "--slope", "-1e300", "--mean-ln-flow", "2.113", "--mean-ln-price", "2.828",
+        "--beta-qm", "1e-300", "--r-m", "0.029", "--draws", "0"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "[regression stub: slope -1e+300, se 0.000]"
+    assert lines[-1] == "Elasticities: supply = 0.000, demand = 1e+300"
 
 
 def test_ci_text_shows_huge_finite_rate_bounds_compactly(capsys):
