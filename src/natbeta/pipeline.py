@@ -370,9 +370,9 @@ def _json_text(obj) -> str:
     ``json.encoder.encode_basestring_ascii`` and finite floats (``np.float64``
     among them) through ``float.__repr__``; non-finite floats read ``NaN``
     and ``Infinity`` and tuples are lists.  Any other type raises
-    ``TypeError`` as ``json.dumps`` does.  Keys must be strings: where
-    ``json.dumps`` turns an int, float, bool or None key into a string, a
-    key that is not a string raises ``TypeError``.  A container
+    ``TypeError`` as ``json.dumps`` does.  Keys must be strings: any other
+    key raises ``TypeError``, where ``json.dumps`` turns an int, float, bool
+    or None key into a string.  A container
     that holds itself is not detected: it ends in ``RecursionError``, where
     ``json.dumps`` raises ``ValueError``.
     """

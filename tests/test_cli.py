@@ -366,8 +366,9 @@ def test_repeated_instrument_column_is_a_stage_error(tmp_path, capsys):
                           "iv_sup1\n")
 
 
-# Stand for panel files, one whose flow in row 1 is -1.0 and one whose
-# value and flow norms overflow, and for a path in a missing directory.
+# Stand for panel files, one whose flow in row 1 is -1.0, one whose value
+# and flow norms overflow, an empty one, one whose header repeats an iv_
+# column and a valid 6-row one, and for a path in a missing directory.
 BAD_PANEL = "<non-positive panel>"
 OVERFLOW_PANEL = "<overflowing panel>"
 EMPTY_PANEL = "<empty panel>"
