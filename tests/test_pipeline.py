@@ -313,9 +313,11 @@ def test_json_text_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# obj5-obj8 were non-string-key cases; they and the tuple key that obj3 held
+# are in test_json_text_takes_only_string_keys
 @pytest.mark.parametrize("obj", [
-    np.int64(3), {"a": np.float32(1.0)}, [np.bool_(True)], object(), {1: "a", "b": 2},
-])
+    np.int64(3), {"a": np.float32(1.0)}, [np.bool_(True)], {1, 2}, {1: "a", "b": 2}, object(),
+], ids=["obj0", "obj1", "obj2", "obj3", "obj4", "obj9"])
 def test_json_text_keeps_json_dumps_types_and_errors(obj):
     try:
         expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
