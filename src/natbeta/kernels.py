@@ -5,9 +5,10 @@ follow the classic Cephes/continued-fraction constructions in double
 precision, in plain Python.  A two-sided t p-value is the F(1, df) tail at
 t^2.  The Student-t quantile inverts the t CDF by Newton's method from a
 Cornish-Fisher start, so a typical 95% interval costs two to four CDF
-evaluations.  The supply/demand equilibrium is written once, in
-``solve_equilibrium``, as broadcasting NumPy arithmetic; the batch kernels
-and ``natbeta.market_curves`` all call it.
+evaluations; each (p, df) is computed once per process and then looked up,
+and a call that raises stores nothing.  The supply/demand equilibrium is
+written once, in ``solve_equilibrium``, as broadcasting NumPy arithmetic;
+the batch kernels and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
 quantities not monotone in beta everywhere: at a few order statistics of the
 beta, the draws past a turning point and a narrow window of ranks beside an
@@ -42,6 +43,8 @@ _MAX_CF_ITER = 300
 # Rows propagate_beta_draws computes at a time: a block's equilibrium
 # temporaries (64 KiB each) stay in the core's cache.
 _PROPAGATE_BLOCK = 8192
+# Student-t quantiles computed so far, keyed by (float(p), float(df)).
+_T_QUANTILES: dict[tuple[float, float], float] = {}
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -180,6 +183,10 @@ def student_t_quantile(p: float, df: float) -> float:
     CDF's precision, or when rounding in the CDF makes the step point back
     across the root.
 
+    Each (p, df) is computed once per process: the result is kept under
+    ``(float(p), float(df))``, so ``16`` and ``16.0`` share an entry, and a
+    repeated call is a dict lookup.  A call that raises stores nothing.
+
     Raises ValueError unless 0 < p < 1 and df is finite and positive, and
     when 100 Newton steps do not reach the root: far in a heavy tail, such
     as p = 1e-60 at df = 3, each step closes only a fixed share of the gap.
@@ -190,6 +197,15 @@ def student_t_quantile(p: float, df: float) -> float:
         raise ValueError(f"degrees of freedom must be finite and positive, got {df}")
     if p == 0.5:
         return 0.0
+    key = (float(p), float(df))
+    t = _T_QUANTILES.get(key)
+    if t is None:
+        t = _T_QUANTILES[key] = _newton_t_quantile(p, df)
+    return t
+
+
+def _newton_t_quantile(p: float, df: float) -> float:
+    """The Newton path of ``student_t_quantile``, for checked input and p != 1/2."""
     ln_norm = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
                - 0.5 * math.log(df * math.pi))
 

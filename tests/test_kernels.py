@@ -7,13 +7,18 @@ CDF.  The vectorized batch
 kernels are compared bit for bit against plain per-element Python loops.
 """
 
+import hashlib
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from natbeta import kernels
+from natbeta import cli, kernels
+from natbeta.panel_io import serialize_panel
+from natbeta.simulator import synthesize_panel
+
+from conftest import make_config
 
 mp.mp.dps = 40
 
@@ -106,6 +111,22 @@ def test_student_t_quantile_oracle(p, df):
     assert kernels.student_t_quantile(p, df) == pytest.approx(float(ref), rel=1e-10)
 
 
+@pytest.fixture
+def cdf_calls(monkeypatch):
+    """CDF evaluations made by student_t_quantile, starting from an empty memo, so
+    that keys an earlier test computed are computed again."""
+    calls = []
+    student_t_cdf = kernels.student_t_cdf
+
+    def counting_cdf(t, df):
+        calls.append(t)
+        return student_t_cdf(t, df)
+
+    monkeypatch.setattr(kernels, "student_t_cdf", counting_cdf)
+    monkeypatch.setattr(kernels, "_T_QUANTILES", {})
+    return calls
+
+
 @pytest.mark.parametrize("p,df,most", [
     # the two-sided 95% quantile of the 19- and 200-row fits; a start at the
     # median took 8 evaluations for both
@@ -117,18 +138,10 @@ def test_student_t_quantile_oracle(p, df):
     # next to the median the tangent step from it is already the root
     *((0.5 + d, df, 1) for df in [1, 5, 16] for d in [-1e-7, 1e-7]),
 ])
-def test_student_t_quantile_needs_few_cdf_evaluations(monkeypatch, p, df, most):
-    calls = []
-    student_t_cdf = kernels.student_t_cdf
-
-    def counting_cdf(t, df):
-        calls.append(t)
-        return student_t_cdf(t, df)
-
-    monkeypatch.setattr(kernels, "student_t_cdf", counting_cdf)
+def test_student_t_quantile_needs_few_cdf_evaluations(cdf_calls, p, df, most):
     q = kernels.student_t_quantile(p, df)
-    assert 1 <= len(calls) <= most
-    assert student_t_cdf(q, df) == pytest.approx(p, abs=1e-15)
+    assert 1 <= len(cdf_calls) <= most
+    assert kernels.student_t_cdf(q, df) == pytest.approx(p, abs=1e-15)
 
 
 @pytest.mark.parametrize("p,df", [
@@ -138,6 +151,60 @@ def test_student_t_quantile_needs_few_cdf_evaluations(monkeypatch, p, df, most):
 def test_student_t_quantile_rejects_bad_input(p, df):
     with pytest.raises(ValueError, match="probability|degrees of freedom"):
         kernels.student_t_quantile(p, df)
+
+
+def test_student_t_quantile_computes_each_key_once(cdf_calls):
+    first = kernels.student_t_quantile(0.975, 16.0)
+    assert cdf_calls
+    del cdf_calls[:]
+    again = kernels.student_t_quantile(0.975, 16.0)
+    assert cdf_calls == []
+    assert float(again).hex() == float(first).hex()
+
+
+def test_student_t_quantile_keys_df_by_value(cdf_calls):
+    values = [kernels.student_t_quantile(0.975, df) for df in (16, 16.0, np.float64(16.0))]
+    assert list(kernels._T_QUANTILES) == [(0.975, 16.0)]
+    assert len({float(q).hex() for q in values}) == 1
+
+
+@pytest.mark.parametrize("p,df,message", [
+    (0.975, math.nan, "degrees of freedom must be finite and positive, got nan"),
+    (math.nan, 16, "probability must be in (0, 1), got nan"),
+    (0.975, 0, "degrees of freedom must be finite and positive, got 0"),
+])
+def test_student_t_quantile_checks_input_with_a_warm_memo(cdf_calls, p, df, message):
+    kernels.student_t_quantile(0.975, 16)
+    with pytest.raises(ValueError) as err:
+        kernels.student_t_quantile(p, df)
+    assert str(err.value) == message
+    assert list(kernels._T_QUANTILES) == [(0.975, 16.0)]
+
+
+def test_student_t_quantile_stores_no_failed_key(cdf_calls):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="did not converge in 100 Newton steps"):
+            kernels.student_t_quantile(1e-60, 3)
+        assert kernels._T_QUANTILES == {}
+
+
+def test_panel_report_bytes_do_not_depend_on_the_memo(tmp_path, monkeypatch, capsys):
+    # the coverage-panel-19 report of tests/test_cli.py as CSV, first from
+    # an empty memo and then from the one that run left behind
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(kernels, "_T_QUANTILES", {})
+    shocked = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05,
+                                           n=19, seed=31))
+    (tmp_path / "shocked19.csv").write_text(serialize_panel(shocked))
+    argv = ["estimate", "--input", "shocked19.csv", "--beta-qm", "5.36", "--r-m", "0.029",
+            "--instruments", "iv_sup1,iv_sup2", "--draws", "0", "--format", "csv"]
+    digests = []
+    for memo in ("empty", "warm"):
+        assert bool(kernels._T_QUANTILES) == (memo == "warm")
+        assert cli.main(argv) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert set(kernels._T_QUANTILES) == {(0.975, 16.0), (0.975, 17.0)}
+    assert digests == ["718cbc0604fbc6506ed5e9f4dd6d83d2b6278239598fa9490f737b55db716e7c"] * 2
 
 
 def test_student_t_quantile_raises_when_newton_does_not_converge():
