@@ -136,6 +136,8 @@ def _cmd_simulate(args) -> int:
     from .panel_io import serialize_panel
     from .simulator import ScenarioConfig, SimulatorError, ground_truth, synthesize_panel
 
+    if args.out == args.truth_out == "-":
+        raise StageError("panel_io", "--out and --truth-out cannot both be stdout ('-')")
     try:
         config = ScenarioConfig(
             beta_xq=args.beta_xq,
@@ -151,7 +153,7 @@ def _cmd_simulate(args) -> int:
     except (SimulatorError, CurveError) as exc:
         raise StageError("simulator", str(exc)) from exc
     _write_text(args.out, [serialize_panel(panel)])
-    if args.out != "-":
+    if args.truth_out or args.out != "-":
         _write_text(args.truth_out or (args.out + ".truth.json"),
                     [_json_text(ground_truth(config))])
     return 0
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True, help="panel CSV path ('-' for stdout)")
     sim.add_argument("--truth-out", dest="truth_out",
-                     help="ground-truth JSON path (default: <out>.truth.json)")
+                     help="ground-truth JSON path (default: <out>.truth.json; none for --out -)")
     sim.set_defaults(func=_cmd_simulate)
 
     return parser

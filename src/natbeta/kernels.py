@@ -3,12 +3,12 @@
 Scalar routines (the regularized incomplete beta, the Student-t and F tails)
 follow the classic Cephes/continued-fraction constructions in double
 precision, in plain Python.  A two-sided t p-value is the F(1, df) tail at
-t^2.  The Student-t quantile inverts the t CDF by Newton's method from a
-Cornish-Fisher start, so a typical 95% interval costs two to four CDF
-evaluations; each (p, df) is computed once per process and then looked up,
-and a call that raises stores nothing.  The supply/demand equilibrium is
-written once, in ``solve_equilibrium``, as broadcasting NumPy arithmetic;
-the batch kernels and ``natbeta.market_curves`` all call it.
+t^2.  The Student-t quantile inverts the t CDF by Newton's method from the
+tangent point at the median, so a typical 95% interval costs six to nine
+CDF evaluations, once per (p, df): the result is then looked up, and a
+call that raises stores nothing.  The supply/demand equilibrium is written
+once, in ``solve_equilibrium``, as broadcasting NumPy arithmetic; the batch
+kernels and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
 quantities not monotone in beta everywhere: at a few order statistics of the
 beta, the draws past a turning point and a narrow window of ranks beside an
@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 _MACHEP = 2.220446049250313e-16
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Relative pull of the Cornish-Fisher start towards the median: far above
-# the start's own rounding error, and close enough that one Newton step from
-# it meets the quantile's stop rule.
-_START_PULL = 1e-9
 _MAX_CF_ITER = 300
 # Rows propagate_beta_draws computes at a time: a block's equilibrium
 # temporaries (64 KiB each) stay in the core's cache.
@@ -129,59 +123,16 @@ def student_t_cdf(t: float, df: float) -> float:
     return 0.5 * p
 
 
-def _normal_upper_quantile(q: float) -> float:
-    """z with P(Z > z) = q, for 0 < q <= 1/2 (q below 1e-300 is raised to it).
-
-    Abramowitz & Stegun 26.2.23 (error below 4.5e-4), then two Newton steps
-    that leave a relative error of about 1e-11.  Each step measures the gap
-    to q with ``erf`` near the median and with ``erfc`` in the tail, so
-    neither subtracts two numbers close to 1/2.
-    """
-    q = max(q, 1e-300)
-    r = math.sqrt(-2.0 * math.log(q))
-    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
-        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
-    for _ in range(2):
-        if q > 0.25:
-            gap = 0.5 * math.erf(z / _SQRT2) - (0.5 - q)
-        else:
-            gap = q - 0.5 * math.erfc(z / _SQRT2)
-        z -= gap * _SQRT_2PI * math.exp(0.5 * z * z)
-    return z
-
-
-def _cornish_fisher_t(p: float, df: float) -> float:
-    """Student-t quantile from the Cornish-Fisher expansion around the normal
-    quantile, to order 1/df^4 (Abramowitz & Stegun 26.7.5; Hill 1970)."""
-    z = _normal_upper_quantile(min(p, 1.0 - p))
-    zz = z * z
-    g1 = (zz + 1.0) / 4.0
-    g2 = ((5.0 * zz + 16.0) * zz + 3.0) / 96.0
-    g3 = (((3.0 * zz + 19.0) * zz + 17.0) * zz - 15.0) / 384.0
-    g4 = ((((79.0 * zz + 776.0) * zz + 1482.0) * zz - 1920.0) * zz - 945.0) / 92160.0
-    t = z * (1.0 + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df)
-    return t if p > 0.5 else -t
-
-
 def student_t_quantile(p: float, df: float) -> float:
     """Inverse Student-t CDF by Newton's method on ``student_t_cdf``.
 
     Newton's first step from the median needs no CDF evaluation, since
-    F(0) = 1/2 exactly; it gives the tangent point t1.  For df >= 1 (the
-    expansion is in powers of 1/df) the Cornish-Fisher value, pulled towards
-    the median by a relative 1e-9, is the start instead when it lies beyond
-    t1 and one CDF evaluation shows it short of the root; that evaluation is
-    also Newton's first.  Truncated at 1/df^4 the expansion falls short of
-    the root by itself, and the pull covers the rounding of the start and of
-    the CDF near the root.  Otherwise Newton goes on from t1, the path of a
-    start at the median.
-
-    From a start between the median and the root the iterates move
-    monotonically towards the root and, in exact arithmetic, never cross
-    it: the CDF is concave above 0 and convex below, so each tangent step
-    lands short of the root.  Iteration stops once the step is within the
-    CDF's precision, or when rounding in the CDF makes the step point back
-    across the root.
+    F(0) = 1/2 exactly; it gives the tangent point, where iteration starts.
+    The iterates then move monotonically towards the root and, in exact
+    arithmetic, never cross it: the CDF is concave above 0 and convex
+    below, so each tangent step lands short of the root.  Iteration stops
+    once the step is within the CDF's precision, or when rounding in the
+    CDF makes the step point back across the root.
 
     Each (p, df) is computed once per process: the result is kept under
     ``(float(p), float(df))``, so ``16`` and ``16.0`` share an entry, and a
@@ -195,8 +146,6 @@ def student_t_quantile(p: float, df: float) -> float:
         raise ValueError(f"probability must be in (0, 1), got {p}")
     if not (math.isfinite(df) and df > 0.0):
         raise ValueError(f"degrees of freedom must be finite and positive, got {df}")
-    if p == 0.5:
-        return 0.0
     key = (float(p), float(df))
     t = _T_QUANTILES.get(key)
     if t is None:
@@ -205,29 +154,20 @@ def student_t_quantile(p: float, df: float) -> float:
 
 
 def _newton_t_quantile(p: float, df: float) -> float:
-    """The Newton path of ``student_t_quantile``, for checked input and p != 1/2."""
+    """The Newton path of ``student_t_quantile``, for checked input."""
     ln_norm = (math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
                - 0.5 * math.log(df * math.pi))
-
-    def newton_step(t: float) -> float:
-        density = math.exp(ln_norm - 0.5 * (df + 1.0) * math.log1p(t * t / df))
-        return (p - student_t_cdf(t, df)) / density
-
     t = (p - 0.5) / math.exp(ln_norm)
     if abs(t) <= 1e-14:
         return t
-    start = (1.0 - _START_PULL) * _cornish_fisher_t(p, df) if df >= 1.0 else t
-    if start / t > 1.0 and (step := newton_step(start)) * (p - 0.5) >= 0.0:
-        t = start
-    else:
-        step = newton_step(t)
     for _ in range(100):
+        density = math.exp(ln_norm - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+        step = (p - student_t_cdf(t, df)) / density
         if step * (p - 0.5) <= 0.0:
             break
         t += step
         if abs(step) <= 1e-14 * max(1.0, abs(t)):
             break
-        step = newton_step(t)
     else:
         raise ValueError(f"t quantile did not converge in 100 Newton steps for p={p}, df={df}")
     return t

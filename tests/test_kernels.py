@@ -98,9 +98,11 @@ def oracle_t_quantile(p, df):
     (0.5 - 1e-7, 5), (0.5 + 1e-7, 5), (0.5 - 1e-7, 16), (0.5 + 1e-7, 16),
     # the fits of a 200-row panel
     *((p, 197) for p in [0.95, 0.975, 0.995]),
-    # a df where the Cornish-Fisher start lies within the CDF's rounding of
-    # the root; there student_t_cdf itself is off by up to 3e-10 (its
-    # lgamma differences near 6e6 lose about nine digits)
+    # the 2SLS rows of the 19- and 200-row fits
+    (0.975, 17), (0.975, 198),
+    # a df where student_t_cdf itself is off by up to 3e-10 (its lgamma
+    # differences near 6e6 lose about nine digits); at p = 0.995 that error
+    # stays within the tolerance
     (0.995, 10**6),
     *(pytest.param(p, 10**6, marks=pytest.mark.xfail(
         reason="student_t_cdf is off by up to 3e-10 at df 1e6"))
@@ -128,13 +130,11 @@ def cdf_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("p,df,most", [
-    # the two-sided 95% quantile of the 19- and 200-row fits; a start at the
-    # median took 8 evaluations for both
-    (0.975, 16, 4), (0.975, 197, 4),
-    # the Cornish-Fisher value is within the CDF's rounding of the root
-    # here; pulled towards the median it stays short of it (a start beyond
-    # the root falls back to the median's path: 7 evaluations)
-    *((p, df, 4) for df in [300, 2000, 10**4] for p in [0.9, 0.95, 0.975]),
+    # the two-sided 95% quantile of the 19- and 200-row fits
+    (0.975, 16, 7), (0.975, 197, 7),
+    # larger df, where the CDF's rounding near the root sets the last steps
+    (0.9, 300, 6), (0.95, 300, 6), (0.975, 300, 7),
+    *((p, df, most) for df in [2000, 10**4] for p, most in [(0.9, 6), (0.95, 6), (0.975, 9)]),
     # next to the median the tangent step from it is already the root
     *((0.5 + d, df, 1) for df in [1, 5, 16] for d in [-1e-7, 1e-7]),
 ])
@@ -142,6 +142,13 @@ def test_student_t_quantile_needs_few_cdf_evaluations(cdf_calls, p, df, most):
     q = kernels.student_t_quantile(p, df)
     assert 1 <= len(cdf_calls) <= most
     assert kernels.student_t_cdf(q, df) == pytest.approx(p, abs=1e-15)
+
+
+@pytest.mark.parametrize("df", [0.5, 1, 16, 10**4])
+def test_student_t_quantile_of_one_half_is_positive_zero(cdf_calls, df):
+    # the tangent step from the median is exactly 0 at p = 1/2
+    assert kernels.student_t_quantile(0.5, df).hex() == "0x0.0p+0"
+    assert cdf_calls == []
 
 
 @pytest.mark.parametrize("p,df", [
@@ -204,7 +211,7 @@ def test_panel_report_bytes_do_not_depend_on_the_memo(tmp_path, monkeypatch, cap
         assert cli.main(argv) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert set(kernels._T_QUANTILES) == {(0.975, 16.0), (0.975, 17.0)}
-    assert digests == ["718cbc0604fbc6506ed5e9f4dd6d83d2b6278239598fa9490f737b55db716e7c"] * 2
+    assert digests == ["aff817f7aeb9d790f98eb08036aabad61c528548422b96e77affcecfb77edd11"] * 2
 
 
 def test_student_t_quantile_raises_when_newton_does_not_converge():
