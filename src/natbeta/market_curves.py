@@ -107,8 +107,9 @@ class ShockModel:
     mode: str = "general"
 
     def __post_init__(self):
-        if self.sigma_s < 0 or self.sigma_d < 0:
-            raise CurveError("shock standard deviations must be >= 0")
+        if not (0.0 <= self.sigma_s < math.inf and 0.0 <= self.sigma_d < math.inf):
+            raise CurveError("shock standard deviations must be finite and >= 0, "
+                             f"got sigma_s {self.sigma_s}, sigma_d {self.sigma_d}")
         if self.mode not in ("general", "paper"):
             raise CurveError(f"mode must be 'general' or 'paper', got {self.mode!r}")
 

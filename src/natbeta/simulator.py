@@ -6,11 +6,12 @@ the estimation pipeline observes) and can invert the preprocessing to emit
 a raw value/flow panel whose pipeline round trip reproduces the simulated
 deviations.
 
-Emitted instrument columns: two lagged copies of the price deviations
-(first entries noise-padded) and two supply-shifter columns (supply shock
-plus noise).  Under the default demand-shock-only configuration the shifter
-columns degenerate to independent noise; with a supply shock active they
-give the control-function stage genuine identifying strength.
+Emitted instrument columns: ``iv_sup1`` and ``iv_sup2``, each the supply
+shock plus independent N(0, iv_noise_sd) noise.  Under the default
+demand-shock-only configuration they degenerate to independent noise; with
+a supply shock active they give the control-function stage genuine
+identifying strength.  Price lags are not emitted: the ``lags:N``
+instrument selection builds them from the data.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class ScenarioConfig:
             raise SimulatorError(f"n must be <= {MAX_ROWS}, got {self.n}")
         if not (math.isfinite(self.mean_ln_flow) and math.isfinite(self.mean_ln_price)):
             raise SimulatorError("log means must be finite")
-        if self.iv_noise_sd < 0:
-            raise SimulatorError("iv_noise_sd must be >= 0")
+        if not 0.0 <= self.iv_noise_sd < math.inf:
+            raise SimulatorError(f"iv_noise_sd must be finite and >= 0, got {self.iv_noise_sd}")
         if int(self.seed) < 0:
             raise SimulatorError("seed must be a non-negative integer")
 
@@ -118,19 +119,11 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
     if not (np.all(flow > 0.0) and np.all(value > 0.0)):
         raise SimulatorError("levels underflow to 0: log means too extreme to exponentiate")
 
-    # instruments: lags of the price deviations (noise-padded head) and
-    # noisy supply shifters; a separate stream keeps them independent of
-    # the shock draws
+    # instruments: noisy supply shifters; a separate stream keeps their
+    # noise independent of the shock draws
     rng = _rng(config, stream=1)
-    pad_sd = config.iv_noise_sd if config.iv_noise_sd > 0 else 1.0
-    instruments: dict[str, np.ndarray] = {}
-    for lag in (1, 2):
-        col = np.empty(config.n)
-        col[:lag] = pad_sd * rng.standard_normal(lag)
-        col[lag:] = y[:-lag]
-        instruments[f"iv_lag{lag}"] = col
-    for j in (1, 2):
-        instruments[f"iv_sup{j}"] = eps_s + config.iv_noise_sd * rng.standard_normal(config.n)
+    instruments = {f"iv_sup{j}": eps_s + config.iv_noise_sd * rng.standard_normal(config.n)
+                   for j in (1, 2)}
     overflowed = [name for name, col in {"value": value, **instruments}.items()
                   if not np.all(np.isfinite(col))]
     if overflowed:

@@ -229,7 +229,7 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
                  id="positive-slope"),
     pytest.param(["estimate", "--input", "panel.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--seed", "2"],
-                 "4071ae9f8ebd033cb16ee75b4b846932d050a8bd8b2e4d6b09220a9d202c0846",
+                 "cd0e06a5af590489e4fb0e06842460208bcdfd1c2d9ddf742cfdd765e100ac5a",
                  id="panel-input"),
     pytest.param(["equilibrium", "--beta-xq", "1"],
                  "cbf1852613e9a5f4ef315a7a52952aab8197f4d61b5d7bbcfdf24e8a52bab3d0",
@@ -255,28 +255,17 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
     # the supply-shifter instruments
     pytest.param(["estimate", "--input", "shocked19.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--instruments", "iv_sup1,iv_sup2", "--draws", "0"],
-                 "98a2819809579b2e96f5464b92f7b44df1370aad2f7bed65dbaa5b317dcb742e",
+                 "d366eda9cfdffda70a6d7953fd9152fb2becfec72daa62345e90422248f40a1e",
                  id="coverage-panel-19"),
     pytest.param(["estimate", "--input", "shocked200.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--instruments", "iv_sup1,iv_sup2", "--draws", "0"],
-                 "8f89980bebb55775707b518f44a8856e32e3fc646fc0f1a28cefa451bb7477bc",
+                 "dd0568c62d04de27217aceef26cfb9c914123021af2a8914b649b0e23a9c32c8",
                  id="coverage-panel-200"),
 ])
 def test_json_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, digest):
-    # SHA-256 of reports written before the Monte Carlo stage stopped
-    # evaluating beta_xm and r_x per draw, before it selected the
-    # equilibrium endpoints inside the beta's tail blocks, before it mapped
-    # them from the beta's order statistics, and before the
-    # panel fit and report stopped recomputing the regressand's moments and
-    # the series' logs; the three panel reports were pinned again when the
-    # slope row took its 2SLS statistics and weak first stages a warning,
-    # and ci-descending-windows before endpoints whose tail draws lie past a
-    # turning point came from windows of the beta's order statistics; every
-    # report with Monte Carlo intervals was pinned again when the betas
-    # moved from a Philox stream to an SFC64 generator; the three panel
-    # reports again when the t quantile began Newton's method at the
-    # tangent point, which moved the last bits of their intervals.
-    # Any change of a bit fails here
+    # SHA-256 of each report, so that a refactor that should keep every
+    # bit shows any change of a bit here; CHANGES.md records why each
+    # digest was last renewed
     monkeypatch.chdir(tmp_path)
     panel = synthesize_panel(make_config(beta=0.919, n=19, seed=31))
     (tmp_path / "panel.csv").write_text(serialize_panel(panel))
@@ -310,8 +299,10 @@ def test_a_flag_before_another_flag_still_lacks_its_value(capsys):
 
 
 @pytest.mark.parametrize("fmt,digest", [
-    ("csv", "aff817f7aeb9d790f98eb08036aabad61c528548422b96e77affcecfb77edd11"),
-    ("text", "de78ea4c42cad936af62769d5f04276c5aedee7a6cdc491ec36a3987e429dbeb"),
+    pytest.param("csv", "2de6c006ead48dafc67d809e87985999c239b1843a826f16c2da265d5876aff8",
+                 id="csv"),
+    pytest.param("text", "8ad4c6226cdd41367f0e961e5d7c861ec662851e117c54b2070dc23f2e485a59",
+                 id="text"),
 ])
 def test_panel_report_csv_and_text_bytes_are_pinned(tmp_path, monkeypatch, capsys, fmt, digest):
     # SHA-256 of the coverage-panel-19 report as CSV and text; the CSV rows
@@ -757,7 +748,7 @@ def test_simulate_writes_panel_and_truth(tmp_path, capsys):
     assert code == 0, err
     panel = parse_panel(out_path.read_text())
     assert panel.n == 19
-    assert len(panel.instruments) == 4
+    assert len(panel.instruments) == 2
     truth = json.loads((tmp_path / "sim.csv.truth.json").read_text())
     assert truth["beta_xq"] == 0.919
     assert truth["seed"] == 42
@@ -783,6 +774,20 @@ def test_simulate_to_stdout_writes_the_truth_file_it_is_given(tmp_path, capsys):
     assert code == 0, err
     assert ((tmp_path / "stdout.truth.json").read_bytes()
             == (tmp_path / "file.truth.json").read_bytes())
+
+
+@pytest.mark.parametrize("sigma_s", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_shock_scale_that_paper_mode_never_reads(
+        tmp_path, capsys, sigma_s):
+    # paper mode ties eps_s to -eps_d, so sigma_s would reach only the truth
+    # file, as a NaN or Infinity that is not JSON
+    out_path = tmp_path / "sim.csv"
+    code, _, err = run_cli(capsys, [
+        "simulate", "--beta-xq", "0.919", "--sigma-s", sigma_s, "--shock-mode", "paper",
+        "--seed", "1", "--out", str(out_path)])
+    assert code == 1
+    assert err.startswith("error: simulator: shock standard deviations must be finite"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_panel_and_truth_both_on_stdout(capsys):

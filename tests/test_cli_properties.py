@@ -7,15 +7,18 @@ bounds and point values; for ``estimate`` also the slope, its SE and every
 beta, return, equilibrium and elasticity field, and with ``--input`` every
 field of the report, none of them null; every statistic of
 ``describe``; every panel cell of ``simulate``, whose value and flow are
-also positive; every curve sample and equilibrium field of ``curves``), or
-exits nonzero with ``error: <stage>: `` and nothing else on stderr: no
-traceback and no warning.
+also positive, and every float of its truth file; every curve sample and
+equilibrium field of ``curves``), or exits nonzero with ``error: <stage>: ``
+and nothing else on stderr: no traceback and no warning (and, for
+``simulate``, no truth file).
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 import warnings
 from unittest import mock
 
@@ -109,6 +112,7 @@ def check(argv, values_of, stdin="", parse=lambda out: json.loads(
     else:
         assert any(err.startswith(f"error: {stage}: ") for stage in STAGES), err
         assert "Traceback" not in err and "Warning" not in err, err
+    return code
 
 
 def flags(**values):
@@ -199,9 +203,22 @@ def test_describe_reports_finite_statistics_or_a_stage_error(rows, ordered, fmt)
 # the levels underflow to 0
 @example(beta_xq=1.0, mean_ln_flow=-800.0, mean_ln_price=0.0, sigma_s=0.0, sigma_d=0.05,
          iv_noise_sd=0.02, n=19, seed=1, shock_mode="general")
+# paper mode never reads sigma_s, which would reach only the truth file
+@example(beta_xq=0.919, mean_ln_flow=2.113, mean_ln_price=2.828, sigma_s=math.nan,
+         sigma_d=0.05, iv_noise_sd=0.02, n=19, seed=1, shock_mode="paper")
 def test_simulate_prints_a_positive_finite_panel_or_a_stage_error(shock_mode, **values):
-    check(["simulate", "--out=-", f"--shock-mode={shock_mode}"] + flags(**values),
-          simulate_values, parse=str)
+    # the truth file too holds only finite floats, and a stage error writes none
+    with tempfile.TemporaryDirectory() as tmp:
+        truth = os.path.join(tmp, "truth.json")
+        code = check(["simulate", "--out=-", f"--truth-out={truth}",
+                      f"--shock-mode={shock_mode}"] + flags(**values),
+                     simulate_values, parse=str)
+        if code == 0:
+            with open(truth) as f:
+                doc = json.load(f, parse_constant=reject_constant)
+            assert all(math.isfinite(v) for v in leaves(doc) if isinstance(v, float)), doc
+        else:
+            assert not os.path.exists(truth)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -211,7 +211,7 @@ def test_panel_report_bytes_do_not_depend_on_the_memo(tmp_path, monkeypatch, cap
         assert cli.main(argv) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert set(kernels._T_QUANTILES) == {(0.975, 16.0), (0.975, 17.0)}
-    assert digests == ["aff817f7aeb9d790f98eb08036aabad61c528548422b96e77affcecfb77edd11"] * 2
+    assert digests == ["2de6c006ead48dafc67d809e87985999c239b1843a826f16c2da265d5876aff8"] * 2
 
 
 def test_student_t_quantile_raises_when_newton_does_not_converge():

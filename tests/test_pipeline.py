@@ -142,8 +142,8 @@ def test_each_diagnostic_needs_the_rows_its_test_admits(n, diagnostics):
 def test_instrument_selection_named_and_missing():
     panel = synthesize_panel(make_config(n=30, seed=2))
     report = run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0,
-                          instruments="iv_lag1,iv_sup1")
-    assert report.regression["instruments"] == "panel columns iv_lag1,iv_sup1"
+                          instruments="iv_sup2,iv_sup1")
+    assert report.regression["instruments"] == "panel columns iv_sup2,iv_sup1"
     with pytest.raises(StageError) as err:
         run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments="iv_nope")
     assert err.value.stage == "econometrics"
@@ -170,10 +170,16 @@ def test_auto_instruments_need_iv_columns():
     assert report.regression["instruments"] == "lags:2"
 
 
+def test_auto_instruments_on_a_simulated_panel_are_the_two_supply_shifters():
+    panel = synthesize_panel(make_config(sigma_s=0.05, sigma_d=0.05, n=19, seed=0))
+    report = run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments="auto")
+    assert report.regression["instruments"] == "panel columns iv_sup1,iv_sup2"
+
+
 def test_weak_first_stage_warns():
     # the supply shifters are strong at n=200, a lag of iid-shocked prices is not
     panel = synthesize_panel(make_config(sigma_s=0.05, sigma_d=0.05, n=200, seed=0))
-    for selection, weak in (("iv_sup1,iv_sup2", False), ("iv_lag1", True)):
+    for selection, weak in (("iv_sup1,iv_sup2", False), ("lags:1", True)):
         report = run_estimate(panel, beta_qm=2.0, r_m=0.03, draws=0, instruments=selection)
         first_f = report.regression["first_stage"]["f_stat"]
         assert (first_f < 10) is weak
