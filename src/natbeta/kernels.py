@@ -11,9 +11,16 @@ once, in ``solve_equilibrium``, as broadcasting NumPy arithmetic; the batch
 kernels and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
 quantities not monotone in beta everywhere: at a few order statistics of the
-beta, the draws past a turning point and a narrow window of ranks beside an
-endpoint they interleave with; at every draw where the needed ranks
-straddle a turning point.  ``beta_xm`` and ``r_x`` never reach it.
+beta, the draws past a turning point and one window of ranks beside an
+endpoint they interleave with; where the needed ranks straddle a turning
+point, at the lowest and highest draws and those beside the turning point
+(``natbeta.uncertainty``'s K-rank rule), never at every draw.  ``beta_xm``
+and ``r_x`` never reach it.
+
+``normal_quantile`` maps the Monte Carlo uniforms to normal deviates by
+Wichura's AS241 with ``+ * / log sqrt`` alone, elementwise, so a uniform's
+deviate has the same bits whether it is mapped alone or among every draw;
+``natbeta.uncertainty`` maps only the uniforms an endpoint can come from.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "student_t_cdf",
     "student_t_quantile",
     "f_upper_tail",
+    "normal_quantile",
     "solve_equilibrium",
     "propagate_beta_draws",
     "equilibria_from_shocks",
@@ -39,6 +47,34 @@ _MAX_CF_ITER = 300
 _PROPAGATE_BLOCK = 8192
 # Student-t quantiles computed so far, keyed by (float(p), float(df)).
 _T_QUANTILES: dict[tuple[float, float], float] = {}
+# Wichura's AS241 (PPND16) rationals, highest power first, numerator then
+# denominator: the centre |u - 1/2| <= 0.425 in 0.180625 - (u - 1/2)^2, the
+# near tail in r - 1.6 and the far tail (r > 5) in r - 5, where
+# r = sqrt(-ln min(u, 1 - u)).
+_AS241_CENTRE = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -178,6 +214,53 @@ def f_upper_tail(f: float, d1: float, d2: float) -> float:
     if f <= 0.0:
         return 1.0
     return reg_inc_beta(0.5 * d2, 0.5 * d1, d2 / (d2 + d1 * f))
+
+
+def _horner(coefficients, x):
+    """The polynomial with ``coefficients`` (highest power first) at ``x``."""
+    p = coefficients[0] * x
+    for c in coefficients[1:-1]:
+        p += c
+        p *= x
+    p += coefficients[-1]
+    return p
+
+
+def normal_quantile(u):
+    """Standard normal quantile Q(u), elementwise, for 0 < u < 1.
+
+    Wichura's AS241 (PPND16; Appl. Stat. 37(3), 1988): one rational in
+    (u - 1/2)^2 in the centre and two in r = sqrt(-ln min(u, 1 - u)) in the
+    tails, accurate to about 1e-16 with ``+ * / log sqrt`` alone.  Each
+    element takes the branch of its own value and the same operations in the
+    same order wherever it lies among the inputs, so its bits do not depend
+    on the other inputs; a branch with no element is skipped.
+    ``Q(0.5)`` is 0.0.  The Horner rounding is not monotone at the last
+    bit: two inputs a grid step ``2**-53`` apart can map to two values in
+    the reverse order.  ``u = 0`` would take ``log(0)``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    q = u - 0.5
+    z = np.empty_like(q)
+    centre = np.abs(q) <= 0.425
+    if centre.any():
+        c = q[centre]
+        r = 0.180625 - c * c
+        z[centre] = c * _horner(_AS241_CENTRE[0], r) / _horner(_AS241_CENTRE[1], r)
+    tail = ~centre
+    if tail.any():
+        t = u[tail]
+        r = np.sqrt(-np.log(np.minimum(t, 1.0 - t)))
+        far = r > 5.0
+        near = ~far
+        x = np.empty_like(r)
+        s = r[near] - 1.6
+        x[near] = _horner(_AS241_NEAR[0], s) / _horner(_AS241_NEAR[1], s)
+        if far.any():
+            s = r[far] - 5.0
+            x[far] = _horner(_AS241_FAR[0], s) / _horner(_AS241_FAR[1], s)
+        z[tail] = np.copysign(x, q[tail])
+    return z
 
 
 # ---------------------------------------------------------------------------

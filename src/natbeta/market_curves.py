@@ -63,17 +63,24 @@ TURNING_POINTS = {
 }
 
 
+# Each map's branches in beta order, as ``branch`` returns them.
+BRANCHES = {
+    name: tuple((-1.0 if i % 2 else 1.0,
+                 turns[i - 1] * (1.0 + _TURN_MARGIN) if i else 0.0,
+                 turns[i] * (1.0 - _TURN_MARGIN) if i < len(turns) else math.inf)
+                for i in range(len(turns) + 1))
+    for name, turns in TURNING_POINTS.items()
+}
+
+
 def branch(name: str, lo: float, hi: float) -> tuple[float, float, float] | None:
     """(direction, low guard, high guard) of the branch of ``name``'s map
     that holds ``[lo, hi]`` strictly between its guards, or None.  The
     direction is 1.0 where the map rises and -1.0 where it falls; the guards
     lie ``_TURN_MARGIN`` (relative) inside the branch's turning points.
     """
-    turns = TURNING_POINTS[name]
-    i = bisect.bisect(turns, lo)
-    low = turns[i - 1] * (1.0 + _TURN_MARGIN) if i else 0.0
-    high = turns[i] * (1.0 - _TURN_MARGIN) if i < len(turns) else math.inf
-    return (-1.0 if i % 2 else 1.0, low, high) if low < lo and hi < high else None
+    found = BRANCHES[name][bisect.bisect(TURNING_POINTS[name], lo)]
+    return found if found[1] < lo and hi < found[2] else None
 
 
 class CurveError(ValueError):

@@ -183,10 +183,11 @@ def test_paper_stub_100k_json_matches_numpy_quantile_bounds(capsys, monkeypatch)
     sorted_bounds = uncertainty.derived_intervals
 
     def quantile_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level):
+        betas = draws.betas(draws.values)
         report = sorted_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level=level)
-        beta_xm = draws.values * beta_qm
+        beta_xm = betas * beta_qm
         table = np.column_stack([
-            kernels.propagate_beta_draws(draws.values, mean_ln_flow, mean_ln_price),
+            kernels.propagate_beta_draws(betas, mean_ln_flow, mean_ln_price),
             beta_xm, beta_xm * r_m])
         lo_q = 0.5 * (1.0 - level)
         q = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
@@ -206,30 +207,30 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
 @pytest.mark.parametrize("argv,digest", [
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919",
                   "--slope-se", "0.018", "--seed", "7", "--draws", "100000"],
-                 "932cda4d9b53b567a5a339abba950e2b0e2235ea35934bbc98330c078aa7c439",
+                 "154bce61da59e0268b4d4069433476ce0ac117c3ab6c23c20b2496d9df5f563b",
                  id="paper-stub-100k"),
     # two of these draws lie past b = 1, where ln_user_cost turns
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919", "--slope-se",
                   "0.018", "--seed", str(STUB_SEED_TWO_PAST_ONE), "--draws", "100000"],
-                 "ab5114044648faf24922fee23f75b4d724c6a4086e4f41f7c4da3ef3c6d6fb30",
+                 "df39744e23a382bace6a042066ca1aa64790372ad0d92d33b02a5b762e1958c3",
                  id="paper-stub-100k-past-a-turning-point"),
     # the inputs of the truncated_20k benchmark workload: ~16% redrawn
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.1",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
-                 "5a85c387cc9d1a1a95a96081b256c7300f98e1b17beda4eefc8bf43922f4a64a",
+                 "94b49edef5efb53ab646499f2eab2ece3a81d7fbb0f1b057655cb7b4b92d71a0",
                  id="truncated-20k"),
     pytest.param(["estimate", *STUB_MARKET, "--r-m=-3%", "--slope", "-0.919",
                   "--slope-se", "0.018", "--seed", "7", "--draws", "20000"],
-                 "06445af9690d4215b0b097d2919e10e02bfc01fa1bc7b567bef0bf5c8acb7eb8",
+                 "c685d6c7b5f64946b9629307c0b8aa141a6f4a0ab8c9761664dfa744f14d5a18",
                  id="negative-r-m"),
     # a positive slope: the reciprocal beta and the delta-method se/slope^2
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "2.0",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
-                 "17b6acf9cc16c876822a9ee3344a5eab68e523a2d2331d3217d8517af13665a7",
+                 "a55105c537a4a352383b577461380382673556b86852759a48b20e454878908d",
                  id="positive-slope"),
     pytest.param(["estimate", "--input", "panel.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--seed", "2"],
-                 "cd0e06a5af590489e4fb0e06842460208bcdfd1c2d9ddf742cfdd765e100ac5a",
+                 "b6ea5685c05b4d96929ffece9cf2b35ce4a4ed5a7bff7cbd959d3071f3e39a9b",
                  id="panel-input"),
     pytest.param(["equilibrium", "--beta-xq", "1"],
                  "cbf1852613e9a5f4ef315a7a52952aab8197f4d61b5d7bbcfdf24e8a52bab3d0",
@@ -238,18 +239,18 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
     # ln_quantity and ln_user_cost (b ~ 0.301 and 1) with r_x descending
     pytest.param(["ci", "--beta-xq", "1.9", "--beta-xq-se", "0.3", *STUB_MARKET,
                   "--r-m", "2.9%", "--seed", "7", "--draws", "100000"],
-                 "f7c106bc1922f9075793b51d49acbdf2c2ceadb4d8fe08a12eff443921c35585",
+                 "54e97c60b7f66ddae41288361eec7276877ef19b1e785e594932532366347316",
                  id="ci-price-turning-point"),
     pytest.param(["ci", "--beta-xq", "1.0", "--beta-xq-se", "0.05", *STUB_MARKET,
                   "--r-m=-3%", "--seed", "7", "--draws", "100000"],
-                 "3961a37a0f25410ce30ddf548f78cd748c66e9a5ecc0cdfbec43694d04cb04bb",
+                 "38fc1ec46d172582ca9f61964bb11b1d9d72437cbb869655a0d2c869676ae643",
                  id="ci-user-cost-turning-point"),
     # draws past the turning points of ln_user_cost (b = 1 and ~ 4.716) whose
     # values fall among the others': a descending quantity whose endpoints
     # come from windows of the beta's order statistics on both sides
     pytest.param(["ci", "--beta-xq", "3.0", "--beta-xq-se", "0.8", *STUB_MARKET,
                   "--r-m", "2.9%", "--seed", "7", "--draws", "20000"],
-                 "6296733da0348d5a7d8532f4e60ac80be791ca992bea12416615765819824a79",
+                 "28c16858b9f963d7a6578e5b284470e5c9d28cf911380c7a10942875be0e07bf",
                  id="ci-descending-windows"),
     # the two cells of the coverage_sweep benchmark workload: both shocks,
     # the supply-shifter instruments
@@ -716,10 +717,10 @@ def test_ci_text_shows_huge_finite_rate_bounds_compactly(capsys):
     assert code == 0, err
     assert "inf" not in out
     lows, highs = out.splitlines()[2:4]
-    assert lows.endswith("    4.18e+309%") and highs.endswith("    5.84e+309%")
+    assert lows.endswith("    4.23e+309%") and highs.endswith("    5.81e+309%")
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     r_x = json.loads(out)["bounds"]["r_x"]
-    assert r_x[0] == pytest.approx(4.18e307, rel=1e-3) and r_x[1] == pytest.approx(5.84e307, rel=1e-3)
+    assert r_x[0] == pytest.approx(4.235e307, rel=1e-3) and r_x[1] == pytest.approx(5.81e307, rel=1e-3)
 
 
 def test_ci_subcommand_text_and_json(capsys):

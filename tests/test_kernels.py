@@ -3,8 +3,9 @@
 Reference values come from mpmath: the regularized incomplete beta
 directly, the Student-t CDF from adaptive quadrature of the density, and
 the Student-t quantile from the root of the incomplete-beta form of the
-CDF.  The vectorized batch
-kernels are compared bit for bit against plain per-element Python loops.
+CDF, the normal quantile from mpmath's erfinv beside scipy's ndtri.  The
+vectorized batch kernels are compared bit for bit against plain
+per-element Python loops.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from natbeta import cli, kernels
 from natbeta.panel_io import serialize_panel
@@ -280,6 +282,51 @@ def test_propagate_commutes_with_permutations_bitwise(n):
         permuted_first = kernels.propagate_beta_draws(betas[perm], 2.113, 2.828)
         permuted_after = kernels.propagate_beta_draws(betas, 2.113, 2.828)[perm]
     assert permuted_first.tobytes() == permuted_after.tobytes()
+
+
+def ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+def normal_quantile_points():
+    """Uniforms on both sides of each AS241 branch switch (|u - 1/2| = 0.425,
+    u = e**-25 and 1 - e**-25), three floats each way, and the extreme grid
+    points of ``Generator.random``."""
+    points = [2.0**-53, 1.0 - 2.0**-53]
+    for switch in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+        up = down = switch
+        for _ in range(3):
+            up, down = math.nextafter(up, 1.0), math.nextafter(down, 0.0)
+            points += [up, down]
+    return np.array(points)
+
+
+def test_normal_quantile_matches_ndtri_within_8_ulps(recwarn):
+    u = np.concatenate([np.random.default_rng(3).random(200_000), normal_quantile_points()])
+    got = kernels.normal_quantile(u)
+    assert ulps(got, ndtri(u)).max() <= 8.0
+    assert kernels.normal_quantile(0.5) == 0.0
+    assert kernels.normal_quantile(np.array([0.5])).tobytes() == np.zeros(1).tobytes()
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("u", [*normal_quantile_points(), 0.3, 0.6, 0.98])
+def test_normal_quantile_matches_mpmath_within_8_ulps(u):
+    with mp.workdps(50):
+        ref = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(float(u)) - 1))
+    assert ulps(kernels.normal_quantile(np.array([u])), ref)[0] <= 8.0
+
+
+def test_normal_quantile_bits_do_not_depend_on_the_other_inputs():
+    # natbeta.uncertainty maps a few selected uniforms and relies on them
+    # giving the betas a map of every draw gives
+    rng = np.random.default_rng(11)
+    u = np.concatenate([rng.random(20_001), normal_quantile_points()])
+    whole = kernels.normal_quantile(u)
+    perm = rng.permutation(u.size)
+    assert kernels.normal_quantile(u[perm]).tobytes() == whole[perm].tobytes()
+    singles = [kernels.normal_quantile(u[i:i + 1])[0] for i in range(0, u.size, 997)]
+    assert np.array(singles).tobytes() == whole[::997].tobytes()
 
 
 def test_unshocked_equilibrium_equals_zero_shocks_bitwise():

@@ -263,7 +263,7 @@ def test_csv_render_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7f0da95dc2912bdb761908c2f34b9f84d908474f247169207df847cdae0cd352")
+        "7efa66137c55aa7de66073f065062a923c3fdf55477028ad114ac731a55df3a6")
 
 
 def test_unknown_format_rejected(paper):

@@ -16,7 +16,7 @@ from natbeta.uncertainty import (
 )
 
 from conftest import (NEAR_BUDGET_SEED, STUB_SEED_NONE_PAST_ONE, STUB_SEED_TWO_PAST_ONE,
-                      TRUNCATED_N3_SEED)
+                      TRUNCATED_N7_SEED)
 
 
 def normal_quantile(p):
@@ -32,7 +32,8 @@ def normal_quantile(p):
 
 
 def fixed_draws(values):
-    """BetaDraws holding the given positive betas, as sample_betas returns them."""
+    """BetaDraws holding the given positive betas themselves: at se 0 the map
+    from stored values to betas is the identity."""
     values = np.array(values, dtype=np.float64)
     return BetaDraws(values=values, n_redrawn=0, seed=0, mean=float(values.mean()))
 
@@ -45,7 +46,7 @@ def test_zero_se_gives_constant_draws():
 
 def test_quantiles_match_normal_oracle():
     draws = sample_betas(0.919, 0.018, 1_000_000, seed=2024)
-    lo, hi = np.quantile(draws.values, [0.05, 0.95])
+    lo, hi = np.quantile(draws.betas(draws.values), [0.05, 0.95])
     z = normal_quantile(0.95)
     assert lo == pytest.approx(0.919 - z * 0.018, abs=1e-3)
     assert hi == pytest.approx(0.919 + z * 0.018, abs=1e-3)
@@ -59,14 +60,14 @@ def test_excessive_truncation_raises():
 
 def test_mild_truncation_redraws_and_counts():
     draws = sample_betas(0.5, 0.25, 50_000, seed=4)
-    assert np.all(draws.values > 0)
+    assert np.all(draws.betas(draws.values) > 0)
     # P(draw <= 0) = Phi(-2) ~ 2.3%, so some redraws must have happened
     assert 0 < draws.n_redrawn < 0.5 * 50_000
 
 
-def base_normals(seed, n):
-    """The first ``n`` normals of the SFC64 generator seeded from seed mod 2**64."""
-    return np.random.Generator(np.random.SFC64(seed & ((1 << 64) - 1))).standard_normal(n)
+def base_uniforms(seed, n):
+    """The first ``n`` uniforms of the SFC64 generator seeded from seed mod 2**64."""
+    return np.random.Generator(np.random.SFC64(seed & ((1 << 64) - 1))).random(n)
 
 
 REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
@@ -80,8 +81,8 @@ REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
 @REDRAW_CASES
 def test_positive_first_pass_draws_keep_their_bits(mean, se, draws, seed):
     got = sample_betas(mean, se, draws, seed)
-    first = mean + se * base_normals(seed, draws)
-    kept = first > 0.0
+    first = base_uniforms(seed, draws)
+    kept = first > uncertainty._truncation_floor(mean, se)
     assert got.values[kept].tobytes() == first[kept].tobytes()
     assert got.n_redrawn > 0
 
@@ -89,12 +90,34 @@ def test_positive_first_pass_draws_keep_their_bits(mean, se, draws, seed):
 @REDRAW_CASES
 def test_redraws_continue_the_base_stream(mean, se, draws, seed):
     got = sample_betas(mean, se, draws, seed)
-    candidates = mean + se * base_normals(seed, draws + got.n_redrawn)
-    assert np.all(got.values > 0.0)
-    redrawn = candidates[:draws] <= 0.0
+    floor = uncertainty._truncation_floor(mean, se)
+    candidates = base_uniforms(seed, draws + got.n_redrawn)
+    assert np.all(got.values > floor)
+    assert np.all(got.betas(got.values) > 0.0)
+    redrawn = candidates[:draws] <= floor
     assert np.isin(got.values[redrawn], candidates[draws:]).all()
-    # every positive candidate is kept and every other one counted as rejected
-    assert np.count_nonzero(candidates > 0.0) == draws
+    # every candidate above the floor is kept and every other one counted as rejected
+    assert np.count_nonzero(candidates > floor) == draws
+
+
+@pytest.mark.parametrize("mean, se", [
+    (1e-300, 1.0), (0.01, 0.1), (0.1, 0.1), (1.0, 0.25), (5.0, 1.0), (8.2, 1.0), (9.0, 1.0),
+    (37.0, 1.0), (38.5, 1.0), (40.0, 1.0), (1e10, 1.0), (1.0, 1e-300), (1e300, 1e-10),
+    # subnormal betas, where se * Q(u) rounds by half the least subnormal
+    (5e-324, 5e-324), (1e-323, 5e-324), (5e-324, 1e-323), (1e-320, 3e-321), (1e-310, 1e-310),
+])
+def test_every_uniform_above_the_truncation_floor_maps_to_a_positive_beta(mean, se):
+    # from tiny to huge mean/se, where the floor underflows to 0: the grid
+    # points of Generator.random just above the floor, and the next floats
+    floor = uncertainty._truncation_floor(mean, se)
+    grid = (math.floor(floor * 2.0**53) + np.arange(1, 65)) * 2.0**-53
+    nexts = [math.nextafter(floor, 1.0)]
+    for _ in range(63):
+        nexts.append(math.nextafter(nexts[-1], 1.0))
+    u = np.concatenate([grid, nexts])
+    u = u[(u > floor) & (u < 1.0)]
+    draws = BetaDraws(values=u, n_redrawn=0, seed=0, mean=mean, se=se)
+    assert u.size and np.all(draws.betas(u) > 0.0)
 
 
 def test_redraws_near_budget_case_is_near_budget():
@@ -104,16 +127,17 @@ def test_redraws_near_budget_case_is_near_budget():
 
 def test_seeds_picked_for_a_rare_event_keep_it():
     # the premises of the cases that count the paper stub's draws past b = 1,
-    # and of the 3-draw truncated case; the near-budget seed's is the test above
+    # and of the 7-draw truncated case; the near-budget seed's is the test above
     for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
-        values = sample_betas(0.919, 0.018, 100_000, seed).values
-        assert np.count_nonzero(values >= 1.0) == n_past, seed
-    assert sample_betas(0.1, 0.1, 3, TRUNCATED_N3_SEED).n_redrawn <= 1
+        draws = sample_betas(0.919, 0.018, 100_000, seed)
+        assert np.count_nonzero(draws.betas(draws.values) >= 1.0) == n_past, seed
+    assert sample_betas(0.1, 0.1, 7, TRUNCATED_N7_SEED).n_redrawn <= 3
 
 
 def test_redrawn_betas_follow_the_truncated_normal():
     mean, se, n = 0.1, 0.1, 200_000
-    values = np.sort(sample_betas(mean, se, n, seed=7).values)
+    draws = sample_betas(mean, se, n, seed=7)
+    values = np.sort(draws.betas(draws.values))
 
     def upper_tail(x):
         return 0.5 * math.erfc((x - mean) / (se * math.sqrt(2)))
@@ -178,7 +202,8 @@ def test_seeds_are_masked_to_64_bits():
     ref = sample_betas(0.1, 0.1, 20_000, 5)
     assert got.values.tobytes() == ref.values.tobytes()
     assert got.n_redrawn == ref.n_redrawn
-    assert np.all(sample_betas(0.1, 0.1, 20_000, 2**64 - 1).values > 0.0)
+    top = sample_betas(0.1, 0.1, 20_000, 2**64 - 1)
+    assert np.all(top.betas(top.values) > 0.0)
 
 
 def test_redraw_abort_matches_per_index_philox():
@@ -271,7 +296,7 @@ def test_monotone_map_equals_mapped_quantiles(paper):
     # reverses the order of r_x
     draws = sample_betas(0.919, 0.018, 200_000, seed=8)
     lo_q = 0.5 * (1.0 - 0.90)
-    beta_xm = np.sort(draws.values) * paper["beta_qm"]
+    beta_xm = np.sort(draws.betas(draws.values)) * paper["beta_qm"]
     for r_m in (paper["r_m"], -0.03):
         report = derived_intervals(
             draws, paper["beta_qm"], r_m,
@@ -290,7 +315,7 @@ def test_non_monotone_price_map_needs_per_draw_evaluation(paper):
     report = derived_intervals(
         draws, paper["beta_qm"], paper["r_m"], 0.0, 0.0, level=0.90,
     )
-    beta_lo, beta_hi = np.quantile(draws.values, [0.05, 0.95])
+    beta_lo, beta_hi = np.quantile(draws.betas(draws.values), [0.05, 0.95])
     mapped = sorted(
         (math.log(b) / (1 + b * b) for b in (beta_lo, beta_hi))
     )
@@ -330,9 +355,11 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
         # per draw
         (0.919, 0.018, n), (0.919, 0.018, STUB_SEED_TWO_PAST_ONE),
         # needed betas that straddle the turning point of ln_price
-        # (b ~ 1.895), of ln_quantity (b ~ 0.301) and of ln_user_cost
-        # (b = 1): that quantity is selected from the row of every draw
-        (1.9, 0.3, n), (0.3013, 0.05, n), (1.0, 0.05, n),
+        # (b ~ 1.895), both of ln_quantity (b ~ 0.301, ~ 3.319) and both of
+        # ln_user_cost (b = 1, ~ 4.716): that quantity is selected by the
+        # K-rank rule, from the lowest, the highest and the uniforms beside
+        # each turning point's u-rank
+        (1.9, 0.3, n), (0.3013, 0.05, n), (3.3, 0.1, n), (1.0, 0.05, n), (4.7, 0.2, n),
         # tail blocks alone that straddle the minimum of ln_quantity
         # (b ~ 3.319), the maximum of ln_price, both turning points of
         # ln_quantity and of ln_user_cost (b ~ 4.716): their draws past it
@@ -344,17 +371,19 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
         # others': such an endpoint is selected from those values and a
         # window of the beta's order statistics beside its rank.  Between
         # them both directions, both tails and both signs of the shift; at
-        # up to 1001 draws, which windows reach already.  At 3 draws seed 3
+        # up to 1001 draws, which windows reach already.  At 7 draws seed 7
         # rejects too many of (0.1, 0.1), so that case takes another seed
-        *[(mean, se, TRUNCATED_N3_SEED if (n, mean) == (3, 0.1) else n)
+        *[(mean, se, TRUNCATED_N7_SEED if (n, mean) == (7, 0.1) else n)
           for mean, se in [(0.1, 0.1), (0.6, 0.3), (0.9, 0.08), (1.6, 0.5), (2.5, 0.9),
                            (3.0, 0.8), (4.0, 1.0)] if n < 100_000],
     ]:
         draws = sample_betas(mean, se, n, seed=seed)
-        table = kernels.propagate_beta_draws(draws.values, paper["mean_ln_flow"],
-                                             paper["mean_ln_price"])
+        # the per-draw reference, from the betas mapped before derived_intervals
+        # partitions the uniforms
+        betas = draws.betas(draws.values)
+        table = kernels.propagate_beta_draws(betas, paper["mean_ln_flow"], paper["mean_ln_price"])
         assert table.shape == (n, 3)
-        beta_xm = draws.values * paper["beta_qm"]
+        beta_xm = betas * paper["beta_qm"]
         table = np.column_stack([table, beta_xm, beta_xm * r_m])
         lo_q = 0.5 * (1.0 - level)
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
@@ -389,8 +418,9 @@ def test_overflowed_endpoints_are_not_finite(r_m):
 @pytest.mark.parametrize("at", [0, 12_345, 99_999])
 def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
     # an infinite beta puts a NaN (inf/inf) in every equilibrium row, which
-    # fails the partition check; the message is the one of full selection
-    values = sample_betas(0.919, 0.018, 100_000, seed=7).values
+    # the K-rank rule selects as the largest value of each quantity
+    draws = sample_betas(0.919, 0.018, 100_000, seed=7)
+    values = draws.betas(draws.values)
     values[at] = math.inf
     for r_m in (paper["r_m"], -0.03):
         with np.errstate(invalid="ignore"), pytest.raises(
@@ -400,33 +430,53 @@ def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
                               paper["mean_ln_flow"], paper["mean_ln_price"])
 
 
-def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
-    # The report's bits cannot tell mapped order statistics from per-draw
-    # selection, so record the work: the beta alone is selected, in place,
-    # and the kernel sees its four needed order statistics, the draws past
-    # b = 1 (where ln_user_cost turns) and the mean.
-    selections, passed = [], []
-    order_stats, propagate = uncertainty._order_stats, kernels.propagate_beta_draws
+def record_work(monkeypatch):
+    """Record each row ``_order_stats`` selects from, and a copy of each
+    argument of ``kernels.normal_quantile`` and of the equilibrium kernel."""
+    selections, mapped, passed = [], [], []
+    order_stats = uncertainty._order_stats
+    quantile, propagate = kernels.normal_quantile, kernels.propagate_beta_draws
 
     def recording_selection(row, ranks):
         selections.append(row)
         return order_stats(row, ranks)
+
+    def recording_quantile(u):
+        mapped.append(np.array(u))
+        return quantile(u)
 
     def recording_propagation(betas, *args):
         passed.append(np.array(betas))
         return propagate(betas, *args)
 
     monkeypatch.setattr(uncertainty, "_order_stats", recording_selection)
+    monkeypatch.setattr(kernels, "normal_quantile", recording_quantile)
     monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
+    return selections, mapped, passed
+
+
+def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
+    # The report's bits cannot tell mapped order statistics from per-draw
+    # selection, so record the work: the uniforms alone are selected, in
+    # place; the normal quantile maps their six selected order statistics
+    # and the tail draws that pass the prefilter at the guard of b = 1 (where
+    # ln_user_cost turns); the kernel sees the four needed betas, the draws
+    # past b = 1 and the mean.
+    selections, mapped, passed = record_work(monkeypatch)
     for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
         draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
-        ordered = np.sort(draws.values)
+        uniforms = np.sort(draws.values)
+        ordered = np.sort(draws.betas(draws.values))
         selections.clear()
+        mapped.clear()
         passed.clear()
         derived_intervals(draws, paper["beta_qm"], paper["r_m"],
                           paper["mean_ln_flow"], paper["mean_ln_price"])
         assert len(selections) == 1 and selections[0] is draws.values
-        assert np.array_equal(np.sort(draws.values), ordered)  # a permutation
+        assert np.array_equal(np.sort(draws.values), uniforms)  # a permutation
+        [u] = mapped
+        assert u[:6].tobytes() == uniforms[[0, 4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
+        assert u.size <= 1_000 and np.all(u[6:] > uniforms[95_000])
         [betas] = passed
         past = ordered[ordered >= 1.0]
         assert past.size == n_past
@@ -440,40 +490,57 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
     # At the truncated_20k inputs about 530 of 20 000 draws lie past
     # b ~ 0.3013, where ln_quantity turns, and some of their values fall
     # among the others' below the upper endpoint.  That endpoint is selected
-    # from them and a window of the beta's order statistics beside its rank:
-    # the kernel sees the needed betas, the past draws and the mean, then
-    # the windows, never an n-long array, and only the betas are selected.
-    selections, passed = [], []
-    order_stats, propagate = uncertainty._order_stats, kernels.propagate_beta_draws
-
-    def recording_selection(row, ranks):
-        selections.append(row)
-        return order_stats(row, ranks)
-
-    def recording_propagation(betas, *args):
-        passed.append(np.array(betas))
-        return propagate(betas, *args)
-
-    monkeypatch.setattr(uncertainty, "_order_stats", recording_selection)
-    monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
+    # from them and one window of the beta's order statistics beside its
+    # ranks: the kernel sees the needed betas, the past draws and the mean,
+    # then the window, never an n-long array, and only the uniforms are
+    # selected.  The normal quantile maps as few: the selected order
+    # statistics with the prefiltered tail, then the window.
+    selections, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
     _, _, guard = market_curves.branch("ln_quantity", 0.1, 0.1)
     for seed in range(10):
         draws = sample_betas(0.1, 0.1, 20_000, seed=seed)
-        beta_xm = draws.values * paper["beta_qm"]
-        table = np.column_stack([propagate(draws.values, *means), beta_xm,
+        betas = draws.betas(draws.values)
+        beta_xm = betas * paper["beta_qm"]
+        table = np.column_stack([kernels.propagate_beta_draws(betas, *means), beta_xm,
                                  beta_xm * paper["r_m"]])
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
         selections.clear()
+        mapped.clear()
         passed.clear()
         report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
         assert len(selections) == 1 and selections[0] is draws.values
         assert len(passed) == 2 and sum(map(len, passed)) < 1_500, seed
-        assert passed[0].size - 5 == np.count_nonzero(draws.values >= guard)
+        assert len(mapped) == 2 and sum(map(len, mapped)) < 1_500, seed
+        assert passed[0].size - 5 == np.count_nonzero(betas >= guard)
         for j, name in enumerate(QUANTITY_NAMES):
             assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
                 (name, seed)
+
+
+def test_straddled_turning_point_maps_a_quarter_of_the_draws_at_most(monkeypatch, paper):
+    # At the stub (1.0, 0.1) the needed betas straddle b = 1, where
+    # ln_user_cost turns, so that quantity is selected by the K-rank rule:
+    # from the 5 001 lowest and highest uniforms and 5 002 on each side of
+    # the u-rank of b = 1.  Neither the normal quantile nor the kernel is
+    # given more than a quarter of the draws, and the bounds are those of
+    # the table of every draw.
+    selections, mapped, passed = record_work(monkeypatch)
+    means = (paper["mean_ln_flow"], paper["mean_ln_price"])
+    lo_q = 0.5 * (1.0 - 0.90)
+    draws = sample_betas(1.0, 0.1, 100_000, seed=5)
+    betas = draws.betas(draws.values)
+    beta_xm = betas * paper["beta_qm"]
+    table = np.column_stack([kernels.propagate_beta_draws(betas, *means), beta_xm,
+                             beta_xm * paper["r_m"]])
+    expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+    mapped.clear()
+    passed.clear()
+    report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
+    assert passed and max(map(len, mapped)) <= 25_000 and max(map(len, passed)) <= 25_000
+    for j, name in enumerate(QUANTITY_NAMES):
+        assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), name
 
 
 def test_rank_windows_stop_at_the_draws_past_the_guards():
