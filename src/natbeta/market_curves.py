@@ -18,7 +18,6 @@ to its first turning point and is monotone between two of them.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "zero_sum_integral",
     "shocked_equilibrium",
     "observed_range_warnings",
-    "branch",
 ]
 
 
@@ -49,10 +47,6 @@ _ZERO_SUM_ACCURACY = 1e-14
 # u/(e^u + e^-u) is analytic within pi/2 of the real axis, so 16 nodes on
 # such a panel are exact to rounding.
 _PANEL_WIDTH = 0.5
-# Relative distance from a turning point within which a beta counts as past
-# it: far beyond the root's error, and wide enough that the map is steep
-# inside the guards.
-_TURN_MARGIN = 2.0**-10
 
 # The betas where each equilibrium map turns, ascending: the roots of
 # d y_e/db, d x_e/db and d (x_e + y_e)/db, each within a few ulps.
@@ -61,26 +55,6 @@ TURNING_POINTS = {
     "ln_quantity": (0.30129101916065737, 3.319050142237297),
     "ln_user_cost": (1.0, 4.715612314934235),
 }
-
-
-# Each map's branches in beta order, as ``branch`` returns them.
-BRANCHES = {
-    name: tuple((-1.0 if i % 2 else 1.0,
-                 turns[i - 1] * (1.0 + _TURN_MARGIN) if i else 0.0,
-                 turns[i] * (1.0 - _TURN_MARGIN) if i < len(turns) else math.inf)
-                for i in range(len(turns) + 1))
-    for name, turns in TURNING_POINTS.items()
-}
-
-
-def branch(name: str, lo: float, hi: float) -> tuple[float, float, float] | None:
-    """(direction, low guard, high guard) of the branch of ``name``'s map
-    that holds ``[lo, hi]`` strictly between its guards, or None.  The
-    direction is 1.0 where the map rises and -1.0 where it falls; the guards
-    lie ``_TURN_MARGIN`` (relative) inside the branch's turning points.
-    """
-    found = BRANCHES[name][bisect.bisect(TURNING_POINTS[name], lo)]
-    return found if found[1] < lo and hi < found[2] else None
 
 
 class CurveError(ValueError):

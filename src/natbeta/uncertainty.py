@@ -14,26 +14,28 @@ can come from are mapped to betas.
 The interval endpoints follow NumPy's linear (Hyndman & Fan type-7) rule:
 two neighbouring order statistics per endpoint, lerped in the quantity's
 own values.  Every derived quantity is a function of the beta alone, and on
-a branch where that function is monotone its order statistics are its
+a piece where that function is monotone its order statistics are its
 values at the beta's, in the same order or reversed (quantiles are
 equivariant under monotone maps; Hyndman & Fan, Am. Stat. 50(4), 1996).
 
 ``beta_xm`` and ``r_x`` are products of the beta, monotone everywhere.  The
-equilibrium quantities turn at ``market_curves.TURNING_POINTS``.  Where
-``market_curves.branch`` finds no turning point near the needed betas, such
-a quantity is evaluated at them and at the draws past a turning point.
-Where a past draw's value lies among the others, an endpoint is selected
-from the past values and one window of the beta's order statistics beside
-its ranks: the map orders every other draw, so each lies on a known side of
-it.  Where the needed betas straddle a turning point or lie too close
-together for the kernel's rounding to resolve, and for every quantity where
-a beta is not finite, the quantity is selected by the K-rank rule.  A
-needed rank lies at most K - 2 places from an end of the quantity's order,
-so a draw with K - 1 or more draws of its own monotone piece on each side
-holds none.  The endpoint is selected from the K - 1 lowest uniforms, the
-K - 1 highest and the K on each side of each turning point's u-rank (one
-more there, since erfc's rounding may miss that rank by one); no path maps
-or evaluates every draw.
+equilibrium quantities turn at ``market_curves.TURNING_POINTS``.  Where the
+needed betas lie on one monotone piece of such a quantity's map, between
+guards ``_TURN_MARGIN`` (relative) inside its turning points, the quantity
+is evaluated at them and at the draws at or past a guard.  Every guard is
+decided on the uniforms alone, against the guard's uniform: the map from u
+to beta rises.  Where a past draw's value lies among the others, an
+endpoint is selected from the past values and one window of the beta's
+order statistics beside its ranks: the map orders every other draw, so
+each lies on a known side of it.  Where the needed betas straddle a
+turning point or lie too close together for the kernel's rounding to
+resolve, and for every quantity where a beta is not finite, the quantity
+is selected by the K-rank rule.  A needed rank lies at most K - 2 places
+from an end of the quantity's order, so a draw with K - 1 or more draws of
+its own monotone piece on each side holds none.  The endpoint is selected
+from the K - 1 lowest uniforms, the K - 1 highest and the K on each side
+of each turning point's u-rank (one more there, since erfc's rounding may
+miss that rank by one); no path maps or evaluates every draw.
 
 Every endpoint equals the one selected from a table of every draw's value
 unless rounding reverses two draws at a needed rank: the kernel's for two
@@ -80,11 +82,11 @@ _MASK64 = (1 << 64) - 1
 # Q(2**-53) ~ -8.2 > -mean/se.
 _TRUNCATION_MARGIN = 2.0**-20
 _TINIEST = 2.0**-1074
-# Every guard of every map's branches, ascending, and the slack of the
-# uniform bound that prefilters a tail block at one.
-_GUARDS = sorted({guard for found in market_curves.BRANCHES.values()
-                  for _, *guards in found for guard in guards})
-_GUARD_SLACK = 2.0**-30
+# Relative distance from a turning point within which a beta counts as past
+# it: far beyond the root's error, and wide enough that the map is steep
+# inside the guards, so erfc's rounding of a guard's uniform moves no
+# endpoint.
+_TURN_MARGIN = 2.0**-10
 
 
 class UncertaintyError(ValueError):
@@ -183,20 +185,16 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     main = np.random.Generator(np.random.SFC64(seed & _MASK64))
     values = main.random(draws)
     bad = np.flatnonzero(values <= floor)
-    rejected = int(bad.size)
-    if rejected > budget:
-        raise UncertaintyError(
-            f"excessive truncation: {rejected} of {draws} draws non-positive"
-        )
+    rejected = 0
     while bad.size:
-        fresh = main.random(bad.size)
-        values[bad] = fresh
-        bad = bad[fresh <= floor]
         rejected += bad.size
         if rejected > budget:
             raise UncertaintyError(
                 f"excessive truncation: more than half of {draws} draws rejected"
             )
+        fresh = main.random(bad.size)
+        values[bad] = fresh
+        bad = bad[fresh <= floor]
     return BetaDraws(values=values, n_redrawn=rejected, seed=seed, mean=float(mean),
                      se=float(se))
 
@@ -293,35 +291,40 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     needed = sorted(ends | {n - 1 - k for k in ends})
     picked = sorted({*needed, 0, n - 1})
     u, splits = _order_stats(values, picked)
-    # Tail draws that may lie past a guard, found by the extremes: all draws
-    # below the lowest needed beta lie before the first split at or above
-    # its rank, all above the highest from the last split at or below the
-    # next rank.  Each block keeps the uniforms past the uniform of the
-    # nearest guard of any map, with a slack; they are mapped with the
-    # picked ranks, and the guards of the branches found decide on them.
-    edges = [draws.u_at(guard) for guard in _GUARDS]  # ascending, as u_at rises
+    # By column, the monotone piece of each equilibrium map whose guards,
+    # _TURN_MARGIN inside its turning points, hold every needed beta: its
+    # direction, rising on the first piece and turning at each turning
+    # point, and the uniforms of its guards.  u_at rises, so the uniforms
+    # decide every guard.
+    pieces = {}
+    for j, name in enumerate(QUANTITY_NAMES[:3]):
+        turns = (0.0, *market_curves.TURNING_POINTS[name], math.inf)
+        for i in range(len(turns) - 1):
+            low = draws.u_at(turns[i] * (1.0 + _TURN_MARGIN))
+            high = draws.u_at(turns[i + 1] * (1.0 - _TURN_MARGIN))
+            if low < u[needed[0]] and u[needed[-1]] < high:
+                pieces[j] = (-1.0 if i % 2 else 1.0, low, high)
+                break
+    # The draws at or past a piece's guard: all draws below the lowest
+    # needed beta lie before the first split at or above its rank, all above
+    # the highest from the last split at or below the next rank.  They are
+    # mapped with the picked ranks.
     below = above = np.empty(0)
-    edge = max((x for x in edges if x <= u[needed[0]] + _GUARD_SLACK), default=-math.inf)
-    if u[0] <= edge + _GUARD_SLACK:
-        block = values[:min(x for x in splits if x >= needed[0])]
-        below = block[block <= edge + _GUARD_SLACK]
-    edge = min((x for x in edges if x >= u[needed[-1]] - _GUARD_SLACK), default=math.inf)
-    if u[n - 1] >= edge - _GUARD_SLACK:
-        block = values[max(x for x in splits if x <= needed[-1] + 1):]
-        above = block[block >= edge - _GUARD_SLACK]
+    if pieces:
+        edge = max(piece[1] for piece in pieces.values())
+        if u[0] <= edge:
+            block = values[:min(x for x in splits if x >= needed[0])]
+            below = block[block <= edge]
+        edge = min(piece[2] for piece in pieces.values())
+        if u[n - 1] >= edge:
+            block = values[max(x for x in splits if x <= needed[-1] + 1):]
+            above = block[block >= edge]
     mapped = draws.betas(np.concatenate([[u[k] for k in picked], below, above]))
     beta = dict(zip(picked, mapped))
-    below, above = np.split(mapped[len(picked):], [below.size])
-    # the branch of each equilibrium map that holds every needed beta, by column
-    finite = np.isfinite(beta[0]) and np.isfinite(beta[n - 1])
-    branches = {j: found for j, name in enumerate(QUANTITY_NAMES[:3]) if finite and (
-        found := market_curves.branch(name, beta[needed[0]], beta[needed[-1]]))}
-    if branches:
-        below = below[below <= max(branch[1] for branch in branches.values())]
-        above = above[above >= min(branch[2] for branch in branches.values())]
-    else:
-        below = above = below[:0]
-    at = np.concatenate([[beta[k] for k in needed], below, above, [draws.mean]])
+    past = mapped[len(picked):]
+    if not (np.isfinite(beta[0]) and np.isfinite(beta[n - 1])):
+        pieces, past = {}, past[:0]
+    at = np.concatenate([[beta[k] for k in needed], past, [draws.mean]])
     # every quantity at those betas, in QUANTITY_NAMES order
     rows = np.column_stack([kernels.propagate_beta_draws(at, mean_ln_flow, mean_ln_price),
                             *beta_algebra.chain_products(at, beta_qm, r_m)])
@@ -335,10 +338,10 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     # the endpoint's ranks, and the rank r of g of each rank k of the
     # quantity that the past values move
     windows = {}
-    if branches:
+    if pieces:
         # a rise the kernel's rounding cannot blur, per rank between the needed betas
         resolved = _RESOLUTION * np.abs(rows[:m, :3]).max() * (needed[-1] - needed[0])
-        for j, (sign, own_low, own_high) in branches.items():
+        for j, (sign, own_low, own_high) in pieces.items():
             g = sign * rows[:-1, j]  # rises with the beta between the guards
             if g[m - 1] - g[0] > resolved:
                 descending[j] = sign < 0.0
@@ -409,7 +412,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                                                    np.split(inside[size:], stops)):
             # each value outside the window and P lies on one side of rank r
             # of g, a - p_b of them below it
-            sign, i = branches[j][0], below.size - a
+            sign, i = pieces[j][0], below.size - a
             g = sign * np.concatenate([window[:, j], rows[m:-1, j]])
             g.partition(sorted({r + i for r in moved.values()}))
             for k, r in moved.items():

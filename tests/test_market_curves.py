@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natbeta import kernels, market_curves
+from natbeta import kernels, market_curves, uncertainty
 from natbeta.market_curves import (
     CurveError,
     EquilibriumPoint,
     MAX_CURVE_SAMPLES,
     TURNING_POINTS,
-    branch,
     curve_samples,
     elasticities,
     equilibrium_deviation,
@@ -250,13 +249,13 @@ def test_turning_points_are_roots_of_the_derivative_to_the_last_bits():
                 assert below * above < 0, (name, t)
 
 
-def test_branch_holds_an_interval_away_from_every_turning_point():
-    # On a log grid and a dense grid around each turning point, branch
-    # finds no branch exactly where [lo, hi] comes within the margin of a
-    # turning point; otherwise its guards lie that margin inside the
-    # turning points around [lo, hi], and the map moves in its direction at
-    # every grid point between them
-    margin = 2.0**-10
+def test_each_map_alternates_direction_at_every_turning_point_past_the_margin():
+    # On a log grid and a dense grid around each turning point, each map
+    # rises from b -> 0 to its first turning point and moves the other way
+    # past each one, at every grid point the Monte Carlo stage's margin or
+    # more from a turning point: its direction on a piece is the parity of
+    # the piece's index
+    margin = uncertainty._TURN_MARGIN
     turns = [t for points in TURNING_POINTS.values() for t in points]
     grid = np.unique(np.concatenate([
         np.geomspace(1e-3, 1e3, 401),
@@ -264,20 +263,12 @@ def test_branch_holds_an_interval_away_from_every_turning_point():
         *([t * (1.0 - margin), t * (1.0 + margin)] for t in turns)]))
     x_e, y_e = kernels.solve_equilibrium(grid)
     for name, values in (("ln_price", y_e), ("ln_quantity", x_e), ("ln_user_cost", x_e + y_e)):
-        points = TURNING_POINTS[name]
-        for width in (0, 1, 9):
-            for lo, hi in zip(grid, grid[width:]):
-                found = branch(name, lo, hi)
-                near = any(lo <= t * (1.0 + margin) and hi >= t * (1.0 - margin) for t in points)
-                assert (found is None) == near, (name, lo, hi)
-                if found is None:
-                    continue
-                sign, low, high = found
-                i = sum(t < lo for t in points)
-                assert low == (points[i - 1] * (1.0 + margin) if i else 0.0), (name, lo)
-                assert high == (points[i] * (1.0 - margin) if i < len(points) else math.inf)
-                inside = (low < grid) & (grid < high)
-                assert np.all(sign * np.diff(values[inside]) > 0.0), (name, lo, hi)
+        ends = (0.0, *TURNING_POINTS[name], math.inf)
+        for i, (low, high) in enumerate(zip(ends, ends[1:])):
+            inside = (low * (1.0 + margin) <= grid) & (grid <= high * (1.0 - margin))
+            sign = -1.0 if i % 2 else 1.0
+            assert np.count_nonzero(inside) > 100, (name, i)
+            assert np.all(sign * np.diff(values[inside]) > 0.0), (name, i)
 
 
 def test_shocked_equilibrium_no_shock_is_equilibrium():

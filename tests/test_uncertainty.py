@@ -54,8 +54,11 @@ def test_quantiles_match_normal_oracle():
 
 
 def test_excessive_truncation_raises():
-    with pytest.raises(UncertaintyError, match="truncation"):
-        sample_betas(0.01, 0.1, 10_000, seed=3)
+    # the first pass alone rejects 8462 of the 10 000 draws, and aborts with
+    # the message of the redraw rounds (test_redraw_abort_matches_per_index_philox)
+    with pytest.raises(UncertaintyError,
+                       match=r"^excessive truncation: more than half of 10000 draws rejected$"):
+        sample_betas(-1.0, 1.0, 10_000, seed=0)
 
 
 def test_mild_truncation_redraws_and_counts():
@@ -459,9 +462,9 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
     # The report's bits cannot tell mapped order statistics from per-draw
     # selection, so record the work: the uniforms alone are selected, in
     # place; the normal quantile maps their six selected order statistics
-    # and the tail draws that pass the prefilter at the guard of b = 1 (where
-    # ln_user_cost turns); the kernel sees the four needed betas, the draws
-    # past b = 1 and the mean.
+    # and the tail draws at or past the uniform of the guard of b = 1 (where
+    # ln_user_cost turns); the kernel sees the four needed betas, those
+    # draws, here the ones past b = 1, and the mean.
     selections, mapped, passed = record_work(monkeypatch)
     for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
         draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
@@ -476,7 +479,7 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         assert np.array_equal(np.sort(draws.values), uniforms)  # a permutation
         [u] = mapped
         assert u[:6].tobytes() == uniforms[[0, 4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
-        assert u.size <= 1_000 and np.all(u[6:] > uniforms[95_000])
+        assert u.size == 6 + n_past and np.all(u[6:] > uniforms[95_000])
         [betas] = passed
         past = ordered[ordered >= 1.0]
         assert past.size == n_past
@@ -494,11 +497,12 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
     # ranks: the kernel sees the needed betas, the past draws and the mean,
     # then the window, never an n-long array, and only the uniforms are
     # selected.  The normal quantile maps as few: the selected order
-    # statistics with the prefiltered tail, then the window.
+    # statistics with the draws at or past the guard's uniform, then the
+    # window.
     selections, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
-    _, _, guard = market_curves.branch("ln_quantity", 0.1, 0.1)
+    guard = market_curves.TURNING_POINTS["ln_quantity"][0] * (1.0 - uncertainty._TURN_MARGIN)
     for seed in range(10):
         draws = sample_betas(0.1, 0.1, 20_000, seed=seed)
         betas = draws.betas(draws.values)
@@ -513,10 +517,66 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
         assert len(selections) == 1 and selections[0] is draws.values
         assert len(passed) == 2 and sum(map(len, passed)) < 1_500, seed
         assert len(mapped) == 2 and sum(map(len, mapped)) < 1_500, seed
-        assert passed[0].size - 5 == np.count_nonzero(betas >= guard)
+        assert passed[0].size - 5 == np.count_nonzero(draws.values >= draws.u_at(guard))
         for j, name in enumerate(QUANTITY_NAMES):
             assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
                 (name, seed)
+
+
+def test_needed_betas_inside_the_turn_margin_go_to_the_k_rank_rule(monkeypatch, paper):
+    # The five largest of 100 fixed betas, the upper needed ones among
+    # them, sit 2**-20 (relative) on either side of the guard 2**-10 below
+    # the turning point of ln_price (b ~ 1.895).  Outside the margin every
+    # quantity is evaluated at the needed betas alone, in one kernel call;
+    # inside it ln_price goes to the K-rank rule, a second call on its
+    # candidates.  Both give the bounds of the table of every draw.
+    _, _, passed = record_work(monkeypatch)
+    means = (paper["mean_ln_flow"], paper["mean_ln_price"])
+    lo_q = 0.5 * (1.0 - 0.90)
+    guard = market_curves.TURNING_POINTS["ln_price"][0] * (1.0 - 2.0**-10)
+    for side, calls in ((-1.0, 1), (1.0, 2)):
+        values = np.concatenate([np.linspace(1.1, 1.5, 95), [guard * (1.0 + side * 2.0**-20)] * 5])
+        beta_xm = values * paper["beta_qm"]
+        table = np.column_stack([kernels.propagate_beta_draws(values, *means), beta_xm,
+                                 beta_xm * paper["r_m"]])
+        expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+        passed.clear()
+        report = derived_intervals(fixed_draws(values), paper["beta_qm"], paper["r_m"], *means)
+        assert len(passed) == calls, side
+        for j, name in enumerate(QUANTITY_NAMES):
+            assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
+                (name, side)
+
+
+def test_a_draw_at_a_guards_uniform_gives_the_tables_bounds(paper):
+    # One of 100 uniforms lies exactly at the uniform of a guard of
+    # ln_quantity, 2**-10 inside b ~ 0.3013, or a grid step (2**-53) to
+    # either side; the others lie well clear of it.  That draw is a needed
+    # rank or the most extreme one, a past draw: the high guard of the
+    # rising piece in the upper tail, the low guard of the falling piece in
+    # the lower.  Every case gives the bounds of the table of every draw.
+    turn = market_curves.TURNING_POINTS["ln_quantity"][0]
+    lo_q = 0.5 * (1.0 - 0.90)
+    for mean, se, guard, lower, upper, ranks in [
+        (0.1, 0.1, turn * (1.0 - 2.0**-10), (0.3, 0.97), (0.985, 0.995), (95, 99)),
+        (0.5, 0.1, turn * (1.0 + 2.0**-10), (0.005, 0.015), (0.03, 0.7), (4, 0)),
+    ]:
+        at = BetaDraws(values=np.empty(0), n_redrawn=0, seed=0, mean=mean, se=se).u_at(guard)
+        for rank, step in itertools.product(ranks, (-1, 0, 1)):
+            values = np.concatenate([np.linspace(*lower, rank), [at + step * 2.0**-53],
+                                     np.linspace(*upper, 99 - rank)])
+            draws = BetaDraws(values=values, n_redrawn=0, seed=0, mean=mean, se=se)
+            betas = draws.betas(values)
+            beta_xm = betas * paper["beta_qm"]
+            table = np.column_stack([
+                kernels.propagate_beta_draws(betas, paper["mean_ln_flow"], paper["mean_ln_price"]),
+                beta_xm, beta_xm * paper["r_m"]])
+            expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
+            report = derived_intervals(draws, paper["beta_qm"], paper["r_m"],
+                                       paper["mean_ln_flow"], paper["mean_ln_price"])
+            for j, name in enumerate(QUANTITY_NAMES):
+                assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
+                    (name, mean, rank, step)
 
 
 def test_straddled_turning_point_maps_a_quarter_of_the_draws_at_most(monkeypatch, paper):
