@@ -17,8 +17,8 @@ import sys
 
 from . import __version__
 from .pipeline import (StageError, _descriptives_text, _equilibrium_text, _intervals_text,
-                       _json_text, _market_stage, _preprocess_stage, _uncertainty_stage,
-                       _warnings_text, render_report, run_estimate)
+                       _json_text, _market_stage, _preprocess_stage, _report_warnings,
+                       _uncertainty_stage, _warnings_text, render_report, run_estimate)
 
 
 def parse_rate(text: str) -> float:
@@ -122,11 +122,12 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    intervals, warnings = _uncertainty_stage(
+    intervals = _uncertainty_stage(
         args.beta_xq, args.beta_xq_se, draws=args.draws, seed=args.seed, level=args.level,
         beta_qm=args.beta_qm, r_m=args.r_m, mean_ln_flow=args.mean_ln_flow,
         mean_ln_price=args.mean_ln_price,
     )
+    warnings = _report_warnings({"intervals": intervals})
     return _write_output(args.format, {**intervals, "warnings": warnings},
                          _intervals_text(intervals) + _warnings_text(warnings))
 

@@ -35,7 +35,6 @@ __all__ = [
     "curve_samples",
     "zero_sum_integral",
     "shocked_equilibrium",
-    "observed_range_warnings",
 ]
 
 
@@ -213,23 +212,3 @@ def shocked_equilibrium(beta_xq: float, eps_s: float, eps_d: float,
         raise CurveError(f"mode must be 'general' or 'paper', got {mode!r}")
     x_e, y_e = kernels.solve_equilibrium(b, eps_s, eps_d)
     return (float(x_e), float(y_e))
-
-
-def observed_range_warnings(point: EquilibriumPoint,
-                            ln_flow_range: tuple[float, float],
-                            ln_price_range: tuple[float, float]) -> list[str]:
-    """Warn when equilibrium levels leave the observed range of the panel logs."""
-    warnings = []
-    lo, hi = ln_flow_range
-    if not lo <= point.ln_quantity <= hi:
-        warnings.append(
-            f"equilibrium ln quantity {point.ln_quantity:.4f} outside observed range "
-            f"[{lo:.4f}, {hi:.4f}]"
-        )
-    lo, hi = ln_price_range
-    if not lo <= point.ln_price <= hi:
-        warnings.append(
-            f"equilibrium ln price {point.ln_price:.4f} outside observed range "
-            f"[{lo:.4f}, {hi:.4f}]"
-        )
-    return warnings

@@ -7,7 +7,9 @@ The preprocess, market_curves and uncertainty stages are functions of
 their own (``_preprocess_stage``, ``_market_stage``, ``_uncertainty_stage``)
 that ``run_estimate`` and the ``describe``, ``equilibrium``, ``curves`` and
 ``ci`` subcommands share, so each command checks its inputs and reports
-its failures the same way.
+its failures the same way.  ``_report_warnings`` forms every warning of a
+report, once, from its finished blocks; ``ci`` calls it on the
+``intervals`` block alone.
 
 Only ``beta_algebra`` and ``market_curves`` (with ``kernels``), which every
 estimate runs, are imported with this module.  ``preprocess``,
@@ -169,9 +171,9 @@ def _market_stage(beta_xq: float, mean_ln_flow: float, mean_ln_price: float,
 
 def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
                        level: float, beta_qm: float, r_m: float, mean_ln_flow: float,
-                       mean_ln_price: float) -> tuple[dict, list[str]]:
+                       mean_ln_price: float) -> dict:
     """Sample the beta, propagate the draws, and return the report's
-    ``intervals`` block and its warnings; ``run_estimate`` and ``ci`` share it.
+    ``intervals`` block; ``run_estimate`` and ``ci`` share it.
 
     NumPy's overflow and invalid warnings are silenced over the sampling
     and the propagation: ``derived_intervals`` raises on every non-finite
@@ -186,7 +188,7 @@ def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
                                            mean_ln_price, level=level)
     except unc.UncertaintyError as exc:
         raise StageError("uncertainty", str(exc)) from exc
-    intervals = {
+    return {
         **vars(report),
         # sample_betas redraws every non-positive beta, so none is discarded;
         # the field stays so that schema-1 JSON keeps its shape
@@ -194,15 +196,46 @@ def _uncertainty_stage(beta_xq: float, beta_se: float, *, draws: int, seed: int,
         "n_redrawn": beta_draws.n_redrawn,
         "seed": beta_draws.seed,
     }
+
+
+def _report_warnings(blocks: Mapping) -> list[str]:
+    """The warnings of a report, from its finished blocks.
+
+    ``blocks`` maps block names to the report's blocks; a ``regression``,
+    ``descriptives`` or ``intervals`` block that is absent or None is not
+    checked.  The order is fixed: ``weak_instruments`` (first-stage F),
+    the equilibrium ln quantity and then ln price outside the panel's
+    observed range, then ``sparse_tail`` (Monte Carlo draws beyond each
+    interval endpoint).  ``run_estimate`` calls it on the whole report and
+    ``ci`` on its ``intervals`` block alone.
+    """
     warnings = []
-    tail_draws = 0.5 * (1.0 - level) * report.draws_used
-    if tail_draws < MIN_TAIL_DRAWS:
-        warnings.append(
-            f"sparse_tail: {tail_draws:.3g} of {report.draws_used} draws lie "
-            f"beyond each endpoint of the {level:g} interval (< {MIN_TAIL_DRAWS}); "
-            f"increase draws"
-        )
-    return intervals, warnings
+    regression = blocks.get("regression")
+    if regression is not None:
+        first_f = regression["first_stage"]["f_stat"]
+        if first_f < MIN_FIRST_STAGE_F:
+            warnings.append(f"weak_instruments: first-stage F {first_f:.3g} < "
+                            f"{MIN_FIRST_STAGE_F:g}; the slope's interval may undercover")
+    descriptives = blocks.get("descriptives")
+    if descriptives is not None:
+        equilibrium = blocks["equilibrium"]
+        for label, key, series in (("ln quantity", "ln_quantity", "ln_flow"),
+                                   ("ln price", "ln_price", "ln_price")):
+            value = equilibrium[key]
+            lo, hi = descriptives[series]["min"], descriptives[series]["max"]
+            if not lo <= value <= hi:
+                warnings.append(f"equilibrium {label} {value:.4f} outside observed "
+                                f"range [{lo:.4f}, {hi:.4f}]")
+    intervals = blocks.get("intervals")
+    if intervals is not None:
+        level, draws_used = intervals["level"], intervals["draws_used"]
+        tail_draws = 0.5 * (1.0 - level) * draws_used
+        if tail_draws < MIN_TAIL_DRAWS:
+            warnings.append(
+                f"sparse_tail: {tail_draws:.3g} of {draws_used} draws lie beyond each "
+                f"endpoint of the {level:g} interval (< {MIN_TAIL_DRAWS}); increase draws"
+            )
+    return warnings
 
 
 def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
@@ -270,7 +303,6 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # econometrics stage
     regression = None
-    warnings: list[str] = []
     if stub:
         if slope_se is None:
             slope_se = 0.0
@@ -305,10 +337,6 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                              hint="check instrument selection and sample size") from exc
         slope = cf.slope
         slope_se = cf.slope_se
-        first_f = regression["first_stage"]["f_stat"]
-        if first_f < MIN_FIRST_STAGE_F:
-            warnings.append(f"weak_instruments: first-stage F {first_f:.3g} < "
-                            f"{MIN_FIRST_STAGE_F:g}; the slope's interval may undercover")
 
     # beta_algebra stage
     try:
@@ -319,10 +347,6 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # market_curves stage
     point, elasticities, _ = _market_stage(beta_xq, mean_ln_flow, mean_ln_price)
-    if descriptives is not None:
-        flow, price = descriptives["ln_flow"], descriptives["ln_price"]
-        warnings.extend(mc.observed_range_warnings(
-            point, (flow["min"], flow["max"]), (price["min"], price["max"])))
 
     # uncertainty stage
     intervals = None
@@ -333,13 +357,12 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         if math.isinf(beta_se):
             raise StageError("uncertainty", f"the beta's se, se/slope**2 for the reciprocal of "
                                             f"positive slope {slope:g}, overflows to inf")
-        intervals, tail_warnings = _uncertainty_stage(
+        intervals = _uncertainty_stage(
             beta_xq, beta_se, draws=draws, seed=seed, level=level, beta_qm=beta_qm,
             r_m=float(r_m), mean_ln_flow=mean_ln_flow, mean_ln_price=mean_ln_price,
         )
-        warnings.extend(tail_warnings)
 
-    return EstimateReport(
+    blocks = dict(
         provenance=provenance,
         descriptives=descriptives,
         regression=regression,
@@ -351,8 +374,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         equilibrium=dict(vars(point)),
         elasticities=elasticities,
         intervals=intervals,
-        warnings=warnings,
     )
+    return EstimateReport(**blocks, warnings=_report_warnings(blocks))
 
 
 # ---------------------------------------------------------------------------

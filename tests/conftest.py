@@ -1,3 +1,4 @@
+import mpmath as mp
 import pytest
 
 from natbeta import econometrics as em
@@ -36,6 +37,13 @@ STUB_SEED_NONE_PAST_ONE = 0  # the paper stub at 100 000 draws: no draw >= 1
 STUB_SEED_TWO_PAST_ONE = 6  # the same: exactly two draws >= 1, where ln_user_cost turns
 NEAR_BUDGET_SEED = 3  # (0.043, 0.1) at 10 000 draws: 4 500 to 5 000 redraws
 TRUNCATED_N7_SEED = 0  # (0.1, 0.1) at 7 draws: at most three rejected, so no abort
+
+
+@pytest.fixture(autouse=True)
+def mpmath_default_precision():
+    """Fail a test that starts above or below mpmath's default 15 digits: a
+    module that sets ``mp.mp.dps`` at import would change every test after it."""
+    assert mp.mp.dps == 15, f"mpmath precision leaked: mp.mp.dps is {mp.mp.dps}"
 
 
 @pytest.fixture(scope="session")

@@ -636,7 +636,8 @@ CI_PAPER = ["ci", "--beta-xq", "0.919", "--beta-xq-se", "0.018", "--beta-qm", "5
 @pytest.mark.parametrize("extra,codes", [
     (["--seed", "17", "--draws", "20000"], []),
     (["--seed", "1", "--level", "0.999", "--draws", "10"], ["sparse_tail"]),
-], ids=["20k-draws", "level-0.999-10-draws"])
+    (["--seed", "1", "--draws", "10"], ["sparse_tail"]),
+], ids=["20k-draws", "level-0.999-10-draws", "level-0.9-10-draws"])
 def test_ci_matches_estimate_intervals_and_warnings(capsys, extra, codes):
     estimate = PAPER_STUB[:-4] + extra
     code, est_text, err = run_cli(capsys, estimate)

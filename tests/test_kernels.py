@@ -22,7 +22,12 @@ from natbeta.simulator import synthesize_panel
 
 from conftest import make_config
 
-mp.mp.dps = 40
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    """Every oracle of this module works at 40 digits, restored after each test."""
+    with mp.workdps(40):
+        yield
 
 
 def oracle_inc_beta(a, b, x):

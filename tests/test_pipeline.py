@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from natbeta import econometrics, pipeline
+from natbeta import econometrics, market_curves, pipeline
 from natbeta.cli import main
 from natbeta.panel_io import parse_panel
 from natbeta.pipeline import StageError, _json_text, render_report, run_estimate
@@ -277,6 +277,47 @@ def test_out_of_range_equilibrium_warns():
     assert any("outside observed range" in w for w in report.warnings)
     text = render_report(report, "text")
     assert "warning:" in text
+
+
+def test_report_warnings_are_pinned_in_order():
+    # the README's simulated panel misses beta by 3.4 SE, so its equilibrium
+    # leaves both observed ranges, and 10 draws leave 0.5 beyond each endpoint
+    sparse_tail = ("sparse_tail: 0.5 of 10 draws lie beyond each endpoint of the 0.9 "
+                   "interval (< 10); increase draws")
+    panel = synthesize_panel(make_config(beta=0.919, sigma_s=0.05, sigma_d=0.05, n=19, seed=42))
+    report = run_estimate(panel, beta_qm=5.36, r_m=0.029, draws=10, seed=1)
+    assert report.warnings == [
+        "equilibrium ln quantity 2.4423 outside observed range [2.0627, 2.1664]",
+        "equilibrium ln price 1.8474 outside observed range [2.7044, 2.9066]",
+        sparse_tail,
+    ]
+    # lags of iid-shocked prices are weak instruments, whose warning comes first
+    report = run_estimate(panel, beta_qm=5.36, r_m=0.029, draws=10, seed=1,
+                          instruments="lags:2")
+    assert report.warnings == [
+        "weak_instruments: first-stage F 0.739 < 10; the slope's interval may undercover",
+        "equilibrium ln quantity 2.4317 outside observed range [2.0627, 2.1664]",
+        "equilibrium ln price 1.3966 outside observed range [2.7044, 2.9066]",
+        sparse_tail,
+    ]
+    assert render_report(report, "text").splitlines()[-4:] == [
+        f"warning: {w}" for w in report.warnings]
+
+
+def test_range_warnings_compare_the_equilibrium_with_the_observed_logs():
+    # at beta 3 and both log means 2: ln quantity 1.6704, ln price 2.1099
+    equilibrium = dict(vars(market_curves.equilibrium_levels(3.0, 2.0, 2.0)))
+
+    def warnings(lo, hi):
+        bounds = {"min": lo, "max": hi}
+        return pipeline._report_warnings({"descriptives": {"ln_flow": bounds, "ln_price": bounds},
+                                          "equilibrium": equilibrium})
+
+    assert warnings(-10.0, 10.0) == []
+    assert warnings(1.95, 2.05) == [
+        "equilibrium ln quantity 1.6704 outside observed range [1.9500, 2.0500]",
+        "equilibrium ln price 2.1099 outside observed range [1.9500, 2.0500]",
+    ]
 
 
 def test_report_numeric_fields_finite(paper):
