@@ -9,7 +9,10 @@ same generator, so the result depends only on the inputs and the seed.
 The map from u to beta increases, so the betas' order statistics are the
 mapped order statistics of the uniforms: the uniforms are selected, in
 place by partitioning, never by sorting, and only the few that an endpoint
-can come from are mapped to betas.
+can come from are mapped to betas.  They are partitioned as ``uint64``
+keys, their IEEE-754 bit patterns: positive float64 values, ``inf``
+included, order exactly as those patterns do, so the selection is the
+float one, without the float partition's NaN handling.
 
 The interval endpoints follow NumPy's linear (Hyndman & Fan type-7) rule:
 two neighbouring order statistics per endpoint, lerped in the quantity's
@@ -111,7 +114,10 @@ class BetaDraws:
     the redraw count and generating seed.
 
     The beta of a stored value u is ``mean + se * Q(u)``, increasing in u;
-    where ``se`` is 0 the stored values are the betas themselves.
+    where ``se`` is 0 the stored values are the betas themselves.  Either
+    way ``values`` are positive float64: ``derived_intervals`` selects them
+    by their bit patterns, and raises on any other dtype or on a value
+    that is 0.0, negative or NaN.
     """
 
     values: np.ndarray
@@ -222,10 +228,12 @@ def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], set[int]]:
     smallest or largest ranks takes them by a min or max scan.  For type-7
     endpoints the spans left are the short ones beyond each endpoint, so the
     work is two single-``kth`` partitions and scans of the tails (the
-    bracketing of Floyd & Rivest, CACM 18(3), 1975).  Rank ``n - 1`` is NaN
-    in a row that holds one: NaNs order last in a partition, and min and
-    max propagate them.  Returns the statistics and the positions the row
-    is now split at: no value before such a split exceeds any from it on.
+    bracketing of Floyd & Rivest, CACM 18(3), 1975).  In a float row that
+    holds a NaN, rank ``n - 1`` is NaN: NaNs order last in a partition, and
+    min and max propagate them.  An integer row, such as uniforms read as
+    ``uint64`` keys, has no NaN to order.  Returns the statistics and the
+    positions the row is now split at: no value before such a split exceeds
+    any from it on.
     """
     stats = {}
     splits = {0, row.size}
@@ -267,12 +275,13 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     """Empirical ((1-level)/2, (1+level)/2) intervals of the derived quantities.
 
     ``draws`` comes from ``sample_betas``, so every beta is positive.  Its
-    ``values`` are partitioned in place, so they are left a permutation of
-    the draws; no n-long array is mapped, evaluated or held beside them.
-    (Calls that held one made glibc trim the heap and fault it back in,
-    about 360 minor faults per call at 100k draws.)  The point column
-    evaluates the same maps at the sampling mean.  Raises when a bound is
-    not finite or a quantity is NaN for some draw.
+    ``values`` are partitioned in place, as ``uint64`` keys, so they are
+    left a permutation of the draws; no n-long array is mapped, evaluated
+    or held beside them.  (Calls that held one made glibc trim the heap and
+    fault it back in, about 360 minor faults per call at 100k draws.)  The point column
+    evaluates the same maps at the sampling mean.  Raises when ``values``
+    are not float64 or not all positive, when a bound is not finite, or
+    when a quantity is NaN for some draw.
     """
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
@@ -282,6 +291,10 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         raise UncertaintyError("means and market rate must be finite")
 
     values = draws.values
+    if values.dtype != np.float64:
+        raise UncertaintyError(f"draws must hold float64 values, got {values.dtype}")
+    # positive float64 values order as their bit patterns read as uint64
+    keys = values.view(np.uint64)
     n = values.size
     lo_q = 0.5 * (1.0 - level)
     lo = _type7_rows(n, lo_q)
@@ -290,7 +303,10 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     # a quantity that descends in beta takes its rank k from the beta's rank n-1-k
     needed = sorted(ends | {n - 1 - k for k in ends})
     picked = sorted({*needed, 0, n - 1})
-    u, splits = _order_stats(values, picked)
+    selected, splits = _order_stats(keys, picked)
+    u = dict(zip(selected, np.fromiter(selected.values(), np.uint64).view(np.float64)))
+    if not 0.0 < u[0] <= u[n - 1]:  # 0.0, a negative value or a NaN sits at an end
+        raise UncertaintyError("draws must hold positive values")
     # By column, the monotone piece of each equilibrium map whose guards,
     # _TURN_MARGIN inside its turning points, hold every needed beta: its
     # direction, rising on the first piece and turning at each turning
@@ -345,7 +361,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
             g = sign * rows[:-1, j]  # rises with the beta between the guards
             if g[m - 1] - g[0] > resolved:
                 descending[j] = sign < 0.0
-                if not (np.any(below <= own_low) or np.any(above >= own_high)):
+                if not (u[0] <= own_low or u[n - 1] >= own_high):
                     continue  # every past draw lies on this map's own piece
                 # d at rank r: past values below g there less the draws below
                 # the low guard.  The beta's rank r then holds rank r + d of g,
@@ -394,7 +410,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                 x for a, c, _ in windows.values() for x in (a, c + 1)}:
             start = max(y for y in splits if y <= x)
             if start < x:
-                values[start:min(y for y in splits if y > x)].partition(x - start)
+                keys[start:min(y for y in splits if y > x)].partition(x - start)
                 splits |= {x, x + 1}
         blocks = [values[a:b] for a, b in spans]
         blocks += [values[a:c + 1] for a, c, _ in windows.values()]

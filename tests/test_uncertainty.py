@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from natbeta import beta_algebra, kernels, market_curves, uncertainty
@@ -336,6 +338,57 @@ def test_derived_intervals_validation(paper):
         derived_intervals(good, 1.0, 0.03, 0.0, 0.0, level=1.5)
 
 
+def test_draws_that_are_not_float64_raise():
+    # float32 values read as uint64 keys would be taken two at a time
+    for size in (100, 101):
+        draws = BetaDraws(values=np.full(size, 0.9, dtype=np.float32), n_redrawn=0, seed=0,
+                          mean=0.9)
+        with pytest.raises(UncertaintyError, match=r"^draws must hold float64 values"):
+            derived_intervals(draws, 1.0, 0.03, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, 0.0, -0.0, math.nan, -math.inf])
+@pytest.mark.parametrize("n", [10, 200, 20_000])
+def test_draws_holding_a_non_positive_or_nan_value_raise(paper, bad, n):
+    # Read as uint64 keys, 0.0 orders first and every negative value and
+    # NaN last, so one such value among the uniforms, or among betas held
+    # at se 0, is an extreme key
+    draws = sample_betas(0.919, 0.018, n, seed=n)
+    for count in (1, n // 10, n // 2):
+        at = np.random.default_rng(count).choice(n, count, replace=False)
+        for values, se in ((draws.values.copy(), draws.se), (draws.betas(draws.values), 0.0)):
+            values[at] = bad
+            hand_built = BetaDraws(values=values, n_redrawn=0, seed=0, mean=draws.mean, se=se)
+            with np.errstate(invalid="ignore", divide="ignore"), \
+                    pytest.raises(UncertaintyError):
+                derived_intervals(hand_built, paper["beta_qm"], paper["r_m"],
+                                  paper["mean_ln_flow"], paper["mean_ln_price"])
+
+
+positive_floats = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+    st.integers(1, 2**53 - 1).map(lambda k: k * 2.0**-53),  # the uniforms' grid
+    st.integers(1, 2**52 - 1).map(lambda k: k * 2.0**-1074),  # subnormals
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), pool=st.lists(positive_floats, min_size=1, max_size=40))
+def test_positive_floats_select_as_uint64_keys(data, pool):
+    # values drawn from a small pool, so most rows hold ties
+    a = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
+    ranks = data.draw(st.sets(st.integers(0, a.size - 1), min_size=1))
+    expected = np.sort(a)
+    stats, splits = uncertainty._order_stats(a.view(np.uint64), ranks)
+    assert set(stats) == ranks
+    got = np.fromiter(stats.values(), np.uint64).view(np.float64)
+    assert got.tobytes() == expected[list(stats)].tobytes()
+    assert np.array_equal(np.sort(a), expected)  # a permutation
+    for x in splits - {0, a.size}:
+        assert a[:x].max() <= a[x:].min()
+
+
 @pytest.mark.parametrize("level,n", [
     *itertools.product([0.0001, 0.5, 0.9, 0.99, 0.999999], [1, 2, 3, 1000, 100_000]),
     # both endpoints share their two rows at n = 2 (every level) and at
@@ -475,7 +528,7 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         passed.clear()
         derived_intervals(draws, paper["beta_qm"], paper["r_m"],
                           paper["mean_ln_flow"], paper["mean_ln_price"])
-        assert len(selections) == 1 and selections[0] is draws.values
+        assert len(selections) == 1 and selections[0].base is draws.values
         assert np.array_equal(np.sort(draws.values), uniforms)  # a permutation
         [u] = mapped
         assert u[:6].tobytes() == uniforms[[0, 4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
@@ -514,7 +567,7 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
         mapped.clear()
         passed.clear()
         report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
-        assert len(selections) == 1 and selections[0] is draws.values
+        assert len(selections) == 1 and selections[0].base is draws.values
         assert len(passed) == 2 and sum(map(len, passed)) < 1_500, seed
         assert len(mapped) == 2 and sum(map(len, mapped)) < 1_500, seed
         assert passed[0].size - 5 == np.count_nonzero(draws.values >= draws.u_at(guard))
