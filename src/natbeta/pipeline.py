@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_string
 from typing import TYPE_CHECKING, Mapping
@@ -238,6 +239,16 @@ def _report_warnings(blocks: Mapping) -> list[str]:
     return warnings
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, for any integer type but bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise StageError("uncertainty", f"{name} must be an integer, got {value!r}")
+
+
 def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                  level: float = 0.90, draws: int = 100_000, seed: int | None = None,
                  instruments: str = "auto", slope: float | None = None,
@@ -256,6 +267,9 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                          hint="pass the firm market beta via beta_qm")
     if r_m is None or not math.isfinite(float(r_m)):
         raise StageError("beta_algebra", "market rate r_m must be a finite number")
+    draws = _integer("draws", draws)
+    if seed is not None:
+        seed = _integer("seed", seed)
     if draws < 0:
         raise StageError("uncertainty", f"draws must be >= 0, got {draws}",
                          hint="draws=0 skips the intervals")

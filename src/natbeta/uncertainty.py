@@ -1,18 +1,29 @@
 """Monte Carlo propagation of the beta uncertainty to derived quantities.
 
 Betas are drawn by inversion (Devroye 1986, *Non-Uniform Random Variate
-Generation*, II.2): each draw is a uniform u from one SFC64 generator
-seeded from the seed mod 2**64, and its beta is ``mean + se * Q(u)``, with
-Q the normal quantile ``kernels.normal_quantile`` (Wichura's AS241).  The
-uniforms of non-positive betas are redrawn in whole-array rounds from the
-same generator, so the result depends only on the inputs and the seed.
-The map from u to beta increases, so the betas' order statistics are the
-mapped order statistics of the uniforms: the uniforms are selected, in
-place by partitioning, never by sorting, and only the few that an endpoint
-can come from are mapped to betas.  They are partitioned as ``uint64``
-keys, their IEEE-754 bit patterns: positive float64 values, ``inf``
-included, order exactly as those patterns do, so the selection is the
-float one, without the float partition's NaN handling.
+Generation*, II.2): each draw is a uniform u, and its beta is
+``mean + se * Q(u)``, with Q the normal quantile ``kernels.normal_quantile``
+(Wichura's AS241).  Uniforms at or below the truncation floor, those of
+non-positive betas, are rejected and redrawn, so the kept ones are iid
+uniform on (floor, 1).  The map from u to beta increases, so the betas'
+order statistics are the mapped order statistics of the uniforms, and the
+draws are held as those order statistics: a table of uniforms in ascending
+order, in blocks of ``_BLOCK`` ranks, of which only the blocks an endpoint
+reads are ever drawn.
+
+Uniform order statistics are normalised sums of exponential spacings, and
+given two of them the draws between are iid uniform on the gap (Devroye
+1986, ch. V; Bentley & Saxe, "Generating sorted lists of random numbers",
+ACM TOMS 6(3), 1980).  ``sample_betas`` draws the uniforms at the block
+boundaries, ranks B - 1, 2B - 1, ..., at once, as normalised cumulative
+``standard_gamma`` spacings, and the count of rejected candidates as a
+negative binomial.  A block's other uniforms are drawn, sorted and cached
+when a rank in it is first read, from the block's own position of one PCG64
+stream seeded from the seed mod 2**64.  Every uniform is thus a fixed
+function of (seed, draws, floor, rank), whatever is read and in whatever
+order, and one seed gives common random numbers across levels and map
+inputs.  The draws at or past a uniform are counted by bisecting the
+boundaries and searching one block.
 
 The interval endpoints follow NumPy's linear (Hyndman & Fan type-7) rule:
 two neighbouring order statistics per endpoint, lerped in the quantity's
@@ -40,12 +51,12 @@ from the K - 1 lowest uniforms, the K - 1 highest and the K on each side
 of each turning point's u-rank (one more there, since erfc's rounding may
 miss that rank by one); no path maps or evaluates every draw.
 
-Every endpoint equals the one selected from a table of every draw's value
-unless rounding reverses two draws at a needed rank: the kernel's for two
-betas within a few ulps of each other, or AS241's, whose Horner rounding is
-not monotone at the last bit, for two uniforms a grid step (2**-53) apart.
-The Monte Carlo fields therefore differ from those of versions that drew
-normals, at the same seed.
+Every endpoint equals the one selected from the full table of every draw's
+value unless rounding reverses two draws at a needed rank: the kernel's
+for two betas within a few ulps of each other, or AS241's, whose Horner
+rounding is not monotone at the last bit, for two uniforms a few ulps
+apart.  The Monte Carlo fields therefore differ from those of versions that
+drew every uniform, at the same seed.
 
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.  Neither function
@@ -57,7 +68,8 @@ for ``estimate`` and ``ci`` alike, with those warnings silenced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +85,21 @@ __all__ = [
 
 QUANTITY_NAMES = ("ln_price", "ln_quantity", "ln_user_cost", "beta_xm", "r_x")
 
-MAX_DRAWS = 10**7  # largest draw count sample_betas allocates
+# Largest draw count sample_betas accepts.  The sampler's own work grows
+# only with the number of blocks, but the past-draw and K-rank paths of
+# derived_intervals still read blocks in proportion to the draws.
+MAX_DRAWS = 10**7
+# Ranks per block of the table: the uniform at the last rank of each block
+# but the last is drawn by sample_betas, the others when the block is read.
+_BLOCK = 1 << 10
+# Stream position of block 0's uniforms; the boundaries and the rejection
+# count take the stream from position 0, far fewer than this many values.
+_BLOCK_ORIGIN = 1 << 64
+# Least acceptance probability 1 - floor that sample_betas draws a
+# rejection count for.  Below it the negative binomial's mean overflows
+# NumPy's Poisson step, and more than half the draws are rejected with
+# probability above 1 - 2**-36, so the sampler aborts outright.
+_LEAST_ACCEPTANCE = 2.0**-39
 # Least mean rise of a mapped quantity per rank between the needed betas,
 # relative to its largest value there: 4096 ulps, far above the kernel's
 # rounding.  Draws spaced more finely are selected by the K-rank rule.
@@ -108,23 +134,106 @@ def _truncation_floor(mean: float, se: float) -> float:
     return _normal_cdf((_TINIEST - mean) / se) * (1.0 + _TRUNCATION_MARGIN)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, for any integer type but bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise UncertaintyError(f"{name} must be an integer, got {value!r}")
+
+
+def _sorted_uniforms(stream: tuple, j: int, out: np.ndarray, lo: float, hi: float) -> None:
+    """Fill ``out`` with iid uniforms on [lo, hi], ascending: the interior
+    of block ``j``, drawn from the block's own position of ``stream``, a
+    generator and the state it was seeded with.  ``lo + (hi - lo) * v``
+    rounds to no less than lo, but may round past hi by an ulp."""
+    generator, origin = stream
+    generator.bit_generator.state = origin
+    generator.bit_generator.advance(_BLOCK_ORIGIN + j * _BLOCK)
+    generator.random(out=out)
+    out.sort()
+    out *= hi - lo
+    out += lo
+    np.minimum(out, hi, out=out)
+
+
 @dataclass(frozen=True)
 class BetaDraws:
-    """Positive beta draws, each held as the uniform it is mapped from, plus
-    the redraw count and generating seed.
+    """Positive beta draws, each held as the uniform it is mapped from, in
+    ascending order, plus the redraw count and generating seed.
 
-    The beta of a stored value u is ``mean + se * Q(u)``, increasing in u;
-    where ``se`` is 0 the stored values are the betas themselves.  Either
-    way ``values`` are positive float64: ``derived_intervals`` selects them
-    by their bit patterns, and raises on any other dtype or on a value
-    that is 0.0, negative or NaN.
+    The table holds ``size`` stored values on [``low``, ``high``], in blocks
+    of ``_BLOCK`` ranks; ``knots`` are the values at the last rank of every
+    block but the last.  ``values`` and ``searchsorted`` read the table
+    as NumPy would read the full sorted array, drawing a block the first
+    time a rank in it is read.  The beta of a stored value u is
+    ``mean + se * Q(u)``, increasing in u; where ``se`` is 0 the stored
+    values are the betas themselves, and ``sample_betas`` gives the table
+    with ``low = high = mean``.  ``from_values`` builds a table with every
+    block given.
     """
 
-    values: np.ndarray
+    size: int
+    knots: np.ndarray
+    low: float
+    high: float
     n_redrawn: int
     seed: int
     mean: float
     se: float = 0.0
+    _stream: tuple | None = field(default=None, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def from_values(cls, values, mean: float, se: float = 0.0) -> BetaDraws:
+        """A table of the given stored values: positive betas where se is 0,
+        else uniforms in (0, 1), which it sorts.  Raises on an empty table
+        and on any other value, NaN included."""
+        values = np.sort(np.array(values, dtype=np.float64))
+        inside = values > 0.0 if se == 0.0 else (values > 0.0) & (values < 1.0)
+        if not (values.size and inside.all()):
+            raise UncertaintyError("draws must hold positive betas, or uniforms in (0, 1)")
+        values.flags.writeable = False
+        return cls(size=values.size, knots=values[_BLOCK - 1:-1:_BLOCK], low=values[0],
+                   high=values[-1], n_redrawn=0, seed=0, mean=float(mean), se=float(se),
+                   _blocks={j: values[j * _BLOCK:(j + 1) * _BLOCK]
+                            for j in range(-(-values.size // _BLOCK))})
+
+    def _block(self, j: int) -> np.ndarray:
+        """Block ``j`` of the table, drawn and cached on first use."""
+        block = self._blocks.get(j)
+        if block is None:
+            top = j < self.knots.size  # the block ends at knot j
+            lo = self.knots[j - 1] if j else self.low
+            hi = self.knots[j] if top else self.high
+            block = np.empty(min(_BLOCK, self.size - j * _BLOCK))
+            _sorted_uniforms(self._stream, j, block[:block.size - top], lo, hi)
+            if top:
+                block[-1] = hi
+            block.flags.writeable = False
+            self._blocks[j] = block
+        return block
+
+    def values(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The stored values at ranks ``start`` to ``stop - 1``, ascending;
+        by default the full table.  A range inside one block is a read-only
+        view of it."""
+        stop = self.size if stop is None else stop
+        if start >= stop:
+            return np.empty(0)
+        first = start // _BLOCK
+        blocks = [self._block(j) for j in range(first, (stop - 1) // _BLOCK + 1)]
+        ordered = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return ordered[start - first * _BLOCK:stop - first * _BLOCK]
+
+    def searchsorted(self, x: float, side: str = "left") -> int:
+        """The number of stored values below ``x``, or at or below it where
+        ``side`` is "right": NumPy's ``searchsorted`` of the full table,
+        from the knots and one block."""
+        j = int(np.searchsorted(self.knots, x, side))
+        return j * _BLOCK + int(np.searchsorted(self._block(j), x, side))
 
     def betas(self, u) -> np.ndarray:
         """The betas of the stored values ``u``, as a new array."""
@@ -153,22 +262,27 @@ class IntervalReport:
 
 def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     """Draw positive betas from N(mean, se) by inversion, redrawing the
-    uniforms of non-positive values.
+    uniforms of non-positive values, as a table of their uniforms.
 
-    Every uniform, first pass and redraws alike, comes from one SFC64
-    generator seeded from ``seed mod 2**64``, so the output depends only on
-    (mean, se, draws, seed).  A uniform is rejected where it is at most
-    ``_truncation_floor``: P(beta <= 0) = Phi(-mean/se), raised by
-    ``_TRUNCATION_MARGIN``, so every kept uniform maps to a positive beta
-    despite rounding, and 0 is always rejected.  The rejected uniforms are
-    redrawn together in rounds: each round draws one uniform per index
-    still rejected, in index order, until none is left.  ``n_redrawn``
-    counts every rejected candidate, so the stream yields exactly
-    ``draws + n_redrawn`` uniforms.  Raises when that count exceeds half
-    the requested draws: the normal is then too inconsistent with the
+    A uniform is rejected where it is at most ``_truncation_floor``:
+    P(beta <= 0) = Phi(-mean/se), raised by ``_TRUNCATION_MARGIN``, so every
+    kept uniform maps to a positive beta despite rounding.  The kept
+    uniforms are iid uniform on (floor, 1); the table holds them on
+    [nextafter(floor, 1), nextafter(1, 0)], so 0 and 1 never occur.  From
+    one PCG64 generator seeded from ``seed mod 2**64`` it draws the block
+    boundaries, as the ratios of the cumulative sums of ``draws // _BLOCK``
+    standard_gamma(_BLOCK) spacings (one fewer where ``_BLOCK`` divides
+    ``draws``) to their sum with one last spacing, the rest of the
+    ``draws + 1`` exponentials, and then ``n_redrawn``, the count of
+    rejected candidates before ``draws`` are kept: a negative binomial with
+    ``draws`` successes of probability 1 - floor.  The output depends only
+    on (mean, se, draws, seed).  Raises when that count exceeds half the
+    requested draws: the normal is then too inconsistent with the
     positivity restriction to represent the beta.  Where se is 0 every beta
-    is the mean.
+    is the mean: the same table with ``low = high = mean``.  ``draws`` and
+    ``seed`` must be integers, not bools.
     """
+    draws = _integer(draws, "draws")
     if draws < 1:
         raise UncertaintyError(f"draws must be >= 1, got {draws}")
     if draws > MAX_DRAWS:
@@ -177,32 +291,30 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
         raise UncertaintyError(f"se must be >= 0, got {se}")
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise UncertaintyError("mean and se must be finite")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise UncertaintyError("seed must be a non-negative integer")
-    if se == 0.0:
-        if mean <= 0.0:
-            raise UncertaintyError(f"degenerate distribution at non-positive mean {mean}")
-        return BetaDraws(values=np.full(draws, float(mean)), n_redrawn=0,
-                         seed=seed, mean=float(mean))
+    if se == 0.0 and mean <= 0.0:
+        raise UncertaintyError(f"degenerate distribution at non-positive mean {mean}")
 
-    budget = 0.5 * draws
-    floor = _truncation_floor(mean, se)
-    main = np.random.Generator(np.random.SFC64(seed & _MASK64))
-    values = main.random(draws)
-    bad = np.flatnonzero(values <= floor)
-    rejected = 0
-    while bad.size:
-        rejected += bad.size
-        if rejected > budget:
+    blocks = -(-draws // _BLOCK)
+    generator = np.random.Generator(np.random.PCG64(seed & _MASK64))
+    stream = (generator, generator.bit_generator.state)
+    sums = np.cumsum(np.append(generator.standard_gamma(float(_BLOCK), blocks - 1),
+                               generator.standard_gamma(draws + 1 - (blocks - 1) * _BLOCK)))
+    n_redrawn, low, high = 0, float(mean), float(mean)
+    if se > 0.0:
+        floor = _truncation_floor(mean, se)
+        if 1.0 - floor >= _LEAST_ACCEPTANCE:
+            n_redrawn = int(generator.negative_binomial(draws, 1.0 - floor))
+        if 1.0 - floor < _LEAST_ACCEPTANCE or n_redrawn > 0.5 * draws:
             raise UncertaintyError(
                 f"excessive truncation: more than half of {draws} draws rejected"
             )
-        fresh = main.random(bad.size)
-        values[bad] = fresh
-        bad = bad[fresh <= floor]
-    return BetaDraws(values=values, n_redrawn=rejected, seed=seed, mean=float(mean),
-                     se=float(se))
+        low, high = math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0)
+    knots = np.clip(low + (high - low) * (sums[:-1] / sums[-1]), low, high)
+    return BetaDraws(size=draws, knots=knots, low=low, high=high, n_redrawn=n_redrawn,
+                     seed=seed, mean=float(mean), se=float(se), _stream=stream)
 
 
 def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
@@ -220,7 +332,7 @@ def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
     return below, below + 1, virtual - below
 
 
-def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], set[int]]:
+def _order_stats(row: np.ndarray, ranks) -> dict[int, float]:
     """Order statistics ``ranks`` of ``row``, selected in place.
 
     Each step partitions a span at the needed rank nearest its middle, then
@@ -228,15 +340,11 @@ def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], set[int]]:
     smallest or largest ranks takes them by a min or max scan.  For type-7
     endpoints the spans left are the short ones beyond each endpoint, so the
     work is two single-``kth`` partitions and scans of the tails (the
-    bracketing of Floyd & Rivest, CACM 18(3), 1975).  In a float row that
-    holds a NaN, rank ``n - 1`` is NaN: NaNs order last in a partition, and
-    min and max propagate them.  An integer row, such as uniforms read as
-    ``uint64`` keys, has no NaN to order.  Returns the statistics and the
-    positions the row is now split at: no value before such a split exceeds
-    any from it on.
+    bracketing of Floyd & Rivest, CACM 18(3), 1975).  In a row that holds a
+    NaN, rank ``n - 1`` is NaN: NaNs order last in a partition, and min and
+    max propagate them.
     """
     stats = {}
-    splits = {0, row.size}
     spans = [(0, row.size, sorted(set(ranks)))]
     while spans:
         start, stop, need = spans.pop()
@@ -250,10 +358,9 @@ def _order_stats(row: np.ndarray, ranks) -> tuple[dict[int, float], set[int]]:
         k = min(need, key=lambda r: abs(2 * r - start - stop + 1))
         span.partition(k - start)
         stats[k] = row[k]
-        splits |= {k, k + 1}
         spans.append((start, k, [r for r in need if r < k]))
         spans.append((k + 1, stop, [r for r in need if r > k]))
-    return stats, splits
+    return stats
 
 
 def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -274,14 +381,14 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                       mean_ln_price: float, level: float = 0.90) -> IntervalReport:
     """Empirical ((1-level)/2, (1+level)/2) intervals of the derived quantities.
 
-    ``draws`` comes from ``sample_betas``, so every beta is positive.  Its
-    ``values`` are partitioned in place, as ``uint64`` keys, so they are
-    left a permutation of the draws; no n-long array is mapped, evaluated
-    or held beside them.  (Calls that held one made glibc trim the heap and
-    fault it back in, about 360 minor faults per call at 100k draws.)  The point column
-    evaluates the same maps at the sampling mean.  Raises when ``values``
-    are not float64 or not all positive, when a bound is not finite, or
-    when a quantity is NaN for some draw.
+    ``draws`` comes from ``sample_betas``, or ``BetaDraws.from_values``, so
+    every beta is positive.  Only the blocks of the table that hold a
+    picked rank, a past draw, a rank window or a K-rank span are drawn; no
+    n-long array is mapped, evaluated or held.  (Calls that held one made
+    glibc trim the heap and fault it back in, about 360 minor faults per
+    call at 100k draws.)  The point column evaluates the same maps at the
+    sampling mean.  Raises when a bound is not finite, or when a quantity
+    is NaN for some draw.
     """
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
@@ -290,12 +397,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price) and math.isfinite(r_m)):
         raise UncertaintyError("means and market rate must be finite")
 
-    values = draws.values
-    if values.dtype != np.float64:
-        raise UncertaintyError(f"draws must hold float64 values, got {values.dtype}")
-    # positive float64 values order as their bit patterns read as uint64
-    keys = values.view(np.uint64)
-    n = values.size
+    n = draws.size
     lo_q = 0.5 * (1.0 - level)
     lo = _type7_rows(n, lo_q)
     hi = _type7_rows(n, 1.0 - lo_q)
@@ -303,10 +405,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     # a quantity that descends in beta takes its rank k from the beta's rank n-1-k
     needed = sorted(ends | {n - 1 - k for k in ends})
     picked = sorted({*needed, 0, n - 1})
-    selected, splits = _order_stats(keys, picked)
-    u = dict(zip(selected, np.fromiter(selected.values(), np.uint64).view(np.float64)))
-    if not 0.0 < u[0] <= u[n - 1]:  # 0.0, a negative value or a NaN sits at an end
-        raise UncertaintyError("draws must hold positive values")
+    u = {k: draws.values(k, k + 1)[0] for k in picked}
     # By column, the monotone piece of each equilibrium map whose guards,
     # _TURN_MARGIN inside its turning points, hold every needed beta: its
     # direction, rising on the first piece and turning at each turning
@@ -322,19 +421,16 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                 pieces[j] = (-1.0 if i % 2 else 1.0, low, high)
                 break
     # The draws at or past a piece's guard: all draws below the lowest
-    # needed beta lie before the first split at or above its rank, all above
-    # the highest from the last split at or below the next rank.  They are
-    # mapped with the picked ranks.
+    # needed beta, or above the highest.  They are mapped with the picked
+    # ranks.
     below = above = np.empty(0)
     if pieces:
         edge = max(piece[1] for piece in pieces.values())
         if u[0] <= edge:
-            block = values[:min(x for x in splits if x >= needed[0])]
-            below = block[block <= edge]
+            below = draws.values(0, draws.searchsorted(edge, "right"))
         edge = min(piece[2] for piece in pieces.values())
         if u[n - 1] >= edge:
-            block = values[max(x for x in splits if x <= needed[-1] + 1):]
-            above = block[block >= edge]
+            above = draws.values(draws.searchsorted(edge), n)
     mapped = draws.betas(np.concatenate([[u[k] for k in picked], below, above]))
     beta = dict(zip(picked, mapped))
     past = mapped[len(picked):]
@@ -390,7 +486,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         for j in turning:
             for t in market_curves.TURNING_POINTS[QUANTITY_NAMES[j]]:
                 if beta[0] < t < beta[n - 1]:
-                    rank = int(np.count_nonzero(values < draws.u_at(t)))
+                    rank = draws.searchsorted(draws.u_at(t))
                     cuts.append((rank - depth - 2, rank + depth + 2))
         for start, stop in sorted(cuts):
             start, stop = max(start, 0), min(stop, n)
@@ -403,17 +499,9 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     stats = [{k: row_at[n - 1 - k if descending[j] else k][j] for k in ends}
              if j in descending else None for j in range(len(QUANTITY_NAMES))]
     if spans or windows:
-        # Split the uniforms at each span's and window's ends, each inside
-        # the span of splits that holds it, so that their positions hold
-        # their ranks; one mapping and one kernel call evaluate them all
-        for x in {x for span in spans for x in span} | {
-                x for a, c, _ in windows.values() for x in (a, c + 1)}:
-            start = max(y for y in splits if y <= x)
-            if start < x:
-                keys[start:min(y for y in splits if y > x)].partition(x - start)
-                splits |= {x, x + 1}
-        blocks = [values[a:b] for a, b in spans]
-        blocks += [values[a:c + 1] for a, c, _ in windows.values()]
+        # one mapping and one kernel call evaluate every span and window
+        blocks = [draws.values(a, b) for a, b in spans]
+        blocks += [draws.values(a, c + 1) for a, c, _ in windows.values()]
         inside = kernels.propagate_beta_draws(draws.betas(np.concatenate(blocks)),
                                               mean_ln_flow, mean_ln_price)
         size = sum(b - a for a, b in spans)
@@ -421,7 +509,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         # and the same rank from the top above it
         place = {k: k if k <= depth else k - n + size for k in ends | {n - 1}}
         for j in turning:
-            selected = _order_stats(inside[:size, j], set(place.values()))[0]
+            selected = _order_stats(inside[:size, j], set(place.values()))
             stats[j] = {k: selected[i] for k, i in place.items()}
         stops = np.cumsum([c + 1 - a for a, c, _ in windows.values()])[:-1]
         for ((j, _), (a, c, moved)), window in zip(windows.items(),

@@ -33,10 +33,10 @@ PAPER = {
 # Seeds picked for a rare event of the Monte Carlo stream, shared by the tests
 # that rely on it.  tests/test_uncertainty.py checks each event straight from
 # sample_betas, so a change of stream cannot quietly hollow out a case.
-STUB_SEED_NONE_PAST_ONE = 0  # the paper stub at 100 000 draws: no draw >= 1
-STUB_SEED_TWO_PAST_ONE = 6  # the same: exactly two draws >= 1, where ln_user_cost turns
+STUB_SEED_NONE_PAST_ONE = 1  # the paper stub at 100 000 draws: no draw >= 1
+STUB_SEED_TWO_PAST_ONE = 13  # the same: exactly two draws >= 1, where ln_user_cost turns
 NEAR_BUDGET_SEED = 3  # (0.043, 0.1) at 10 000 draws: 4 500 to 5 000 redraws
-TRUNCATED_N7_SEED = 0  # (0.1, 0.1) at 7 draws: at most three rejected, so no abort
+TRUNCATED_N7_SEED = 1  # (0.1, 0.1) at 7 draws: at most three rejected, so no abort
 
 
 @pytest.fixture(autouse=True)

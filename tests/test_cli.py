@@ -183,8 +183,8 @@ def test_paper_stub_100k_json_matches_numpy_quantile_bounds(capsys, monkeypatch)
     sorted_bounds = uncertainty.derived_intervals
 
     def quantile_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level):
-        betas = draws.betas(draws.values)
         report = sorted_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level=level)
+        betas = draws.betas(draws.values())  # the full table, built after the call
         beta_xm = betas * beta_qm
         table = np.column_stack([
             kernels.propagate_beta_draws(betas, mean_ln_flow, mean_ln_price),
@@ -207,30 +207,30 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
 @pytest.mark.parametrize("argv,digest", [
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919",
                   "--slope-se", "0.018", "--seed", "7", "--draws", "100000"],
-                 "154bce61da59e0268b4d4069433476ce0ac117c3ab6c23c20b2496d9df5f563b",
+                 "83a8c4cf741caf88f5cb0b0cc7626d5d45d1e1d6d39571ce5bc2b8c977b192f0",
                  id="paper-stub-100k"),
     # two of these draws lie past b = 1, where ln_user_cost turns
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.919", "--slope-se",
                   "0.018", "--seed", str(STUB_SEED_TWO_PAST_ONE), "--draws", "100000"],
-                 "df39744e23a382bace6a042066ca1aa64790372ad0d92d33b02a5b762e1958c3",
+                 "d045bda93493b1dc040bdd6cff5034a3f29873130f1e2de11fd591b9b65c2d1f",
                  id="paper-stub-100k-past-a-turning-point"),
     # the inputs of the truncated_20k benchmark workload: ~16% redrawn
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "-0.1",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
-                 "94b49edef5efb53ab646499f2eab2ece3a81d7fbb0f1b057655cb7b4b92d71a0",
+                 "7de4adbbdf10af11c110de3df299d14c3eed916cbf3bc7e8e60dd82982e455ca",
                  id="truncated-20k"),
     pytest.param(["estimate", *STUB_MARKET, "--r-m=-3%", "--slope", "-0.919",
                   "--slope-se", "0.018", "--seed", "7", "--draws", "20000"],
-                 "c685d6c7b5f64946b9629307c0b8aa141a6f4a0ab8c9761664dfa744f14d5a18",
+                 "5509a2f57718d3eac6dde195c21f5af52602335198eff1411ba5f21fb0af8898",
                  id="negative-r-m"),
     # a positive slope: the reciprocal beta and the delta-method se/slope^2
     pytest.param(["estimate", *STUB_MARKET, "--r-m", "2.9%", "--slope", "2.0",
                   "--slope-se", "0.1", "--seed", "7", "--draws", "20000"],
-                 "a55105c537a4a352383b577461380382673556b86852759a48b20e454878908d",
+                 "a018ce72d1f6789ddb4801abd0fc1d033d62270d6c3ab3b569d73c7288b9c26d",
                  id="positive-slope"),
     pytest.param(["estimate", "--input", "panel.csv", "--beta-qm", "5.36", "--r-m", "0.029",
                   "--seed", "2"],
-                 "b6ea5685c05b4d96929ffece9cf2b35ce4a4ed5a7bff7cbd959d3071f3e39a9b",
+                 "03ac29991c538f14c99cfa9bf6ad1c885ac146631f0c87da42ed048771d86c9d",
                  id="panel-input"),
     pytest.param(["equilibrium", "--beta-xq", "1"],
                  "cbf1852613e9a5f4ef315a7a52952aab8197f4d61b5d7bbcfdf24e8a52bab3d0",
@@ -239,18 +239,18 @@ STUB_MARKET = ["--beta-qm", "5.36", "--mean-ln-flow", "2.113", "--mean-ln-price"
     # ln_quantity and ln_user_cost (b ~ 0.301 and 1) with r_x descending
     pytest.param(["ci", "--beta-xq", "1.9", "--beta-xq-se", "0.3", *STUB_MARKET,
                   "--r-m", "2.9%", "--seed", "7", "--draws", "100000"],
-                 "54e97c60b7f66ddae41288361eec7276877ef19b1e785e594932532366347316",
+                 "b28fdbc05f25e776df29e261faf0105c8fa7eb4202ab431d2cb6be43e333032c",
                  id="ci-price-turning-point"),
     pytest.param(["ci", "--beta-xq", "1.0", "--beta-xq-se", "0.05", *STUB_MARKET,
                   "--r-m=-3%", "--seed", "7", "--draws", "100000"],
-                 "38fc1ec46d172582ca9f61964bb11b1d9d72437cbb869655a0d2c869676ae643",
+                 "cd37be472d52e95b1c9f7a8461baff6431999135d52524f12c5b6b22111cd9a1",
                  id="ci-user-cost-turning-point"),
     # draws past the turning points of ln_user_cost (b = 1 and ~ 4.716) whose
     # values fall among the others': a descending quantity whose endpoints
     # come from windows of the beta's order statistics on both sides
     pytest.param(["ci", "--beta-xq", "3.0", "--beta-xq-se", "0.8", *STUB_MARKET,
                   "--r-m", "2.9%", "--seed", "7", "--draws", "20000"],
-                 "28c16858b9f963d7a6578e5b284470e5c9d28cf911380c7a10942875be0e07bf",
+                 "542cf830772e1d0e05a7c3cd3f1ab011080713256b39467d9e6612d5a8bdb95b",
                  id="ci-descending-windows"),
     # the two cells of the coverage_sweep benchmark workload: both shocks,
     # the supply-shifter instruments
@@ -718,10 +718,10 @@ def test_ci_text_shows_huge_finite_rate_bounds_compactly(capsys):
     assert code == 0, err
     assert "inf" not in out
     lows, highs = out.splitlines()[2:4]
-    assert lows.endswith("    4.23e+309%") and highs.endswith("    5.81e+309%")
+    assert lows.endswith("    4.1e+309%") and highs.endswith("    5.8e+309%")
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     r_x = json.loads(out)["bounds"]["r_x"]
-    assert r_x[0] == pytest.approx(4.235e307, rel=1e-3) and r_x[1] == pytest.approx(5.81e307, rel=1e-3)
+    assert r_x[0] == pytest.approx(4.098e307, rel=1e-3) and r_x[1] == pytest.approx(5.799e307, rel=1e-3)
 
 
 def test_ci_subcommand_text_and_json(capsys):

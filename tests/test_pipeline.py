@@ -105,6 +105,18 @@ def test_missing_seed_reports_uncertainty_stage(paper):
     assert err.value.stage == "uncertainty"
 
 
+@pytest.mark.parametrize("bad", [1000.5, 1000.0, True, "3", np.float64(3.0)])
+@pytest.mark.parametrize("argument", ["draws", "seed"])
+def test_draws_and_seed_that_are_not_integers_report_uncertainty(paper, argument, bad):
+    # any value operator.index refuses, and bool: a float seed would run
+    # truncated and be recorded so in the provenance
+    with pytest.raises(StageError, match=rf"^uncertainty: {argument} must be an integer, got "):
+        paper_stub_report(paper, **{argument: bad})
+    if argument == "seed":  # checked even where no draws use it
+        with pytest.raises(StageError, match=r"^uncertainty: seed must be an integer, got "):
+            paper_stub_report(paper, draws=0, seed=bad)
+
+
 def test_bad_beta_qm_reports_beta_algebra():
     with pytest.raises(StageError) as err:
         run_estimate(None, beta_qm=-2.0, r_m=0.029, slope=-0.9, draws=0,
@@ -263,7 +275,7 @@ def test_csv_render_bytes_are_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "7efa66137c55aa7de66073f065062a923c3fdf55477028ad114ac731a55df3a6")
+        "cacd8da0602ebb5b7647c2ee35b341d605a4c666496724e86e15a06b01d019ba")
 
 
 def test_unknown_format_rejected(paper):

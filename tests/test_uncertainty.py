@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.stats import truncnorm
 
 from natbeta import beta_algebra, kernels, market_curves, uncertainty
@@ -34,21 +36,22 @@ def normal_quantile(p):
 
 
 def fixed_draws(values):
-    """BetaDraws holding the given positive betas themselves: at se 0 the map
-    from stored values to betas is the identity."""
+    """A table of the given positive betas themselves, every block given: at
+    se 0 the map from stored values to betas is the identity."""
     values = np.array(values, dtype=np.float64)
-    return BetaDraws(values=values, n_redrawn=0, seed=0, mean=float(values.mean()))
+    return BetaDraws.from_values(values, mean=values.mean())
 
 
 def test_zero_se_gives_constant_draws():
-    draws = sample_betas(0.9, 0.0, 1000, seed=1)
-    assert np.all(draws.values == 0.9)
+    draws = sample_betas(0.9, 0.0, 3000, seed=1)
+    assert np.all(draws.values() == 0.9)
+    assert draws.low == draws.high == 0.9 and np.all(draws.knots == 0.9)
     assert draws.n_redrawn == 0
 
 
 def test_quantiles_match_normal_oracle():
     draws = sample_betas(0.919, 0.018, 1_000_000, seed=2024)
-    lo, hi = np.quantile(draws.betas(draws.values), [0.05, 0.95])
+    lo, hi = np.quantile(draws.betas(draws.values()), [0.05, 0.95])
     z = normal_quantile(0.95)
     assert lo == pytest.approx(0.919 - z * 0.018, abs=1e-3)
     assert hi == pytest.approx(0.919 + z * 0.018, abs=1e-3)
@@ -56,8 +59,8 @@ def test_quantiles_match_normal_oracle():
 
 
 def test_excessive_truncation_raises():
-    # the first pass alone rejects 8462 of the 10 000 draws, and aborts with
-    # the message of the redraw rounds (test_redraw_abort_matches_per_index_philox)
+    # about 84% of candidates are rejected, so the negative binomial count of
+    # rejections far exceeds the budget of 5 000
     with pytest.raises(UncertaintyError,
                        match=r"^excessive truncation: more than half of 10000 draws rejected$"):
         sample_betas(-1.0, 1.0, 10_000, seed=0)
@@ -65,44 +68,32 @@ def test_excessive_truncation_raises():
 
 def test_mild_truncation_redraws_and_counts():
     draws = sample_betas(0.5, 0.25, 50_000, seed=4)
-    assert np.all(draws.betas(draws.values) > 0)
+    assert np.all(draws.betas(draws.values()) > 0)
     # P(draw <= 0) = Phi(-2) ~ 2.3%, so some redraws must have happened
     assert 0 < draws.n_redrawn < 0.5 * 50_000
-
-
-def base_uniforms(seed, n):
-    """The first ``n`` uniforms of the SFC64 generator seeded from seed mod 2**64."""
-    return np.random.Generator(np.random.SFC64(seed & ((1 << 64) - 1))).random(n)
 
 
 REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
     (0.1, 0.1, 20_000, 7),
     (0.5, 0.25, 50_000, 4),
     (0.043, 0.1, 10_000, NEAR_BUDGET_SEED),  # near the budget of 5000 redraws
-    (0.1, 0.1, 20_000, 2**64 - 1),  # key word >= 2**63
+    (0.1, 0.1, 20_000, 2**64 - 1),  # the largest seed kept by the mask
 ])
 
 
 @REDRAW_CASES
-def test_positive_first_pass_draws_keep_their_bits(mean, se, draws, seed):
-    got = sample_betas(mean, se, draws, seed)
-    first = base_uniforms(seed, draws)
-    kept = first > uncertainty._truncation_floor(mean, se)
-    assert got.values[kept].tobytes() == first[kept].tobytes()
-    assert got.n_redrawn > 0
-
-
-@REDRAW_CASES
-def test_redraws_continue_the_base_stream(mean, se, draws, seed):
+def test_redraw_cases_keep_every_uniform_above_the_floor(mean, se, draws, seed):
+    # where candidates are rejected, every uniform of the table lies
+    # strictly between the floor and 1, the knots among them, and maps to a
+    # positive beta
     got = sample_betas(mean, se, draws, seed)
     floor = uncertainty._truncation_floor(mean, se)
-    candidates = base_uniforms(seed, draws + got.n_redrawn)
-    assert np.all(got.values > floor)
-    assert np.all(got.betas(got.values) > 0.0)
-    redrawn = candidates[:draws] <= floor
-    assert np.isin(got.values[redrawn], candidates[draws:]).all()
-    # every candidate above the floor is kept and every other one counted as rejected
-    assert np.count_nonzero(candidates > floor) == draws
+    table = got.values()
+    assert got.n_redrawn > 0
+    assert table.size == draws and np.all(np.diff(table) >= 0.0)
+    assert floor < table[0] and table[-1] < 1.0
+    assert np.isin(got.knots, table).all()
+    assert np.all(got.betas(table) > 0.0)
 
 
 @pytest.mark.parametrize("mean, se", [
@@ -121,7 +112,7 @@ def test_every_uniform_above_the_truncation_floor_maps_to_a_positive_beta(mean, 
         nexts.append(math.nextafter(nexts[-1], 1.0))
     u = np.concatenate([grid, nexts])
     u = u[(u > floor) & (u < 1.0)]
-    draws = BetaDraws(values=u, n_redrawn=0, seed=0, mean=mean, se=se)
+    draws = BetaDraws.from_values(u, mean, se)
     assert u.size and np.all(draws.betas(u) > 0.0)
 
 
@@ -135,14 +126,14 @@ def test_seeds_picked_for_a_rare_event_keep_it():
     # and of the 7-draw truncated case; the near-budget seed's is the test above
     for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
         draws = sample_betas(0.919, 0.018, 100_000, seed)
-        assert np.count_nonzero(draws.betas(draws.values) >= 1.0) == n_past, seed
+        assert np.count_nonzero(draws.betas(draws.values()) >= 1.0) == n_past, seed
     assert sample_betas(0.1, 0.1, 7, TRUNCATED_N7_SEED).n_redrawn <= 3
 
 
 def test_redrawn_betas_follow_the_truncated_normal():
     mean, se, n = 0.1, 0.1, 200_000
     draws = sample_betas(mean, se, n, seed=7)
-    values = np.sort(draws.betas(draws.values))
+    values = np.sort(draws.betas(draws.values()))
 
     def upper_tail(x):
         return 0.5 * math.erfc((x - mean) / (se * math.sqrt(2)))
@@ -152,6 +143,87 @@ def test_redrawn_betas_follow_the_truncated_normal():
     ranks = np.arange(1, n + 1) / n
     d = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
     assert d < 1.628 / math.sqrt(n)  # Kolmogorov-Smirnov, 1% level
+
+
+@pytest.mark.parametrize("mean, n, ranks", [
+    # a floor of about 0.006: with 7 draws a floor of 0.159 would abort
+    # at some of the seeds
+    (0.25, 7, [0, 3, 6]),
+    (0.1, 1_000, [0, 499, 999]),  # a floor of about 0.159, as below
+    # block boundaries (ranks 1 023, 50 175 and the last, 99 327), then
+    # interior ranks of the first, a middle and the last block
+    (0.1, 100_000, [1_023, 50_175, 99_327, 0, 5_000, 99_999]),
+])
+def test_each_rank_follows_the_law_of_a_uniform_order_statistic(mean, n, ranks):
+    # Rank k of n iid uniforms on (floor, 1) is floor + (1 - floor) * X
+    # with X ~ Beta(k + 1, n - k).  Over 300 seeds, the table's uniform at
+    # each rank, rescaled, passes a Kolmogorov-Smirnov test of that law,
+    # and every uniform read lies strictly between the floor and 1.
+    se = 0.1
+    floor = uncertainty._truncation_floor(mean, se)
+    u = np.array([[draws.values(k, k + 1)[0] for k in ranks]
+                  for draws in (sample_betas(mean, se, n, seed) for seed in range(300))])
+    assert np.all((floor < u) & (u < 1.0))
+    for column, k in zip((u - floor).T / (1.0 - floor), ranks):
+        assert stats.kstest(column, stats.beta(k + 1, n - k).cdf).pvalue > 1e-3, k
+
+
+@pytest.mark.parametrize("mean, se", [(0.1, 0.1), (0.5, 0.25)])
+def test_rejection_count_follows_the_negative_binomial(mean, se):
+    # A candidate is kept with probability 1 - floor, so the rejections
+    # before 1 000 are kept follow NegBin(1 000, 1 - floor): a chi-square
+    # test over 10 bins of about equal mass, at 400 seeds.
+    n = 1_000
+    law = stats.nbinom(n, 1.0 - uncertainty._truncation_floor(mean, se))
+    counts = [sample_betas(mean, se, n, seed).n_redrawn for seed in range(400)]
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 11)[1:-1]))
+    observed = np.bincount(np.searchsorted(edges, counts), minlength=edges.size + 1)
+    expected = np.diff(law.cdf(np.concatenate([[-1.0], edges, [np.inf]]))) * len(counts)
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 1_023, 1_024, 1_025, 2_048, 100_000])
+def test_the_table_is_drawn_from_the_stream_as_documented(n):
+    # From PCG64(seed mod 2**64): the knots as the ratios of the cumulative
+    # sums of n // 1024 Gamma(1024) spacings (one fewer where 1024 divides
+    # n) to their total with the Gamma(n + 1 - 1024 * knots) rest, then the
+    # rejection count; block j's interior from position 2**64 + 1024 * j
+    mean, se, seed = 0.1, 0.1, 2**64 + 9
+    got = sample_betas(mean, se, n, seed)
+    stream = np.random.Generator(np.random.PCG64(9))
+    knots = (n - 1) // 1024
+    sums = np.cumsum([*stream.standard_gamma(1024.0, knots),
+                      stream.standard_gamma(n + 1 - 1024 * knots)])
+    floor = uncertainty._truncation_floor(mean, se)
+    low, high = math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0)
+    assert got.n_redrawn == stream.negative_binomial(n, 1.0 - floor)
+    assert (got.low, got.high) == (low, high)
+    assert got.knots.tobytes() == (low + (high - low) * (sums[:-1] / sums[-1])).tobytes()
+    j = knots  # the last block: no knot above it
+    stream = np.random.Generator(np.random.PCG64(9))
+    stream.bit_generator.advance(2**64 + 1024 * j)
+    lo = got.knots[-1] if knots else low
+    interior = np.sort(stream.random(n - 1024 * j)) * (high - lo) + lo
+    assert got.values(1024 * j, n).tobytes() == np.minimum(interior, high).tobytes()
+
+
+@pytest.mark.parametrize("mean, se, n", [
+    (0.919, 0.018, 100_000), (0.1, 0.1, 20_000), (0.9, 0.0, 3_000), (0.9, 0.08, 7),
+])
+def test_each_rank_has_the_same_bits_whatever_is_read_first(mean, se, n):
+    # a rank's uniform is a function of (seed, draws, floor, rank): read
+    # alone from a fresh table, after other ranks and counts in reverse
+    # order, or from the whole table, it has the same bits
+    ranks = sorted({0, 1_022, 1_023, 1_024, 5_000, 12_345, n // 2, n - 1} & set(range(n)))
+    alone = [sample_betas(mean, se, n, seed=11).values(k, k + 1) for k in ranks]
+    draws = sample_betas(mean, se, n, seed=11)
+    after = []
+    for k in reversed(ranks):
+        draws.searchsorted(draws.u_at(0.95))
+        after.insert(0, draws.values(k, k + 1))
+    whole = sample_betas(mean, se, n, seed=11).values()
+    assert np.concatenate(alone).tobytes() == np.concatenate(after).tobytes() \
+        == whole[ranks].tobytes()
 
 
 @pytest.mark.parametrize("mean, se, n", [
@@ -167,9 +239,9 @@ def test_endpoints_lie_near_their_exact_limits(paper, mean, se, n):
     # (the normal limit of a sample quantile).  Every endpoint checked lies
     # within 4 such SDs at each of 20 seeds.  The np.quantile checks read the
     # same draws as the code under test; this one fails on draws from the
-    # wrong law: a biased redraw round, a wrong truncation, a mis-keyed
-    # stream.  An equilibrium quantity is checked only where no turning
-    # point lies within 6 se of the mean.
+    # wrong law: a biased block, a wrong truncation, a mis-keyed stream.
+    # An equilibrium quantity is checked only where no turning point lies
+    # within 6 se of the mean.
     level = 0.9
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     q = np.array([0.5 * (1.0 - level), 0.5 * (1.0 + level)])
@@ -205,16 +277,16 @@ def test_endpoints_lie_near_their_exact_limits(paper, mean, se, n):
 def test_seeds_are_masked_to_64_bits():
     got = sample_betas(0.1, 0.1, 20_000, 2**64 + 5)
     ref = sample_betas(0.1, 0.1, 20_000, 5)
-    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.values().tobytes() == ref.values().tobytes()
     assert got.n_redrawn == ref.n_redrawn
     top = sample_betas(0.1, 0.1, 20_000, 2**64 - 1)
-    assert np.all(top.betas(top.values) > 0.0)
+    assert np.all(top.betas(top.values()) > 0.0)
 
 
 def test_redraw_abort_matches_per_index_philox():
-    # the first pass rejects fewer than half the draws; the redraw rounds
-    # then cross the budget and abort with the message the per-index
-    # Philox redraw loop gave for these arguments, which the SFC64 rounds keep
+    # about 46% of candidates are rejected, so the rejection count crosses
+    # the budget, with the message the per-index Philox redraw loop gave
+    # for these arguments
     with pytest.raises(UncertaintyError) as got:
         sample_betas(0.01, 0.1, 10_000, 3)
     assert str(got.value) == "excessive truncation: more than half of 10000 draws rejected"
@@ -229,10 +301,10 @@ def test_draws_above_the_cap_raise_before_allocating():
 def test_determinism_bitwise():
     a = sample_betas(0.5, 0.25, 20_000, seed=9)
     b = sample_betas(0.5, 0.25, 20_000, seed=9)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.values(), b.values())
     assert a.n_redrawn == b.n_redrawn
     c = sample_betas(0.5, 0.25, 20_000, seed=10)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a.values(), c.values())
 
 
 def test_sample_validation():
@@ -244,6 +316,18 @@ def test_sample_validation():
         sample_betas(1.0, 0.1, 10, seed=-3)
     with pytest.raises(UncertaintyError):
         sample_betas(-1.0, 0.0, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [1000.5, 1000.0, True, "3", None, np.float64(3.0)])
+@pytest.mark.parametrize("argument", ["draws", "seed"])
+def test_draws_and_seed_must_be_integers(argument, bad):
+    # any value operator.index refuses, and bool: a float seed would run
+    # truncated, and nothing allocates ``draws`` to reject a float
+    args = {"draws": 1000, "seed": 1, argument: bad}
+    with pytest.raises(UncertaintyError, match=rf"^{argument} must be an integer, got "):
+        sample_betas(0.9, 0.1, **args)
+    args[argument] = np.int64(3)  # a NumPy integer is an integer
+    assert sample_betas(0.9, 0.1, **args).size == args["draws"]
 
 
 def test_single_draw_degenerate_intervals(paper):
@@ -301,12 +385,13 @@ def test_monotone_map_equals_mapped_quantiles(paper):
     # reverses the order of r_x
     draws = sample_betas(0.919, 0.018, 200_000, seed=8)
     lo_q = 0.5 * (1.0 - 0.90)
-    beta_xm = np.sort(draws.betas(draws.values)) * paper["beta_qm"]
     for r_m in (paper["r_m"], -0.03):
         report = derived_intervals(
             draws, paper["beta_qm"], r_m,
             paper["mean_ln_flow"], paper["mean_ln_price"], level=0.90,
         )
+        # the full table, built after the call
+        beta_xm = np.sort(draws.betas(draws.values())) * paper["beta_qm"]
         for name, mapped in (("beta_xm", beta_xm), ("r_x", beta_xm * r_m)):
             expected = [float(q) for q in np.quantile(mapped, [lo_q, 1.0 - lo_q])]
             assert report.bounds[name] == expected, (name, r_m)
@@ -320,7 +405,7 @@ def test_non_monotone_price_map_needs_per_draw_evaluation(paper):
     report = derived_intervals(
         draws, paper["beta_qm"], paper["r_m"], 0.0, 0.0, level=0.90,
     )
-    beta_lo, beta_hi = np.quantile(draws.betas(draws.values), [0.05, 0.95])
+    beta_lo, beta_hi = np.quantile(draws.betas(draws.values()), [0.05, 0.95])
     mapped = sorted(
         (math.log(b) / (1 + b * b) for b in (beta_lo, beta_hi))
     )
@@ -338,31 +423,24 @@ def test_derived_intervals_validation(paper):
         derived_intervals(good, 1.0, 0.03, 0.0, 0.0, level=1.5)
 
 
-def test_draws_that_are_not_float64_raise():
-    # float32 values read as uint64 keys would be taken two at a time
-    for size in (100, 101):
-        draws = BetaDraws(values=np.full(size, 0.9, dtype=np.float32), n_redrawn=0, seed=0,
-                          mean=0.9)
-        with pytest.raises(UncertaintyError, match=r"^draws must hold float64 values"):
-            derived_intervals(draws, 1.0, 0.03, 0.0, 0.0)
-
-
 @pytest.mark.parametrize("bad", [-0.5, -1e-300, 0.0, -0.0, math.nan, -math.inf])
 @pytest.mark.parametrize("n", [10, 200, 20_000])
-def test_draws_holding_a_non_positive_or_nan_value_raise(paper, bad, n):
-    # Read as uint64 keys, 0.0 orders first and every negative value and
-    # NaN last, so one such value among the uniforms, or among betas held
-    # at se 0, is an extreme key
+def test_draws_holding_a_non_positive_or_nan_value_raise(bad, n):
+    # a hand-built table is checked when built: one such value among the
+    # uniforms, or among betas held at se 0, is refused
     draws = sample_betas(0.919, 0.018, n, seed=n)
     for count in (1, n // 10, n // 2):
         at = np.random.default_rng(count).choice(n, count, replace=False)
-        for values, se in ((draws.values.copy(), draws.se), (draws.betas(draws.values), 0.0)):
+        for values, se in ((draws.values().copy(), draws.se), (draws.betas(draws.values()), 0.0)):
             values[at] = bad
-            hand_built = BetaDraws(values=values, n_redrawn=0, seed=0, mean=draws.mean, se=se)
-            with np.errstate(invalid="ignore", divide="ignore"), \
-                    pytest.raises(UncertaintyError):
-                derived_intervals(hand_built, paper["beta_qm"], paper["r_m"],
-                                  paper["mean_ln_flow"], paper["mean_ln_price"])
+            with pytest.raises(UncertaintyError,
+                               match=r"^draws must hold positive betas, or uniforms in \(0, 1\)$"):
+                BetaDraws.from_values(values, draws.mean, se)
+    for top in (1.0, 1.5, math.inf):  # a uniform must lie below 1
+        with pytest.raises(UncertaintyError):
+            BetaDraws.from_values([0.5, top], 0.9, 0.1)
+    with pytest.raises(UncertaintyError):
+        BetaDraws.from_values([], 0.9)
 
 
 positive_floats = st.one_of(
@@ -373,20 +451,25 @@ positive_floats = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(data=st.data(), pool=st.lists(positive_floats, min_size=1, max_size=40))
-def test_positive_floats_select_as_uint64_keys(data, pool):
-    # values drawn from a small pool, so most rows hold ties
-    a = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300)))
-    ranks = data.draw(st.sets(st.integers(0, a.size - 1), min_size=1))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pool=st.lists(positive_floats, min_size=1, max_size=40),
+       size=st.integers(1, 3 * uncertainty._BLOCK + 1), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_hand_built_tables_read_as_the_sorted_values(pool, size, seed, data):
+    # values drawn from a small pool, so most rows hold ties, and long
+    # enough to span up to four blocks: every range of ranks reads as the
+    # sorted array, and searchsorted as NumPy's on it
+    a = np.random.default_rng(seed).choice(np.array(pool), size)
     expected = np.sort(a)
-    stats, splits = uncertainty._order_stats(a.view(np.uint64), ranks)
-    assert set(stats) == ranks
-    got = np.fromiter(stats.values(), np.uint64).view(np.float64)
-    assert got.tobytes() == expected[list(stats)].tobytes()
-    assert np.array_equal(np.sort(a), expected)  # a permutation
-    for x in splits - {0, a.size}:
-        assert a[:x].max() <= a[x:].min()
+    draws = BetaDraws.from_values(a, mean=1.0)
+    assert draws.size == size
+    assert draws.values().tobytes() == expected.tobytes()
+    start = data.draw(st.integers(0, size - 1))
+    stop = data.draw(st.integers(start + 1, size))
+    assert draws.values(start, stop).tobytes() == expected[start:stop].tobytes()
+    for x in (*pool, data.draw(positive_floats)):
+        for side in ("left", "right"):
+            assert draws.searchsorted(x, side) == np.searchsorted(expected, x, side)
 
 
 @pytest.mark.parametrize("level,n", [
@@ -427,24 +510,24 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
         # others': such an endpoint is selected from those values and a
         # window of the beta's order statistics beside its rank.  Between
         # them both directions, both tails and both signs of the shift; at
-        # up to 1001 draws, which windows reach already.  At 7 draws seed 7
-        # rejects too many of (0.1, 0.1), so that case takes another seed
+        # up to 1001 draws, which windows reach already.  At 7 draws some
+        # seeds reject too many of (0.1, 0.1), so that case takes one that
+        # does not
         *[(mean, se, TRUNCATED_N7_SEED if (n, mean) == (7, 0.1) else n)
           for mean, se in [(0.1, 0.1), (0.6, 0.3), (0.9, 0.08), (1.6, 0.5), (2.5, 0.9),
                            (3.0, 0.8), (4.0, 1.0)] if n < 100_000],
     ]:
         draws = sample_betas(mean, se, n, seed=seed)
-        # the per-draw reference, from the betas mapped before derived_intervals
-        # partitions the uniforms
-        betas = draws.betas(draws.values)
+        report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
+                                   paper["mean_ln_price"], level=level)
+        # the per-draw reference, from the full table built after the call
+        betas = draws.betas(draws.values())
         table = kernels.propagate_beta_draws(betas, paper["mean_ln_flow"], paper["mean_ln_price"])
         assert table.shape == (n, 3)
         beta_xm = betas * paper["beta_qm"]
         table = np.column_stack([table, beta_xm, beta_xm * r_m])
         lo_q = 0.5 * (1.0 - level)
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
-        report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
-                                   paper["mean_ln_price"], level=level)
         for j, name in enumerate(QUANTITY_NAMES):
             # compared as bytes, so the sign of a zero bound counts
             assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
@@ -476,7 +559,7 @@ def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
     # an infinite beta puts a NaN (inf/inf) in every equilibrium row, which
     # the K-rank rule selects as the largest value of each quantity
     draws = sample_betas(0.919, 0.018, 100_000, seed=7)
-    values = draws.betas(draws.values)
+    values = draws.betas(draws.values())
     values[at] = math.inf
     for r_m in (paper["r_m"], -0.03):
         with np.errstate(invalid="ignore"), pytest.raises(
@@ -487,15 +570,15 @@ def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
 
 
 def record_work(monkeypatch):
-    """Record each row ``_order_stats`` selects from, and a copy of each
+    """Record the index of each block of a table drawn, and a copy of each
     argument of ``kernels.normal_quantile`` and of the equilibrium kernel."""
-    selections, mapped, passed = [], [], []
-    order_stats = uncertainty._order_stats
+    blocks, mapped, passed = [], [], []
+    sorted_uniforms = uncertainty._sorted_uniforms
     quantile, propagate = kernels.normal_quantile, kernels.propagate_beta_draws
 
-    def recording_selection(row, ranks):
-        selections.append(row)
-        return order_stats(row, ranks)
+    def recording_block(stream, j, *args):
+        blocks.append(j)
+        return sorted_uniforms(stream, j, *args)
 
     def recording_quantile(u):
         mapped.append(np.array(u))
@@ -505,35 +588,35 @@ def record_work(monkeypatch):
         passed.append(np.array(betas))
         return propagate(betas, *args)
 
-    monkeypatch.setattr(uncertainty, "_order_stats", recording_selection)
+    monkeypatch.setattr(uncertainty, "_sorted_uniforms", recording_block)
     monkeypatch.setattr(kernels, "normal_quantile", recording_quantile)
     monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
-    return selections, mapped, passed
+    return blocks, mapped, passed
 
 
 def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
     # The report's bits cannot tell mapped order statistics from per-draw
-    # selection, so record the work: the uniforms alone are selected, in
-    # place; the normal quantile maps their six selected order statistics
-    # and the tail draws at or past the uniform of the guard of b = 1 (where
-    # ln_user_cost turns); the kernel sees the four needed betas, those
-    # draws, here the ones past b = 1, and the mean.
-    selections, mapped, passed = record_work(monkeypatch)
+    # selection, so record the work: four blocks of the table are drawn,
+    # those of the six picked ranks (0, 4 999, 5 000, 94 999, 95 000 and
+    # 99 999), which also hold every draw past the guard of b = 1 (where
+    # ln_user_cost turns); the normal quantile maps the six uniforms and
+    # those past the guard's uniform; the kernel sees the four needed betas,
+    # those draws, here the ones past b = 1, and the mean.
+    blocks, mapped, passed = record_work(monkeypatch)
     for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
         draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
-        uniforms = np.sort(draws.values)
-        ordered = np.sort(draws.betas(draws.values))
-        selections.clear()
+        blocks.clear()
         mapped.clear()
         passed.clear()
         derived_intervals(draws, paper["beta_qm"], paper["r_m"],
                           paper["mean_ln_flow"], paper["mean_ln_price"])
-        assert len(selections) == 1 and selections[0].base is draws.values
-        assert np.array_equal(np.sort(draws.values), uniforms)  # a permutation
+        assert sorted(blocks) == [0, 4, 92, 97]
         [u] = mapped
+        [betas] = passed
+        uniforms = draws.values()  # the full table, built after the call
+        ordered = np.sort(draws.betas(uniforms))
         assert u[:6].tobytes() == uniforms[[0, 4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
         assert u.size == 6 + n_past and np.all(u[6:] > uniforms[95_000])
-        [betas] = passed
         past = ordered[ordered >= 1.0]
         assert past.size == n_past
         assert betas.size == 4 + n_past + 1
@@ -542,35 +625,57 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         assert betas[-1] == 0.919
 
 
+def test_block_work_repeats_at_max_draws_and_the_truncated_inputs(monkeypatch, paper):
+    # The paper stub at MAX_DRAWS draws the four blocks of its six picked
+    # ranks, and holds no array near the 8e7 bytes of one value per draw.
+    # At the truncated_20k inputs the upper endpoint also reads the ~530
+    # draws past b ~ 0.3013, where ln_quantity turns, and one rank window.
+    # Each count is the same on a second run.
+    blocks, _, _ = record_work(monkeypatch)
+    args = (paper["beta_qm"], paper["r_m"], paper["mean_ln_flow"], paper["mean_ln_price"])
+    for (mean, se, n), expected in [((0.919, 0.018, MAX_DRAWS), [0, 488, 9277, 9765]),
+                                    ((0.1, 0.1, 20_000), [0, 18, 19])]:
+        for _ in range(2):
+            blocks.clear()
+            tracemalloc.start()
+            derived_intervals(sample_betas(mean, se, n, seed=7), *args)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert sorted(blocks) == expected, n
+            assert peak < 1e6, (n, peak)
+
+
 def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, paper):
     # At the truncated_20k inputs about 530 of 20 000 draws lie past
     # b ~ 0.3013, where ln_quantity turns, and some of their values fall
     # among the others' below the upper endpoint.  That endpoint is selected
     # from them and one window of the beta's order statistics beside its
     # ranks: the kernel sees the needed betas, the past draws and the mean,
-    # then the window, never an n-long array, and only the uniforms are
-    # selected.  The normal quantile maps as few: the selected order
+    # then the window, never an n-long array, and at most 5 of the 20
+    # blocks are drawn.  The normal quantile maps as few: the picked order
     # statistics with the draws at or past the guard's uniform, then the
     # window.
-    selections, mapped, passed = record_work(monkeypatch)
+    blocks, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
     guard = market_curves.TURNING_POINTS["ln_quantity"][0] * (1.0 - uncertainty._TURN_MARGIN)
     for seed in range(10):
         draws = sample_betas(0.1, 0.1, 20_000, seed=seed)
-        betas = draws.betas(draws.values)
+        blocks.clear()
+        mapped.clear()
+        passed.clear()
+        report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
+        assert len(blocks) <= 5, seed
+        assert len(passed) == 2 and sum(map(len, passed)) < 1_500, seed
+        assert len(mapped) == 2 and sum(map(len, mapped)) < 1_500, seed
+        # the per-draw reference, from the full table built after the call
+        uniforms = draws.values()
+        assert passed[0].size - 5 == np.count_nonzero(uniforms >= draws.u_at(guard))
+        betas = draws.betas(uniforms)
         beta_xm = betas * paper["beta_qm"]
         table = np.column_stack([kernels.propagate_beta_draws(betas, *means), beta_xm,
                                  beta_xm * paper["r_m"]])
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
-        selections.clear()
-        mapped.clear()
-        passed.clear()
-        report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
-        assert len(selections) == 1 and selections[0].base is draws.values
-        assert len(passed) == 2 and sum(map(len, passed)) < 1_500, seed
-        assert len(mapped) == 2 and sum(map(len, mapped)) < 1_500, seed
-        assert passed[0].size - 5 == np.count_nonzero(draws.values >= draws.u_at(guard))
         for j, name in enumerate(QUANTITY_NAMES):
             assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
                 (name, seed)
@@ -614,11 +719,11 @@ def test_a_draw_at_a_guards_uniform_gives_the_tables_bounds(paper):
         (0.1, 0.1, turn * (1.0 - 2.0**-10), (0.3, 0.97), (0.985, 0.995), (95, 99)),
         (0.5, 0.1, turn * (1.0 + 2.0**-10), (0.005, 0.015), (0.03, 0.7), (4, 0)),
     ]:
-        at = BetaDraws(values=np.empty(0), n_redrawn=0, seed=0, mean=mean, se=se).u_at(guard)
+        at = uncertainty._normal_cdf((guard - mean) / se)  # the guard's uniform
         for rank, step in itertools.product(ranks, (-1, 0, 1)):
             values = np.concatenate([np.linspace(*lower, rank), [at + step * 2.0**-53],
                                      np.linspace(*upper, 99 - rank)])
-            draws = BetaDraws(values=values, n_redrawn=0, seed=0, mean=mean, se=se)
+            draws = BetaDraws.from_values(values, mean, se)
             betas = draws.betas(values)
             beta_xm = betas * paper["beta_qm"]
             table = np.column_stack([
@@ -637,21 +742,22 @@ def test_straddled_turning_point_maps_a_quarter_of_the_draws_at_most(monkeypatch
     # ln_user_cost turns, so that quantity is selected by the K-rank rule:
     # from the 5 001 lowest and highest uniforms and 5 002 on each side of
     # the u-rank of b = 1.  Neither the normal quantile nor the kernel is
-    # given more than a quarter of the draws, and the bounds are those of
-    # the table of every draw.
-    selections, mapped, passed = record_work(monkeypatch)
+    # given more than a quarter of the draws, no more blocks are drawn than
+    # a quarter of the draws fill, and the bounds are those of the table of
+    # every draw.
+    blocks, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
     draws = sample_betas(1.0, 0.1, 100_000, seed=5)
-    betas = draws.betas(draws.values)
+    report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
+    assert passed and max(map(len, mapped)) <= 25_000 and max(map(len, passed)) <= 25_000
+    assert len(set(blocks)) <= 25_000 // uncertainty._BLOCK
+    # the per-draw reference, from the full table built after the call
+    betas = draws.betas(draws.values())
     beta_xm = betas * paper["beta_qm"]
     table = np.column_stack([kernels.propagate_beta_draws(betas, *means), beta_xm,
                              beta_xm * paper["r_m"]])
     expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
-    mapped.clear()
-    passed.clear()
-    report = derived_intervals(draws, paper["beta_qm"], paper["r_m"], *means)
-    assert passed and max(map(len, mapped)) <= 25_000 and max(map(len, passed)) <= 25_000
     for j, name in enumerate(QUANTITY_NAMES):
         assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), name
 
