@@ -82,17 +82,34 @@ REDRAW_CASES = pytest.mark.parametrize("mean, se, draws, seed", [
 
 
 @REDRAW_CASES
-def test_redraw_cases_keep_every_uniform_above_the_floor(mean, se, draws, seed):
-    # where candidates are rejected, every uniform of the table lies
-    # strictly between the floor and 1, the knots among them, and maps to a
-    # positive beta
+def test_positive_first_pass_draws_keep_their_bits(mean, se, draws, seed):
+    # where candidates are rejected, the block boundaries sample_betas draws
+    # at once lie strictly between the floor and 1, map to positive betas, and
+    # are held bit for bit at the last rank of each block of the table
     got = sample_betas(mean, se, draws, seed)
     floor = uncertainty._truncation_floor(mean, se)
-    table = got.values()
     assert got.n_redrawn > 0
+    assert got.knots.size == (draws - 1) // 1024
+    assert np.all((floor < got.knots) & (got.knots < 1.0))
+    assert np.all(got.betas(got.knots) > 0.0)
+    assert got.values()[1023:-1:1024].tobytes() == got.knots.tobytes()
+
+
+@REDRAW_CASES
+def test_redraws_continue_the_base_stream(mean, se, draws, seed):
+    # the rejection count is drawn from the stream right after the
+    # boundary spacings, and every uniform of the table lies strictly
+    # between the floor and 1, ascending, and maps to a positive beta
+    got = sample_betas(mean, se, draws, seed)
+    floor = uncertainty._truncation_floor(mean, se)
+    stream = np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
+    knots = (draws - 1) // 1024
+    stream.standard_gamma(1024.0, knots)
+    stream.standard_gamma(draws + 1 - 1024 * knots)
+    assert got.n_redrawn == stream.negative_binomial(draws, 1.0 - floor) > 0
+    table = got.values()
     assert table.size == draws and np.all(np.diff(table) >= 0.0)
     assert floor < table[0] and table[-1] < 1.0
-    assert np.isin(got.knots, table).all()
     assert np.all(got.betas(table) > 0.0)
 
 
