@@ -47,7 +47,13 @@ def _finite(name: str, value: float) -> float:
 def chain_products(beta_xq, beta_qm, r_m):
     """``beta_xm = beta_xq * beta_qm`` and ``r_x = beta_xm * r_m``, unchecked
     and elementwise: scalars for ``market_chain``, arrays of draws for
-    ``natbeta.uncertainty``."""
+    ``natbeta.uncertainty``.
+
+    Each is the beta times a constant, so monotone to the last bit: over
+    ascending betas ``beta_xm`` never falls, and ``r_x`` moves the way of
+    ``r_m``'s sign, which every ``r_x`` carries, a zero included.  Where
+    ``beta_xm`` overflows, ``r_x`` is NaN at ``r_m`` = +-0.
+    """
     beta_xm = beta_xq * beta_qm
     return beta_xm, beta_xm * r_m
 

@@ -10,12 +10,14 @@ call that raises stores nothing.  The supply/demand equilibrium is written
 once, in ``solve_equilibrium``, as broadcasting NumPy arithmetic; the batch
 kernels and ``natbeta.market_curves`` all call it.
 ``propagate_beta_draws`` evaluates it at Monte Carlo draws for the three
-quantities not monotone in beta everywhere: at a few order statistics of the
-beta, the draws past a turning point and one window of ranks beside an
-endpoint they interleave with; where the needed ranks straddle a turning
-point, at the lowest and highest draws and those beside the turning point
-(``natbeta.uncertainty``'s K-rank rule), never at every draw.  ``beta_xm``
-and ``r_x`` never reach it.
+quantities whose maps turn, the first three of
+``market_curves.TURNING_POINTS``: at a few order statistics of the beta,
+the largest draw, the draws past a turning point and one window of ranks
+beside an endpoint they interleave with; where the needed ranks straddle a
+turning point, at the lowest and highest draws and those beside the turning
+point (``natbeta.uncertainty``'s K-rank rule), never at every draw.
+``beta_xm`` and ``r_x`` are formed beside its first call, by
+``beta_algebra.chain_products``.
 
 ``normal_quantile`` maps the Monte Carlo uniforms to normal deviates by
 Wichura's AS241 with ``+ * / log sqrt`` alone, elementwise, so a uniform's
@@ -291,8 +293,8 @@ def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price):
     """Per-draw equilibrium quantities, columns (ln_price, ln_quantity,
     ln_user_cost).
 
-    These are the quantities not monotone in beta everywhere; ``beta_xm``
-    and ``r_x`` are, so ``natbeta.uncertainty`` never passes them here.
+    These are the maps that turn, the first three quantities of
+    ``market_curves.TURNING_POINTS``.
     The (n, 3) result is the transpose of a C-ordered (3, n) array, so each
     column is contiguous: every column is computed straight into its slot
     with unit stride, and selecting order statistics from a column needs no

@@ -11,9 +11,11 @@ and quantities are recovered by shifting the deviations with those means;
 curves are never re-fit in level space.  ``curve_samples`` tabulates both
 curves over one x grid for plotting.
 
-``TURNING_POINTS`` holds where each map turns: y_e at b ~ 1.8950, x_e at
-~ 0.3013 and ~ 3.3191, x_e + y_e at 1 and ~ 4.7156.  Each rises from b -> 0
-to its first turning point and is monotone between two of them.
+``TURNING_POINTS`` lists the five derived quantities of a report, in its
+order, with where each map turns: y_e at b ~ 1.8950, x_e at ~ 0.3013 and
+~ 3.3191, x_e + y_e at 1 and ~ 4.7156, and ``beta_xm`` and ``r_x`` nowhere.
+Each equilibrium map rises from b -> 0 to its first turning point and is
+monotone between two of them.
 """
 
 from __future__ import annotations
@@ -47,12 +49,16 @@ _ZERO_SUM_ACCURACY = 1e-14
 # such a panel are exact to rounding.
 _PANEL_WIDTH = 0.5
 
-# The betas where each equilibrium map turns, ascending: the roots of
-# d y_e/db, d x_e/db and d (x_e + y_e)/db, each within a few ulps.
+# The derived quantities in report order, each with the betas where its map
+# turns, ascending.  The equilibrium maps come first: the roots of d y_e/db,
+# d x_e/db and d (x_e + y_e)/db, each within a few ulps.  beta_xm and r_x
+# are the beta times a constant, monotone to the last bit.
 TURNING_POINTS = {
     "ln_price": (1.8950254554144181,),
     "ln_quantity": (0.30129101916065737, 3.319050142237297),
     "ln_user_cost": (1.0, 4.715612314934235),
+    "beta_xm": (),
+    "r_x": (),
 }
 
 

@@ -32,18 +32,23 @@ a piece where that function is monotone its order statistics are its
 values at the beta's, in the same order or reversed (quantiles are
 equivariant under monotone maps; Hyndman & Fan, Am. Stat. 50(4), 1996).
 
-``beta_xm`` and ``r_x`` are products of the beta, monotone everywhere.  The
-equilibrium quantities turn at ``market_curves.TURNING_POINTS``.  Where the
-needed betas lie on one monotone piece of such a quantity's map, between
-guards ``_TURN_MARGIN`` (relative) inside its turning points, the quantity
-is evaluated at them and at the draws at or past a guard.  Every guard is
-decided on the uniforms alone, against the guard's uniform: the map from u
-to beta rises.  Where a past draw's value lies among the others, an
-endpoint is selected from the past values and one window of the beta's
-order statistics beside its ranks: the map orders every other draw, so
-each lies on a known side of it.  Where the needed betas straddle a
-turning point or lie too close together for the kernel's rounding to
-resolve, and for every quantity where a beta is not finite, the quantity
+``market_curves.TURNING_POINTS`` lists the five quantities, in report
+order, with the betas where each map turns: the three equilibrium maps
+first, then ``beta_xm`` and ``r_x``, the beta times a constant, which turn
+nowhere.  Every quantity is evaluated at the needed betas, and its
+direction is the sign of its rise between the extreme ones.  A product is
+monotone to the last bit, so where it does not rise (``r_m`` = +-0) its
+needed values are equal and either order gives the same bits.  A map that
+turns takes its direction only where the needed betas lie on one monotone
+piece, between guards ``_TURN_MARGIN`` (relative) inside its turning
+points, and it rises there by more than the kernel's rounding; it is then
+also evaluated at the draws at or past a guard.  Every guard is decided on
+the uniforms alone, against the guard's uniform: the map from u to beta
+rises.  Where a past draw's value lies among the others, an endpoint is
+selected from the past values and one window of the beta's order
+statistics beside its ranks: the map orders every other draw, so each lies
+on a known side of it.  Where the needed betas straddle a turning point or
+lie too close together for the kernel's rounding to resolve, the quantity
 is selected by the K-rank rule.  A needed rank lies at most K - 2 places
 from an end of the quantity's order, so a draw with K - 1 or more draws of
 its own monotone piece on each side holds none.  The endpoint is selected
@@ -61,7 +66,10 @@ drew every uniform, at the same seed.
 The market-referenced beta and the market rate are treated as fixed
 constants; only the resource-vs-firm beta is sampled.  Neither function
 silences NumPy's overflow warnings; ``derived_intervals`` raises on every
-non-finite bound instead.  ``natbeta.pipeline`` runs the two as one stage,
+non-finite bound instead.  A quantity is NaN only at an infinite beta
+(inf / inf in the equilibrium) or where ``beta_xm`` overflows at
+``r_m`` = +-0 (inf * 0 in ``r_x``), so at the largest beta if anywhere: one
+row there, added to the kernel call, checks all five.  ``natbeta.pipeline`` runs the two as one stage,
 for ``estimate`` and ``ci`` alike, with those warnings silenced.
 """
 
@@ -83,7 +91,7 @@ __all__ = [
     "derived_intervals",
 ]
 
-QUANTITY_NAMES = ("ln_price", "ln_quantity", "ln_user_cost", "beta_xm", "r_x")
+QUANTITY_NAMES = tuple(market_curves.TURNING_POINTS)
 
 # Largest draw count sample_betas accepts.  The sampler's own work grows
 # only with the number of blocks, but the past-draw and K-rank paths of
@@ -340,9 +348,7 @@ def _order_stats(row: np.ndarray, ranks) -> dict[int, float]:
     smallest or largest ranks takes them by a min or max scan.  For type-7
     endpoints the spans left are the short ones beyond each endpoint, so the
     work is two single-``kth`` partitions and scans of the tails (the
-    bracketing of Floyd & Rivest, CACM 18(3), 1975).  In a row that holds a
-    NaN, rank ``n - 1`` is NaN: NaNs order last in a partition, and min and
-    max propagate them.
+    bracketing of Floyd & Rivest, CACM 18(3), 1975).
     """
     stats = {}
     spans = [(0, row.size, sorted(set(ranks)))]
@@ -406,79 +412,81 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     needed = sorted(ends | {n - 1 - k for k in ends})
     picked = sorted({*needed, 0, n - 1})
     u = {k: draws.values(k, k + 1)[0] for k in picked}
-    # By column, the monotone piece of each equilibrium map whose guards,
-    # _TURN_MARGIN inside its turning points, hold every needed beta: its
-    # direction, rising on the first piece and turning at each turning
-    # point, and the uniforms of its guards.  u_at rises, so the uniforms
-    # decide every guard.
+    # By quantity, the monotone piece of its map whose guards, _TURN_MARGIN
+    # inside its turning points, hold every needed beta: the uniforms of its
+    # guards.  u_at rises, so the uniforms decide every guard.  A product's
+    # one piece holds every positive beta, so it moves neither edge below.
     pieces = {}
-    for j, name in enumerate(QUANTITY_NAMES[:3]):
+    for j, name in enumerate(QUANTITY_NAMES):
         turns = (0.0, *market_curves.TURNING_POINTS[name], math.inf)
-        for i in range(len(turns) - 1):
-            low = draws.u_at(turns[i] * (1.0 + _TURN_MARGIN))
-            high = draws.u_at(turns[i + 1] * (1.0 - _TURN_MARGIN))
+        for low, high in zip(turns, turns[1:]):
+            low = draws.u_at(low * (1.0 + _TURN_MARGIN))
+            high = draws.u_at(high * (1.0 - _TURN_MARGIN))
             if low < u[needed[0]] and u[needed[-1]] < high:
-                pieces[j] = (-1.0 if i % 2 else 1.0, low, high)
+                pieces[j] = (low, high)
                 break
     # The draws at or past a piece's guard: all draws below the lowest
     # needed beta, or above the highest.  They are mapped with the picked
     # ranks.
     below = above = np.empty(0)
     if pieces:
-        edge = max(piece[1] for piece in pieces.values())
+        edge = max(piece[0] for piece in pieces.values())
         if u[0] <= edge:
             below = draws.values(0, draws.searchsorted(edge, "right"))
-        edge = min(piece[2] for piece in pieces.values())
+        edge = min(piece[1] for piece in pieces.values())
         if u[n - 1] >= edge:
             above = draws.values(draws.searchsorted(edge), n)
     mapped = draws.betas(np.concatenate([[u[k] for k in picked], below, above]))
     beta = dict(zip(picked, mapped))
     past = mapped[len(picked):]
-    if not (np.isfinite(beta[0]) and np.isfinite(beta[n - 1])):
-        pieces, past = {}, past[:0]
-    at = np.concatenate([[beta[k] for k in needed], past, [draws.mean]])
-    # every quantity at those betas, in QUANTITY_NAMES order
-    rows = np.column_stack([kernels.propagate_beta_draws(at, mean_ln_flow, mean_ln_price),
-                            *beta_algebra.chain_products(at, beta_qm, r_m)])
+    # Every quantity, in QUANTITY_NAMES order, at the needed betas, the
+    # largest beta, the past draws and the mean.  The maps that turn come
+    # first, as the kernel's columns.
+    at = np.concatenate([[beta[k] for k in needed], [beta[n - 1]], past, [draws.mean]])
+    kernel = kernels.propagate_beta_draws(at, mean_ln_flow, mean_ln_price)
+    rows = np.column_stack([kernel, *beta_algebra.chain_products(at, beta_qm, r_m)])
     m = len(needed)
-    # Whether each mapped quantity descends in beta.  r_x = beta_xm * r_m
-    # does where r_m is negative; at r_m = -0.0 every finite r_x is -0.0, so
-    # either order gives the same bits.
-    descending = {3: False, 4: r_m < 0.0}
+    # a rise the kernel's rounding cannot blur, per rank between the needed betas
+    resolved = _RESOLUTION * np.abs(kernel[:m]).max() * (needed[-1] - needed[0])
+    # Whether each quantity descends in beta: the sign of its rise between
+    # the extreme needed betas.  A map that turns takes it where its piece
+    # holds the needed betas and the rise is resolved; the K-rank rule
+    # selects the others.  A product always takes it: where its rise is 0,
+    # every needed value is the same, and either order gives the same bits.
+    descending, turning = {}, []
     # By quantity and endpoint where a past value lies among the others: the
     # one window of beta ranks [a, c] that with the past draws holds both of
     # the endpoint's ranks, and the rank r of g of each rank k of the
     # quantity that the past values move
     windows = {}
-    if pieces:
-        # a rise the kernel's rounding cannot blur, per rank between the needed betas
-        resolved = _RESOLUTION * np.abs(rows[:m, :3]).max() * (needed[-1] - needed[0])
-        for j, (sign, own_low, own_high) in pieces.items():
-            g = sign * rows[:-1, j]  # rises with the beta between the guards
-            if g[m - 1] - g[0] > resolved:
-                descending[j] = sign < 0.0
-                if not (u[0] <= own_low or u[n - 1] >= own_high):
-                    continue  # every past draw lies on this map's own piece
-                # d at rank r: past values below g there less the draws below
-                # the low guard.  The beta's rank r then holds rank r + d of g,
-                # and rank r of g lies among the beta's ranks r to r - d
-                shift = dict(zip(needed, np.sort(g[m:]).searchsorted(g[:m]) - below.size))
-                for end in {lo[:2], hi[:2]}:
-                    ranks = {k: n - 1 - k if descending[j] else k for k in end}
-                    moved = {k: r for k, r in ranks.items() if shift[r]}
-                    if moved:
-                        a = min(min(r, r - shift[r]) for r in moved.values())
-                        c = max(max(r, r - shift[r]) for r in moved.values())
-                        windows[j, end] = (max(a, below.size), min(c, n - 1 - above.size), moved)
-    # The K-rank rule, for a map that turns among the needed betas, rises
-    # there by less than the kernel's rounding, or meets a beta that is not
-    # finite.  A needed rank lies at most ``depth`` places from an end of the
-    # quantity's order, so a draw with more than ``depth`` draws of its own
-    # monotone piece of the map on each side holds none.  The candidates are
-    # the depth + 1 lowest uniforms, the depth + 1 highest, and K = depth + 2
-    # on each side of the u-rank of each turning point inside the draws,
-    # which erfc's rounding may miss by one.  Any superset of them would do.
-    turning = [j for j in range(3) if j not in descending]
+    for j, name in enumerate(QUANTITY_NAMES):
+        turns = market_curves.TURNING_POINTS[name]
+        if turns and not (j in pieces and abs(rows[m - 1, j] - rows[0, j]) > resolved):
+            turning.append(j)
+            continue
+        descending[j] = rows[m - 1, j] < rows[0, j]
+        if not (turns and (u[0] <= pieces[j][0] or u[n - 1] >= pieces[j][1])):
+            continue  # a product, or every past draw lies on the map's own piece
+        g = (-1.0 if descending[j] else 1.0) * rows[:, j]  # rises with the beta
+        # d at rank r: past values below g there less the draws below the
+        # low guard.  The beta's rank r then holds rank r + d of g, and
+        # rank r of g lies among the beta's ranks r to r - d
+        shift = dict(zip(needed, np.sort(g[m + 1:-1]).searchsorted(g[:m]) - below.size))
+        for end in {lo[:2], hi[:2]}:
+            ranks = {k: n - 1 - k if descending[j] else k for k in end}
+            moved = {k: r for k, r in ranks.items() if shift[r]}
+            if moved:
+                a = min(min(r, r - shift[r]) for r in moved.values())
+                c = max(max(r, r - shift[r]) for r in moved.values())
+                windows[j, end] = (max(a, below.size), min(c, n - 1 - above.size), moved)
+    # The K-rank rule, for a map that turns among the needed betas or rises
+    # there by less than the kernel's rounding.  A needed rank lies at most
+    # ``depth`` places from an end of the quantity's order, so a draw with
+    # more than ``depth`` draws of its own monotone piece of the map on each
+    # side holds none.  The candidates are the depth + 1 lowest uniforms,
+    # the depth + 1 highest, and K = depth + 2 on each side of the u-rank of
+    # each turning point inside the draws, which erfc's rounding may miss by
+    # one.  Any superset of them would do.
     spans = []
     depth = max(min(k, n - 1 - k) for k in ends)
     if turning:
@@ -496,8 +504,8 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                 spans.append((start, stop))
     row_at = dict(zip(needed, rows))
     # rank k is the value at the beta's rank k, or n-1-k where descending
-    stats = [{k: row_at[n - 1 - k if descending[j] else k][j] for k in ends}
-             if j in descending else None for j in range(len(QUANTITY_NAMES))]
+    stats = {j: {k: row_at[n - 1 - k if down else k][j] for k in ends}
+             for j, down in descending.items()}
     if spans or windows:
         # one mapping and one kernel call evaluate every span and window
         blocks = [draws.values(a, b) for a, b in spans]
@@ -507,7 +515,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         size = sum(b - a for a, b in spans)
         # rank k of every draw is rank k of the candidates below the middle,
         # and the same rank from the top above it
-        place = {k: k if k <= depth else k - n + size for k in ends | {n - 1}}
+        place = {k: k if k <= depth else k - n + size for k in ends}
         for j in turning:
             selected = _order_stats(inside[:size, j], set(place.values()))
             stats[j] = {k: selected[i] for k, i in place.items()}
@@ -516,25 +524,22 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                                                    np.split(inside[size:], stops)):
             # each value outside the window and P lies on one side of rank r
             # of g, a - p_b of them below it
-            sign, i = pieces[j][0], below.size - a
-            g = sign * np.concatenate([window[:, j], rows[m:-1, j]])
+            sign, i = -1.0 if descending[j] else 1.0, below.size - a
+            g = sign * np.concatenate([window[:, j], rows[m + 1:-1, j]])
             g.partition(sorted({r + i for r in moved.values()}))
             for k, r in moved.items():
                 stats[j][k] = sign * g[r + i]
 
     def quantities(k: int) -> np.ndarray:
         # rank k of every quantity, in QUANTITY_NAMES order
-        return np.array([at_rank[k] for at_rank in stats])
+        return np.array([stats[j][k] for j in range(len(QUANTITY_NAMES))])
 
     lows = _lerp(quantities(lo[0]), quantities(lo[1]), lo[2])
     highs = _lerp(quantities(hi[0]), quantities(hi[1]), hi[2])
-    # A NaN orders last.  A mapped equilibrium quantity is finite; beta_xm
-    # and r_x can hold one (NaN * beta_qm, inf * 0) only at the largest beta.
-    top = beta_algebra.chain_products(beta[n - 1], beta_qm, r_m)
-    has_nan = [*(j not in descending and math.isnan(stats[j][n - 1]) for j in range(3)),
-               *map(math.isnan, top)]
-    overflowed = [name for j, name in enumerate(QUANTITY_NAMES)
-                  if has_nan[j] or not (math.isfinite(lows[j]) and math.isfinite(highs[j]))]
+    # A NaN orders last, so one shows at the largest beta: inf / inf in the
+    # equilibrium, inf * 0 in r_x, the only NaNs a quantity can take.
+    overflowed = [name for name, top, low, high in zip(QUANTITY_NAMES, rows[m], lows, highs)
+                  if math.isnan(top) or not (math.isfinite(low) and math.isfinite(high))]
     if overflowed:
         raise UncertaintyError(f"interval bounds of {', '.join(overflowed)} are not finite")
     bounds = {

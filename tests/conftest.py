@@ -1,9 +1,11 @@
 import mpmath as mp
+import numpy as np
 import pytest
 
 from natbeta import econometrics as em
 from natbeta import preprocess as pp
 from natbeta.beta_algebra import beta_from_slope
+from natbeta.kernels import propagate_beta_draws
 from natbeta.market_curves import ShockModel
 from natbeta.simulator import ScenarioConfig, synthesize_panel
 
@@ -37,6 +39,15 @@ STUB_SEED_NONE_PAST_ONE = 1  # the paper stub at 100 000 draws: no draw >= 1
 STUB_SEED_TWO_PAST_ONE = 13  # the same: exactly two draws >= 1, where ln_user_cost turns
 NEAR_BUDGET_SEED = 3  # (0.043, 0.1) at 10 000 draws: 4 500 to 5 000 redraws
 TRUNCATED_N7_SEED = 1  # (0.1, 0.1) at 7 draws: at most three rejected, so no abort
+
+
+def reference_table(betas, beta_qm, r_m, mean_ln_flow, mean_ln_price):
+    """Every derived quantity at each beta, one column each in report order:
+    the equilibrium kernel's three columns, then ``b * beta_qm`` and
+    ``b * beta_qm * r_m``, formed here rather than by ``natbeta.uncertainty``."""
+    beta_xm = np.asarray(betas) * beta_qm
+    return np.column_stack([propagate_beta_draws(betas, mean_ln_flow, mean_ln_price),
+                            beta_xm, beta_xm * r_m])
 
 
 @pytest.fixture(autouse=True)

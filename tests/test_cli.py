@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import natbeta
-from natbeta import cli, kernels, market_curves, uncertainty
+from natbeta import cli, market_curves, uncertainty
 from natbeta.cli import main, parse_rate
 from natbeta.panel_io import parse_panel, serialize_panel
 from natbeta.simulator import synthesize_panel
 
-from conftest import STUB_SEED_TWO_PAST_ONE, make_config
+from conftest import STUB_SEED_TWO_PAST_ONE, make_config, reference_table
 
 PAPER_STUB = [
     "estimate",
@@ -184,11 +184,9 @@ def test_paper_stub_100k_json_matches_numpy_quantile_bounds(capsys, monkeypatch)
 
     def quantile_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level):
         report = sorted_bounds(draws, beta_qm, r_m, mean_ln_flow, mean_ln_price, level=level)
-        betas = draws.betas(draws.values())  # the full table, built after the call
-        beta_xm = betas * beta_qm
-        table = np.column_stack([
-            kernels.propagate_beta_draws(betas, mean_ln_flow, mean_ln_price),
-            beta_xm, beta_xm * r_m])
+        # the full table, built after the call
+        table = reference_table(draws.betas(draws.values()), beta_qm, r_m, mean_ln_flow,
+                                mean_ln_price)
         lo_q = 0.5 * (1.0 - level)
         q = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
         bounds = {name: (float(q[0, j]), float(q[1, j]))

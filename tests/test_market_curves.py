@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from natbeta import kernels, market_curves, uncertainty
+from natbeta import beta_algebra, kernels, market_curves, pipeline, uncertainty
 from natbeta.market_curves import (
     CurveError,
     EquilibriumPoint,
@@ -270,6 +270,36 @@ def test_each_map_alternates_direction_at_every_turning_point_past_the_margin():
             sign = -1.0 if i % 2 else 1.0
             assert np.count_nonzero(inside) > 100, (name, i)
             assert np.all(sign * np.diff(values[inside]) > 0.0), (name, i)
+
+
+def test_turning_points_list_the_reported_quantities_with_the_maps_that_turn_first(paper):
+    # one table owns the quantity set: its keys are a stub report's interval
+    # names, in order, and its maps that turn, the equilibrium kernel's
+    # columns, come before the products of the beta
+    report = pipeline.run_estimate(None, beta_qm=paper["beta_qm"], r_m=paper["r_m"], level=0.9,
+                                   draws=1000, seed=0, slope=paper["slope"],
+                                   slope_se=paper["slope_se"], mean_ln_flow=paper["mean_ln_flow"],
+                                   mean_ln_price=paper["mean_ln_price"])
+    assert list(TURNING_POINTS) == list(report.intervals["bounds"])
+    assert uncertainty.QUANTITY_NAMES == tuple(TURNING_POINTS)
+    turns = [bool(points) for points in TURNING_POINTS.values()]
+    assert turns == sorted(turns, reverse=True)
+    assert sum(turns) == kernels.propagate_beta_draws(np.ones(1), 0.0, 0.0).shape[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=2.0**-1074, max_value=1e150), min_size=2, max_size=40),
+       st.floats(min_value=2.0**-1074, max_value=1e150),
+       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e6, max_value=1e6)))
+def test_products_of_the_beta_are_monotone_to_the_last_bit(betas, beta_qm, r_m):
+    # the maps without turning points: over ascending positive betas
+    # beta_xm never falls, and r_x moves the way of r_m's sign, which it
+    # carries, so at r_m = +-0 every r_x is a zero of that sign
+    beta_xm, r_x = beta_algebra.chain_products(np.sort(betas), beta_qm, r_m)
+    sign = math.copysign(1.0, r_m)
+    assert np.all(np.diff(beta_xm) >= 0.0)
+    assert np.all(sign * np.diff(r_x) >= 0.0)
+    assert np.all(np.signbit(r_x) == (sign < 0.0))
 
 
 def test_shocked_equilibrium_no_shock_is_equilibrium():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import truncnorm
 
-from natbeta import beta_algebra, kernels, market_curves, uncertainty
+from natbeta import kernels, market_curves, uncertainty
 from natbeta.uncertainty import (
     MAX_DRAWS,
     QUANTITY_NAMES,
@@ -20,7 +20,7 @@ from natbeta.uncertainty import (
 )
 
 from conftest import (NEAR_BUDGET_SEED, STUB_SEED_NONE_PAST_ONE, STUB_SEED_TWO_PAST_ONE,
-                      TRUNCATED_N7_SEED)
+                      TRUNCATED_N7_SEED, reference_table)
 
 
 def normal_quantile(p):
@@ -267,10 +267,7 @@ def test_endpoints_lie_near_their_exact_limits(paper, mean, se, n):
     beta_sd = np.sqrt(q * (1.0 - q) / n) / truncnorm.pdf(beta_q, a, np.inf, loc=mean, scale=se)
 
     def f(betas):
-        # every quantity at each beta, in QUANTITY_NAMES order
-        return np.column_stack([kernels.propagate_beta_draws(betas, *means),
-                                *beta_algebra.chain_products(betas, paper["beta_qm"],
-                                                             paper["r_m"])])
+        return reference_table(betas, paper["beta_qm"], paper["r_m"], *means)
 
     h = 1e-6 * beta_q
     slope = (f(beta_q + h) - f(beta_q - h)) / (2.0 * h[:, None])
@@ -538,11 +535,9 @@ def test_sorted_column_bounds_equal_numpy_quantile(paper, level, n, r_m):
         report = derived_intervals(draws, paper["beta_qm"], r_m, paper["mean_ln_flow"],
                                    paper["mean_ln_price"], level=level)
         # the per-draw reference, from the full table built after the call
-        betas = draws.betas(draws.values())
-        table = kernels.propagate_beta_draws(betas, paper["mean_ln_flow"], paper["mean_ln_price"])
-        assert table.shape == (n, 3)
-        beta_xm = betas * paper["beta_qm"]
-        table = np.column_stack([table, beta_xm, beta_xm * r_m])
+        table = reference_table(draws.betas(draws.values()), paper["beta_qm"], r_m,
+                                paper["mean_ln_flow"], paper["mean_ln_price"])
+        assert table.shape == (n, len(QUANTITY_NAMES))
         lo_q = 0.5 * (1.0 - level)
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
         for j, name in enumerate(QUANTITY_NAMES):
@@ -571,19 +566,18 @@ def test_overflowed_endpoints_are_not_finite(r_m):
         derived_intervals(draws, 1e308, r_m, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("at", [0, 12_345, 99_999])
-def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, at):
-    # an infinite beta puts a NaN (inf/inf) in every equilibrium row, which
-    # the K-rank rule selects as the largest value of each quantity
+@pytest.mark.parametrize("r_m", [0.029, -0.03, 0.0, -0.0])
+def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, r_m):
+    # an infinite beta, the largest, puts a NaN (inf/inf) in every
+    # equilibrium column of its row, and at r_m = +-0 one (inf * 0) in r_x
     draws = sample_betas(0.919, 0.018, 100_000, seed=7)
     values = draws.betas(draws.values())
-    values[at] = math.inf
-    for r_m in (paper["r_m"], -0.03):
-        with np.errstate(invalid="ignore"), pytest.raises(
-                UncertaintyError,
-                match=r"^interval bounds of ln_price, ln_quantity, ln_user_cost are not finite$"):
-            derived_intervals(fixed_draws(values), paper["beta_qm"], r_m,
-                              paper["mean_ln_flow"], paper["mean_ln_price"])
+    values[12_345] = math.inf
+    names = "ln_price, ln_quantity, ln_user_cost" + (", r_x" if r_m == 0.0 else "")
+    with np.errstate(invalid="ignore"), pytest.raises(
+            UncertaintyError, match=rf"^interval bounds of {names} are not finite$"):
+        derived_intervals(fixed_draws(values), paper["beta_qm"], r_m,
+                          paper["mean_ln_flow"], paper["mean_ln_price"])
 
 
 def record_work(monkeypatch):
@@ -617,15 +611,20 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
     # those of the six picked ranks (0, 4 999, 5 000, 94 999, 95 000 and
     # 99 999), which also hold every draw past the guard of b = 1 (where
     # ln_user_cost turns); the normal quantile maps the six uniforms and
-    # those past the guard's uniform; the kernel sees the four needed betas,
-    # those draws, here the ones past b = 1, and the mean.
+    # those past the guard's uniform; the kernel, called once, sees the four
+    # needed betas, the largest, those draws, here the ones past b = 1, and
+    # the mean.  The work is the same at every sign of r_m: at +-0, where
+    # r_x does not rise, it is still a product of the beta, never selected
+    # by the K-rank rule.
     blocks, mapped, passed = record_work(monkeypatch)
-    for seed, n_past in ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)):
+    for (seed, n_past), r_m in itertools.product(
+            ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)),
+            (0.029, -0.03, 0.0, -0.0)):
         draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
         blocks.clear()
         mapped.clear()
         passed.clear()
-        derived_intervals(draws, paper["beta_qm"], paper["r_m"],
+        derived_intervals(draws, paper["beta_qm"], r_m,
                           paper["mean_ln_flow"], paper["mean_ln_price"])
         assert sorted(blocks) == [0, 4, 92, 97]
         [u] = mapped
@@ -636,9 +635,9 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         assert u.size == 6 + n_past and np.all(u[6:] > uniforms[95_000])
         past = ordered[ordered >= 1.0]
         assert past.size == n_past
-        assert betas.size == 4 + n_past + 1
-        assert betas[:4].tobytes() == ordered[[4_999, 5_000, 94_999, 95_000]].tobytes()
-        assert np.sort(betas[4:-1]).tobytes() == past.tobytes()
+        assert betas.size == 4 + 1 + n_past + 1
+        assert betas[:5].tobytes() == ordered[[4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
+        assert np.sort(betas[5:-1]).tobytes() == past.tobytes()
         assert betas[-1] == 0.919
 
 
@@ -667,11 +666,11 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
     # b ~ 0.3013, where ln_quantity turns, and some of their values fall
     # among the others' below the upper endpoint.  That endpoint is selected
     # from them and one window of the beta's order statistics beside its
-    # ranks: the kernel sees the needed betas, the past draws and the mean,
-    # then the window, never an n-long array, and at most 5 of the 20
-    # blocks are drawn.  The normal quantile maps as few: the picked order
-    # statistics with the draws at or past the guard's uniform, then the
-    # window.
+    # ranks: the kernel sees the needed betas, the largest beta, the past
+    # draws and the mean, then the window, never an n-long array, and at
+    # most 5 of the 20 blocks are drawn.  The normal quantile maps as few:
+    # the picked order statistics with the draws at or past the guard's
+    # uniform, then the window.
     blocks, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
@@ -687,11 +686,10 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
         assert len(mapped) == 2 and sum(map(len, mapped)) < 1_500, seed
         # the per-draw reference, from the full table built after the call
         uniforms = draws.values()
-        assert passed[0].size - 5 == np.count_nonzero(uniforms >= draws.u_at(guard))
+        assert passed[0].size - 6 == np.count_nonzero(uniforms >= draws.u_at(guard))
         betas = draws.betas(uniforms)
-        beta_xm = betas * paper["beta_qm"]
-        table = np.column_stack([kernels.propagate_beta_draws(betas, *means), beta_xm,
-                                 beta_xm * paper["r_m"]])
+        assert passed[0][4:5].tobytes() == betas[-1:].tobytes()  # after the four needed
+        table = reference_table(betas, paper["beta_qm"], paper["r_m"], *means)
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
         for j, name in enumerate(QUANTITY_NAMES):
             assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), \
@@ -711,9 +709,7 @@ def test_needed_betas_inside_the_turn_margin_go_to_the_k_rank_rule(monkeypatch, 
     guard = market_curves.TURNING_POINTS["ln_price"][0] * (1.0 - 2.0**-10)
     for side, calls in ((-1.0, 1), (1.0, 2)):
         values = np.concatenate([np.linspace(1.1, 1.5, 95), [guard * (1.0 + side * 2.0**-20)] * 5])
-        beta_xm = values * paper["beta_qm"]
-        table = np.column_stack([kernels.propagate_beta_draws(values, *means), beta_xm,
-                                 beta_xm * paper["r_m"]])
+        table = reference_table(values, paper["beta_qm"], paper["r_m"], *means)
         expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
         passed.clear()
         report = derived_intervals(fixed_draws(values), paper["beta_qm"], paper["r_m"], *means)
@@ -741,11 +737,8 @@ def test_a_draw_at_a_guards_uniform_gives_the_tables_bounds(paper):
             values = np.concatenate([np.linspace(*lower, rank), [at + step * 2.0**-53],
                                      np.linspace(*upper, 99 - rank)])
             draws = BetaDraws.from_values(values, mean, se)
-            betas = draws.betas(values)
-            beta_xm = betas * paper["beta_qm"]
-            table = np.column_stack([
-                kernels.propagate_beta_draws(betas, paper["mean_ln_flow"], paper["mean_ln_price"]),
-                beta_xm, beta_xm * paper["r_m"]])
+            table = reference_table(draws.betas(values), paper["beta_qm"], paper["r_m"],
+                                    paper["mean_ln_flow"], paper["mean_ln_price"])
             expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
             report = derived_intervals(draws, paper["beta_qm"], paper["r_m"],
                                        paper["mean_ln_flow"], paper["mean_ln_price"])
@@ -770,10 +763,7 @@ def test_straddled_turning_point_maps_a_quarter_of_the_draws_at_most(monkeypatch
     assert passed and max(map(len, mapped)) <= 25_000 and max(map(len, passed)) <= 25_000
     assert len(set(blocks)) <= 25_000 // uncertainty._BLOCK
     # the per-draw reference, from the full table built after the call
-    betas = draws.betas(draws.values())
-    beta_xm = betas * paper["beta_qm"]
-    table = np.column_stack([kernels.propagate_beta_draws(betas, *means), beta_xm,
-                             beta_xm * paper["r_m"]])
+    table = reference_table(draws.betas(draws.values()), paper["beta_qm"], paper["r_m"], *means)
     expected = np.quantile(table, [lo_q, 1.0 - lo_q], axis=0)
     for j, name in enumerate(QUANTITY_NAMES):
         assert np.array(report.bounds[name]).tobytes() == expected[:, j].tobytes(), name
