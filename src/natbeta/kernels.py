@@ -23,6 +23,9 @@ point (``natbeta.uncertainty``'s K-rank rule), never at every draw.
 Wichura's AS241 with ``+ * / log sqrt`` alone, elementwise, so a uniform's
 deviate has the same bits whether it is mapped alone or among every draw;
 ``natbeta.uncertainty`` maps only the uniforms an endpoint can come from.
+A handful of uniforms, the paper stub's six to nine, is mapped one at a
+time in Python floats by the same operations, with NumPy's logarithm,
+since ``math.log`` differs from it in the last bit on a few inputs.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ _MAX_CF_ITER = 300
 # Rows propagate_beta_draws computes at a time: a block's equilibrium
 # temporaries (64 KiB each) stay in the core's cache.
 _PROPAGATE_BLOCK = 8192
+# Most inputs normal_quantile maps in Python floats.  On one pinned CPU of
+# a shared 2-vCPU VM (NumPy 2.4), that path took about 3 us plus 1.1 us per
+# tail uniform and the array path about 26 us, so they crossed near 20 tail
+# uniforms; 16 keeps a margin.
+_FEW = 16
 # Student-t quantiles computed so far, keyed by (float(p), float(df)).
 _T_QUANTILES: dict[tuple[float, float], float] = {}
 # Wichura's AS241 (PPND16) rationals, highest power first, numerator then
@@ -240,8 +248,20 @@ def normal_quantile(u):
     ``Q(0.5)`` is 0.0.  The Horner rounding is not monotone at the last
     bit: two inputs a grid step ``2**-53`` apart can map to two values in
     the reverse order.  ``u = 0`` would take ``log(0)``.
+
+    A 1-d input of at most ``_FEW`` values, all in (0, 1), is mapped one
+    element at a time in Python floats, where a few NumPy calls would cost
+    more than the arithmetic; its operations, in the same order, round as
+    NumPy's do, so each element keeps its bits.  The logarithm is NumPy's
+    on that path too, since ``math.log`` can differ from it in the last
+    bit.  Any other input, NaN, 0 and 1 included, takes the array path
+    and its warnings.
     """
     u = np.asarray(u, dtype=np.float64)
+    if u.ndim == 1 and u.size <= _FEW:
+        values = u.tolist()
+        if all(0.0 < v < 1.0 for v in values):
+            return _few_normal_quantiles(values)
     q = u - 0.5
     z = np.empty_like(q)
     centre = np.abs(q) <= 0.425
@@ -263,6 +283,26 @@ def normal_quantile(u):
             x[far] = _horner(_AS241_FAR[0], s) / _horner(_AS241_FAR[1], s)
         z[tail] = np.copysign(x, q[tail])
     return z
+
+
+def _few_normal_quantiles(values):
+    """``normal_quantile`` of a list of a few floats in (0, 1), by the
+    array path's operations applied to one element at a time."""
+    tails = [v for v in values if abs(v - 0.5) > 0.425]
+    if tails:
+        t = np.array(tails)
+        logs = iter(np.log(np.minimum(t, 1.0 - t)).tolist())
+    out = []
+    for v in values:
+        q = v - 0.5
+        if abs(q) <= 0.425:
+            r = 0.180625 - q * q
+            out.append(q * _horner(_AS241_CENTRE[0], r) / _horner(_AS241_CENTRE[1], r))
+            continue
+        r = math.sqrt(-next(logs))
+        coefficients, s = (_AS241_FAR, r - 5.0) if r > 5.0 else (_AS241_NEAR, r - 1.6)
+        out.append(math.copysign(_horner(coefficients[0], s) / _horner(coefficients[1], s), q))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,16 @@ class BetaDraws:
     def from_values(cls, values, mean: float, se: float = 0.0) -> BetaDraws:
         """A table of the given stored values: positive betas where se is 0,
         else uniforms in (0, 1), which it sorts.  Raises on an empty table
-        and on any other value, NaN included."""
+        and on any other value, NaN included, and on a uniform at or below
+        the truncation floor, whose beta need not be positive."""
         values = np.sort(np.array(values, dtype=np.float64))
         inside = values > 0.0 if se == 0.0 else (values > 0.0) & (values < 1.0)
         if not (values.size and inside.all()):
             raise UncertaintyError("draws must hold positive betas, or uniforms in (0, 1)")
+        floor = _truncation_floor(mean, se) if se > 0.0 else 0.0
+        if values[0] <= floor:
+            raise UncertaintyError(
+                f"uniform {float(values[0])!r} is at or below the truncation floor {floor!r}")
         values.flags.writeable = False
         return cls(size=values.size, knots=values[_BLOCK - 1:-1:_BLOCK], low=values[0],
                    high=values[-1], n_redrawn=0, seed=0, mean=float(mean), se=float(se),

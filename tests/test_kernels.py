@@ -10,6 +10,7 @@ per-element Python loops.
 
 import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -332,6 +333,55 @@ def test_normal_quantile_bits_do_not_depend_on_the_other_inputs():
     assert kernels.normal_quantile(u[perm]).tobytes() == whole[perm].tobytes()
     singles = [kernels.normal_quantile(u[i:i + 1])[0] for i in range(0, u.size, 997)]
     assert np.array(singles).tobytes() == whole[::997].tobytes()
+
+
+def test_few_uniforms_map_to_the_bits_of_the_array_path():
+    # Inputs of at most _FEW uniforms are mapped in Python floats.  Over
+    # 800 026 uniforms, in chunks of every size from 1 to _FEW in turn, they
+    # give the bits of one call on the whole array: random values, the
+    # dense tails (0, 0.075] and [0.925, 1), the far tails past e**-25,
+    # subnormals and the branch switches.  Their logarithm must be NumPy's:
+    # math.log differs from np.log in the last bit on some tail uniforms.
+    rng = np.random.default_rng(39)
+    n = 160_000
+    u = np.concatenate([
+        rng.random(n),
+        0.075 * (1.0 - rng.random(n)),
+        1.0 - 0.075 * (1.0 - rng.random(n)),
+        np.exp(-rng.uniform(25.0, 744.0, n // 2)),
+        1.0 - np.exp(-rng.uniform(25.0, 36.0, n // 2)),
+        rng.integers(1, 2**52, n) * 5e-324,
+        normal_quantile_points(),
+    ])
+    assert u.size >= 800_000 and 0.0 < u.min() and u.max() < 1.0
+    sizes = np.resize(np.arange(1, kernels._FEW + 1), u.size)
+    ends = np.cumsum(sizes)
+    ends = ends[:np.searchsorted(ends, u.size)].tolist()
+    chunks = [kernels.normal_quantile(chunk) for chunk in np.split(u, ends)]
+    assert max(map(len, chunks)) == kernels._FEW
+    assert np.concatenate(chunks).tobytes() == kernels.normal_quantile(u).tobytes()
+
+
+@pytest.mark.parametrize("u", [
+    0.0, 1.0, math.nan, [0.0], [1.0], [math.nan], [0.3, 0.0, 0.99], np.empty(0),
+    np.array(0.01), np.array([[0.01, 0.5], [0.99, 0.3]]), [0.3, 0.01, 0.99],
+], ids=["0", "1", "nan", "[0]", "[1]", "[nan]", "[0.3,0,0.99]", "empty", "0-d", "2-d", "list"])
+def test_few_path_keeps_the_array_paths_shape_dtype_values_and_warnings(monkeypatch, u):
+    # u = 0 and 1 take log(0), and the far tail then divides inf by inf;
+    # NaN passes through.  Every such input keeps the array path's
+    # result and RuntimeWarnings, whatever its size.
+    def mapped():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            z = kernels.normal_quantile(u)
+        return z, [(w.category, str(w.message)) for w in caught]
+
+    few, few_warnings = mapped()
+    monkeypatch.setattr(kernels, "_FEW", -1)  # every input takes the array path
+    array, array_warnings = mapped()
+    assert (few.shape, few.dtype) == (array.shape, array.dtype)
+    assert np.array_equal(few, array, equal_nan=True) and few.tobytes() == array.tobytes()
+    assert few_warnings == array_warnings
 
 
 def test_unshocked_equilibrium_equals_zero_shocks_bitwise():

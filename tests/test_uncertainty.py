@@ -457,6 +457,20 @@ def test_draws_holding_a_non_positive_or_nan_value_raise(bad, n):
         BetaDraws.from_values([], 0.9)
 
 
+def test_uniforms_at_or_below_the_truncation_floor_are_refused():
+    # uniform 1e-3 at N(0.3, 1) maps to beta -2.79: such a table is refused
+    # when built, as is one holding the floor itself, and the next float
+    # above the floor maps to a positive beta
+    floor = uncertainty._truncation_floor(0.3, 1.0)
+    for low in (1e-3, floor):
+        with pytest.raises(UncertaintyError, match=r"^uniform .* is at or below the "
+                                                   r"truncation floor 0\.38208"):
+            BetaDraws.from_values([low, 0.5, 0.9], mean=0.3, se=1.0)
+    above = math.nextafter(floor, 1.0)
+    draws = BetaDraws.from_values([0.9, above, 0.5], mean=0.3, se=1.0)
+    assert draws.low == above and draws.betas(draws.values())[0] > 0.0
+
+
 positive_floats = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
     st.integers(1, 2**53 - 1).map(lambda k: k * 2.0**-53),  # the uniforms' grid
@@ -611,7 +625,8 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
     # those of the six picked ranks (0, 4 999, 5 000, 94 999, 95 000 and
     # 99 999), which also hold every draw past the guard of b = 1 (where
     # ln_user_cost turns); the normal quantile maps the six uniforms and
-    # those past the guard's uniform; the kernel, called once, sees the four
+    # those past the guard's uniform, few enough for its Python-float path
+    # (at most kernels._FEW); the kernel, called once, sees the four
     # needed betas, the largest, those draws, here the ones past b = 1, and
     # the mean.  The work is the same at every sign of r_m: at +-0, where
     # r_x does not rise, it is still a product of the beta, never selected
@@ -629,6 +644,7 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         assert sorted(blocks) == [0, 4, 92, 97]
         [u] = mapped
         [betas] = passed
+        assert u.size <= kernels._FEW
         uniforms = draws.values()  # the full table, built after the call
         ordered = np.sort(draws.betas(uniforms))
         assert u[:6].tobytes() == uniforms[[0, 4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
