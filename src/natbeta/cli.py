@@ -269,13 +269,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
+    except (StageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if exc.hint:
+        if isinstance(exc, StageError) and exc.hint:
             sys.stderr.write(f"hint: {exc.hint}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

@@ -26,11 +26,15 @@ deviate has the same bits whether it is mapped alone or among every draw;
 A handful of uniforms, the paper stub's six to nine, is mapped one at a
 time in Python floats by the same operations, with NumPy's logarithm,
 since ``math.log`` differs from it in the last bit on a few inputs.
+
+``_integer`` is the one check of a count or a seed argument: any integer
+type (a NumPy integer among them) but bool, each caller naming its error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -102,28 +106,33 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_CF_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # a Lentz step for the even coefficient, then one for the odd;
+        # convergence is tested after the odd step alone
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _MACHEP:
             break
     return h
+
+
+def _integer(value, name: str, error) -> int:
+    """``value`` as an int, for any integer type but bool; otherwise raises
+    ``error(message)``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:

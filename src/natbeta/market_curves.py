@@ -151,6 +151,7 @@ def curve_samples(beta_xq: float, x_range: tuple[float, float], count: int) -> n
     """
     b = _check_beta(beta_xq)
     lo, hi = float(x_range[0]), float(x_range[1])
+    count = kernels._integer(count, "count", CurveError)
     if count < 2:
         raise CurveError("count must be >= 2")
     if count > MAX_CURVE_SAMPLES:

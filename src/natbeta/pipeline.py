@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_string
 from typing import TYPE_CHECKING, Mapping
 
@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from . import beta_algebra as ba
+from . import kernels
 from . import market_curves as mc
 
 if TYPE_CHECKING:
@@ -239,16 +240,6 @@ def _report_warnings(blocks: Mapping) -> list[str]:
     return warnings
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, for any integer type but bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise StageError("uncertainty", f"{name} must be an integer, got {value!r}")
-
-
 def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                  level: float = 0.90, draws: int = 100_000, seed: int | None = None,
                  instruments: str = "auto", slope: float | None = None,
@@ -260,6 +251,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     Either ``panel`` or the stub (``slope`` plus both log means) must be
     supplied.  Monte Carlo intervals are computed when ``draws > 0``, which
     requires ``seed``; ``draws == 0`` skips them and negative draws raise.
+    ``draws`` and ``seed`` must be integers, not bools, and a seed that is
+    given must be non-negative at every draw count.
     """
     if beta_qm is None or not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise StageError("beta_algebra",
@@ -267,9 +260,12 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                          hint="pass the firm market beta via beta_qm")
     if r_m is None or not math.isfinite(float(r_m)):
         raise StageError("beta_algebra", "market rate r_m must be a finite number")
-    draws = _integer("draws", draws)
+    uncertainty_error = partial(StageError, "uncertainty")
+    draws = kernels._integer(draws, "draws", uncertainty_error)
     if seed is not None:
-        seed = _integer("seed", seed)
+        seed = kernels._integer(seed, "seed", uncertainty_error)
+        if seed < 0:
+            raise StageError("uncertainty", "seed must be a non-negative integer")
     if draws < 0:
         raise StageError("uncertainty", f"draws must be >= 0, got {draws}",
                          hint="draws=0 skips the intervals")

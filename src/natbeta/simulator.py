@@ -17,7 +17,7 @@ instrument selection builds them from the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class ScenarioConfig:
     iv_noise_sd: float = 0.02
 
     def __post_init__(self):
+        # stored as ints, so that the truth file records the seed that ran
+        object.__setattr__(self, "n", kernels._integer(self.n, "n", SimulatorError))
+        object.__setattr__(self, "seed", kernels._integer(self.seed, "seed", SimulatorError))
         if not math.isfinite(self.beta_xq) or self.beta_xq <= 0.0:
             raise SimulatorError(f"beta must be positive, got {self.beta_xq}")
         if self.n < 5:
@@ -57,12 +60,12 @@ class ScenarioConfig:
             raise SimulatorError("log means must be finite")
         if not 0.0 <= self.iv_noise_sd < math.inf:
             raise SimulatorError(f"iv_noise_sd must be finite and >= 0, got {self.iv_noise_sd}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise SimulatorError("seed must be a non-negative integer")
 
 
 def _rng(config: ScenarioConfig, stream: int = 0) -> np.random.Generator:
-    key = np.array([int(config.seed) & _MASK64, stream], dtype=np.uint64)
+    key = np.array([config.seed & _MASK64, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -135,15 +138,10 @@ def synthesize_panel(config: ScenarioConfig) -> RawPanel:
 
 
 def ground_truth(config: ScenarioConfig) -> dict:
-    """Sidecar description of the generating process."""
-    return {
-        "beta_xq": config.beta_xq,
-        "mean_ln_flow": config.mean_ln_flow,
-        "mean_ln_price": config.mean_ln_price,
-        "sigma_s": config.shocks.sigma_s,
-        "sigma_d": config.shocks.sigma_d,
-        "shock_mode": config.shocks.mode,
-        "n": config.n,
-        "seed": config.seed,
-        "iv_noise_sd": config.iv_noise_sd,
-    }
+    """Sidecar description of the generating process: every field of the
+    scenario, with the shock model's as ``sigma_s``, ``sigma_d`` and
+    ``shock_mode``."""
+    truth = asdict(config)
+    shocks = truth.pop("shocks")
+    return {**truth, "sigma_s": shocks["sigma_s"], "sigma_d": shocks["sigma_d"],
+            "shock_mode": shocks["mode"]}

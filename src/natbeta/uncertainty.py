@@ -76,7 +76,6 @@ for ``estimate`` and ``ci`` alike, with those warnings silenced.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,16 +139,6 @@ def _truncation_floor(mean: float, se: float) -> float:
     the least subnormal, not at 0, since ``se * Q(u)`` may round by half of
     it; that moves no bit of the floor at a normal mean."""
     return _normal_cdf((_TINIEST - mean) / se) * (1.0 + _TRUNCATION_MARGIN)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, for any integer type but bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise UncertaintyError(f"{name} must be an integer, got {value!r}")
 
 
 def _sorted_uniforms(stream: tuple, j: int, out: np.ndarray, lo: float, hi: float) -> None:
@@ -295,7 +284,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     is the mean: the same table with ``low = high = mean``.  ``draws`` and
     ``seed`` must be integers, not bools.
     """
-    draws = _integer(draws, "draws")
+    draws = kernels._integer(draws, "draws", UncertaintyError)
     if draws < 1:
         raise UncertaintyError(f"draws must be >= 1, got {draws}")
     if draws > MAX_DRAWS:
@@ -304,7 +293,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
         raise UncertaintyError(f"se must be >= 0, got {se}")
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise UncertaintyError("mean and se must be finite")
-    seed = _integer(seed, "seed")
+    seed = kernels._integer(seed, "seed", UncertaintyError)
     if seed < 0:
         raise UncertaintyError("seed must be a non-negative integer")
     if se == 0.0 and mean <= 0.0:
@@ -395,11 +384,9 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     ``draws`` comes from ``sample_betas``, or ``BetaDraws.from_values``, so
     every beta is positive.  Only the blocks of the table that hold a
     picked rank, a past draw, a rank window or a K-rank span are drawn; no
-    n-long array is mapped, evaluated or held.  (Calls that held one made
-    glibc trim the heap and fault it back in, about 360 minor faults per
-    call at 100k draws.)  The point column evaluates the same maps at the
-    sampling mean.  Raises when a bound is not finite, or when a quantity
-    is NaN for some draw.
+    n-long array is mapped, evaluated or held.  The point column evaluates
+    the same maps at the sampling mean.  Raises when a bound is not finite,
+    or when a quantity is NaN for some draw.
     """
     if not (math.isfinite(beta_qm) and beta_qm > 0.0):
         raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")

@@ -62,19 +62,6 @@ def paper():
     return PAPER
 
 
-@pytest.fixture
-def small_panel_text():
-    return (
-        "year,value,flow\n"
-        "2001,2.5,1.0\n"
-        "2002,8.0,2.0\n"
-        "2003,9.0,2.5\n"
-        "2004,12.0,3.0\n"
-        "2005,20.0,4.0\n"
-        "2006,23.0,4.5\n"
-    )
-
-
 def make_config(beta=0.919, sigma_s=0.0, sigma_d=0.05, n=500, seed=0,
                 mode="general", iv_noise_sd=0.02):
     return ScenarioConfig(

@@ -739,6 +739,13 @@ def test_ci_subcommand_text_and_json(capsys):
     assert data["seed"] == 12
 
 
+@pytest.mark.parametrize("draws", ["0", "10"])
+def test_estimate_refuses_a_negative_seed_at_every_draw_count(capsys, draws):
+    # at --draws 0 a negative seed used to exit 0 and reach provenance.seed
+    assert run_cli(capsys, [*PAPER_STUB, "--seed", "-5", "--draws", draws]) == (
+        1, "", "error: uncertainty: seed must be a non-negative integer\n")
+
+
 def test_simulate_writes_panel_and_truth(tmp_path, capsys):
     out_path = tmp_path / "sim.csv"
     code, out, err = run_cli(capsys, [

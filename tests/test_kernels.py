@@ -237,6 +237,66 @@ def test_f_upper_matches_beta_identity():
         )
 
 
+def two_half_step_betacf(a, b, x):
+    """The continued fraction of ``kernels._betacf`` with the even and odd
+    Lentz steps written out one after the other (the form it replaced)."""
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, kernels._MAX_CF_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < kernels._MACHEP:
+            break
+    return h
+
+
+def test_reg_inc_beta_keeps_the_bits_of_the_two_half_step_fraction(monkeypatch):
+    rng = np.random.default_rng(40)
+    a, b = 10.0 ** rng.uniform(-1.5, 3.0, size=(2, 12_000))
+    x = np.concatenate([rng.uniform(0.0, 1.0, 10_000), 10.0 ** rng.uniform(-12, -1, 1000),
+                        1.0 - 10.0 ** rng.uniform(-12, -1, 1000)])
+    triples = list(zip(a.tolist(), b.tolist(), x.tolist()))
+    # the two forms student_t_cdf and f_upper_tail pass on, for df 1 to 1e6
+    for df in np.concatenate([np.arange(1.0, 31.0), np.geomspace(31.0, 1e6, 30)]).tolist():
+        for t in np.geomspace(1e-3, 1e3, 70).tolist():
+            triples += [(0.5, 0.5 * df, t * t / (df + t * t)),
+                        (0.5 * df, 0.5, df / (df + t * t))]
+    assert len(triples) >= 20_000
+    # both sides of reg_inc_beta's symmetry split, each well populated
+    direct = sum(x < (a + 1.0) / (a + b + 2.0) for a, b, x in triples)
+    assert min(direct, len(triples) - direct) > 5000
+    got = np.array([kernels.reg_inc_beta(*triple) for triple in triples])
+    monkeypatch.setattr(kernels, "_betacf", two_half_step_betacf)
+    want = np.array([kernels.reg_inc_beta(*triple) for triple in triples])
+    assert got.tobytes() == want.tobytes()
+
+
 def reference_propagate(betas, mean_ln_flow, mean_ln_price):
     """Per-draw loop over the closed-form equilibrium (the removed loop kernel)."""
     out = np.empty((betas.shape[0], 3))

@@ -13,9 +13,10 @@ from natbeta import econometrics, market_curves, pipeline
 from natbeta.cli import main
 from natbeta.panel_io import parse_panel
 from natbeta.pipeline import StageError, _json_text, render_report, run_estimate
-from natbeta.simulator import synthesize_panel
+from natbeta.simulator import SimulatorError, synthesize_panel
+from natbeta.uncertainty import UncertaintyError, sample_betas
 
-from conftest import make_config
+from conftest import PAPER, make_config
 
 
 def paper_stub_report(paper, **overrides):
@@ -115,6 +116,33 @@ def test_draws_and_seed_that_are_not_integers_report_uncertainty(paper, argument
     if argument == "seed":  # checked even where no draws use it
         with pytest.raises(StageError, match=r"^uncertainty: seed must be an integer, got "):
             paper_stub_report(paper, draws=0, seed=bad)
+
+
+# every count or seed argument of the library: its name, its module's error
+# and an integer it accepts
+INTEGER_ARGUMENTS = {
+    "run_estimate draws": (lambda v: paper_stub_report(PAPER, draws=v, seed=1), "draws",
+                           StageError, 3),
+    "run_estimate seed": (lambda v: paper_stub_report(PAPER, draws=10, seed=v), "seed",
+                          StageError, 3),
+    "sample_betas draws": (lambda v: sample_betas(0.9, 0.1, v, seed=1), "draws",
+                           UncertaintyError, 3),
+    "sample_betas seed": (lambda v: sample_betas(0.9, 0.1, 10, seed=v), "seed",
+                          UncertaintyError, 3),
+    "ScenarioConfig n": (lambda v: make_config(n=v), "n", SimulatorError, 5),
+    "ScenarioConfig seed": (lambda v: make_config(seed=v), "seed", SimulatorError, 3),
+    "curve_samples count": (lambda v: market_curves.curve_samples(1.0, (-1.0, 1.0), v),
+                            "count", market_curves.CurveError, 3),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_every_count_and_seed_takes_integers_alone(entry):
+    call, name, error, good = INTEGER_ARGUMENTS[entry]
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(error, match=rf"{name} must be an integer, got "):
+            call(bad)
+    call(np.int64(good))  # a NumPy integer is an integer
 
 
 def test_bad_beta_qm_reports_beta_algebra():

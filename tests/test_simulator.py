@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from natbeta import preprocess as pp
 from natbeta import simulator
 from natbeta.market_curves import CurveError, ShockModel, equilibrium_deviation
 from natbeta.panel_io import serialize_panel
+from natbeta.pipeline import _json_text
 from natbeta.simulator import (
     ScenarioConfig,
     SimulatorError,
@@ -173,6 +175,24 @@ def test_ground_truth_sidecar_fields():
     assert truth["seed"] == 11
     assert truth["shock_mode"] == "general"
     assert set(truth) >= {"mean_ln_flow", "mean_ln_price", "sigma_s", "sigma_d", "n"}
+
+
+def test_truth_record_holds_every_scenario_field():
+    cfg = make_config(sigma_s=0.03, sigma_d=0.04, mode="paper", iv_noise_sd=0.01)
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ScenarioConfig)}
+    del fields["shocks"]
+    assert ground_truth(cfg) == {**fields, "sigma_s": 0.03, "sigma_d": 0.04,
+                                 "shock_mode": "paper"}
+
+
+def test_n_and_seed_are_stored_as_ints():
+    # the truth file records the seed that ran (a float seed used to run as
+    # its int); test_pipeline's integer test holds the refused values
+    cfg = make_config(n=np.int64(19), seed=np.int64(3))
+    assert (type(cfg.n), type(cfg.seed)) == (int, int)
+    plain = make_config(n=19, seed=3)
+    assert _json_text(ground_truth(cfg)) == _json_text(ground_truth(plain))
+    assert serialize_panel(synthesize_panel(cfg)) == serialize_panel(synthesize_panel(plain))
 
 
 def test_zero_shock_panel_constant_price_ratio():
