@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from . import kernels
+
 __all__ = ["BetaAlgebraError", "beta_from_slope", "chain_products", "market_chain"]
 
 
@@ -25,13 +27,10 @@ def beta_from_slope(slope: float, slope_se: float) -> tuple[float, float]:
     to ``1/slope`` with SE ``slope_se / slope**2``, which is ``inf`` when
     ``slope**2`` underflows to 0.
     """
-    slope, slope_se = float(slope), float(slope_se)
-    if not math.isfinite(slope):
-        raise BetaAlgebraError(f"slope must be finite, got {slope}")
+    slope = kernels._real(slope, "slope", BetaAlgebraError)
     if slope == 0.0:
         raise BetaAlgebraError("slope of exactly 0 leaves the beta undefined")
-    if not (math.isfinite(slope_se) and slope_se >= 0.0):
-        raise BetaAlgebraError(f"slope se must be finite and >= 0, got {slope_se}")
+    slope_se = kernels._real(slope_se, "slope se", BetaAlgebraError, "finite and >= 0")
     if slope < 0.0:
         return -slope, slope_se
     slope_sq = slope * slope
@@ -68,12 +67,9 @@ def market_chain(beta_xq: float, beta_qm: float, r_m: float) -> tuple[dict, dict
     formed from them that overflows, or a ``beta_xm`` that underflows to 0,
     raises.
     """
-    beta_xq, beta_qm, r_m = float(beta_xq), float(beta_qm), float(r_m)
-    for name, beta in (("beta_xq", beta_xq), ("beta_qm", beta_qm)):
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise BetaAlgebraError(f"{name} must be finite and positive, got {beta}")
-    if not math.isfinite(r_m):
-        raise BetaAlgebraError(f"market rate must be finite, got {r_m}")
+    beta_xq = kernels._real(beta_xq, "beta_xq", BetaAlgebraError, "finite and positive")
+    beta_qm = kernels._real(beta_qm, "beta_qm", BetaAlgebraError, "finite and positive")
+    r_m = kernels._real(r_m, "market rate", BetaAlgebraError)
     beta_xm, r_x = chain_products(beta_xq, beta_qm, r_m)
     beta_qx = _finite("beta_qx", 1.0 / beta_xq)
     _finite("beta_xm", beta_xm)

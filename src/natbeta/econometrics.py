@@ -110,14 +110,16 @@ class ControlFunctionFit:
 
 
 def t_confidence_interval(coef: float, se: float, df: int, level: float) -> tuple[float, float]:
-    """coef +/- t_{(1+level)/2, df} * se."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if se < 0:
-        raise ValueError(f"standard error must be >= 0, got {se}")
-    q = float(kernels.student_t_quantile(0.5 * (1.0 + level), float(df)))
+    """coef +/- t_{(1+level)/2, df} * se; raises RegressionError unless each
+    argument is a real number (``kernels._real``), the level in (0, 1), df
+    at least 1 and se finite and >= 0."""
+    level = kernels._real(level, "confidence level", RegressionError, "in (0, 1)")
+    df = kernels._real(df, "df", RegressionError)
+    if df < 1.0:
+        raise RegressionError(f"df must be >= 1, got {df}")
+    se = kernels._real(se, "standard error", RegressionError, "finite and >= 0")
+    coef = kernels._real(coef, "coef", RegressionError)
+    q = kernels.student_t_quantile(0.5 * (1.0 + level), df)
     return (coef - q * se, coef + q * se)
 
 
@@ -193,7 +195,7 @@ def ols(regressand, regressors: Mapping[str, Sequence],
     xtx_inv = r_inv @ r_inv.T
     se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
 
-    q = float(kernels.student_t_quantile(0.5 * (1.0 + LEVEL), float(df_resid)))
+    q = kernels.student_t_quantile(0.5 * (1.0 + LEVEL), df_resid)
     rows = {}
     for name, c, s in zip(names, coef.tolist(), se.tolist()):
         t, p = _t_test(c, s, df_resid)

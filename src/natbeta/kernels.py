@@ -29,6 +29,9 @@ since ``math.log`` differs from it in the last bit on a few inputs.
 
 ``_integer`` is the one check of a count or a seed argument: any integer
 type (a NumPy integer among them) but bool, each caller naming its error.
+``_real`` is the one check of a float argument: a Python or NumPy int or
+float but bool, finite, within one of the bounds that several arguments
+share, returned as a Python float.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ __all__ = [
 
 _MACHEP = 2.220446049250313e-16
 _MAX_CF_ITER = 300
+# The rules _real checks, each named by the words of its message: the least
+# value that meets it, and the least one above that does not.
+_REAL_RULES = {"finite": (-1.7976931348623157e308, math.inf), "finite and >= 0": (0.0, math.inf),
+               "finite and positive": (5e-324, math.inf), "in (0, 1)": (5e-324, 1.0)}
 # Rows propagate_beta_draws computes at a time: a block's equilibrium
 # temporaries (64 KiB each) stay in the core's cache.
 _PROPAGATE_BLOCK = 8192
@@ -59,7 +66,7 @@ _PROPAGATE_BLOCK = 8192
 # tail uniform and the array path about 26 us, so they crossed near 20 tail
 # uniforms; 16 keeps a margin.
 _FEW = 16
-# Student-t quantiles computed so far, keyed by (float(p), float(df)).
+# Student-t quantiles computed so far, keyed by (p, df) as floats.
 _T_QUANTILES: dict[tuple[float, float], float] = {}
 # Wichura's AS241 (PPND16) rationals, highest power first, numerator then
 # denominator: the centre |u - 1/2| <= 0.425 in 0.180625 - (u - 1/2)^2, the
@@ -135,6 +142,25 @@ def _integer(value, name: str, error) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str, error, rule: str = "finite") -> float:
+    """``value`` as a Python float, for a Python or NumPy int or float but
+    bool that meets ``rule``, a key of ``_REAL_RULES``; otherwise raises
+    ``error(message)``.  NaN and +-inf meet no rule, and an int beyond the
+    float range reads as +-inf."""
+    number = value
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise error(f"{name} must be a real number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            value = number = math.inf if value > 0 else -math.inf
+    low, high = _REAL_RULES[rule]
+    if low <= number < high:
+        return number
+    raise error(f"{name} must be {rule}, got {value}")
+
+
 def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if x <= 0.0:
@@ -190,21 +216,19 @@ def student_t_quantile(p: float, df: float) -> float:
     CDF makes the step point back across the root.
 
     Each (p, df) is computed once per process: the result is kept under
-    ``(float(p), float(df))``, so ``16`` and ``16.0`` share an entry, and a
+    ``(p, df)`` as floats, so ``16`` and ``16.0`` share an entry, and a
     repeated call is a dict lookup.  A call that raises stores nothing.
 
-    Raises ValueError unless 0 < p < 1 and df is finite and positive, and
-    when 100 Newton steps do not reach the root: far in a heavy tail, such
-    as p = 1e-60 at df = 3, each step closes only a fixed share of the gap.
+    Raises ValueError unless 0 < p < 1 and df is finite and positive, both
+    real numbers (``_real``), and when 100 Newton steps do not reach the
+    root: far in a heavy tail, such as p = 1e-60 at df = 3, each step closes
+    only a fixed share of the gap.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must be in (0, 1), got {p}")
-    if not (math.isfinite(df) and df > 0.0):
-        raise ValueError(f"degrees of freedom must be finite and positive, got {df}")
-    key = (float(p), float(df))
-    t = _T_QUANTILES.get(key)
+    p = _real(p, "probability", ValueError, "in (0, 1)")
+    df = _real(df, "degrees of freedom", ValueError, "finite and positive")
+    t = _T_QUANTILES.get((p, df))
     if t is None:
-        t = _T_QUANTILES[key] = _newton_t_quantile(p, df)
+        t = _T_QUANTILES[p, df] = _newton_t_quantile(p, df)
     return t
 
 
@@ -224,7 +248,8 @@ def _newton_t_quantile(p: float, df: float) -> float:
         if abs(step) <= 1e-14 * max(1.0, abs(t)):
             break
     else:
-        raise ValueError(f"t quantile did not converge in 100 Newton steps for p={p}, df={df}")
+        raise ValueError(f"t quantile did not converge in 100 Newton steps for "
+                         f"p={p:.16g}, df={df:.16g}")
     return t
 
 

@@ -67,10 +67,7 @@ class CurveError(ValueError):
 
 
 def _check_beta(beta_xq: float) -> float:
-    beta_xq = float(beta_xq)
-    if not math.isfinite(beta_xq) or beta_xq <= 0.0:
-        raise CurveError(f"beta must be a positive finite number, got {beta_xq}")
-    return beta_xq
+    return kernels._real(beta_xq, "beta", CurveError, "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,10 @@ class ShockModel:
     mode: str = "general"
 
     def __post_init__(self):
-        if not (0.0 <= self.sigma_s < math.inf and 0.0 <= self.sigma_d < math.inf):
-            raise CurveError("shock standard deviations must be finite and >= 0, "
-                             f"got sigma_s {self.sigma_s}, sigma_d {self.sigma_d}")
+        # stored as floats, so that a truth file records the scales that ran
+        for name in ("sigma_s", "sigma_d"):
+            object.__setattr__(self, name, kernels._real(
+                getattr(self, name), "shock standard deviations", CurveError, "finite and >= 0"))
         if self.mode not in ("general", "paper"):
             raise CurveError(f"mode must be 'general' or 'paper', got {self.mode!r}")
 
@@ -108,8 +106,8 @@ def equilibrium_deviation(beta_xq: float) -> tuple[float, float]:
 
 def equilibrium_levels(beta_xq: float, mean_ln_flow: float, mean_ln_price: float) -> EquilibriumPoint:
     """Equilibrium in levels: deviations shifted by the stored log means."""
-    if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price)):
-        raise CurveError("log means must be finite")
+    mean_ln_flow = kernels._real(mean_ln_flow, "mean_ln_flow", CurveError)
+    mean_ln_price = kernels._real(mean_ln_price, "mean_ln_price", CurveError)
     x_e, y_e = equilibrium_deviation(beta_xq)
     ln_quantity = mean_ln_flow + x_e
     ln_price = mean_ln_price + y_e
@@ -150,13 +148,14 @@ def curve_samples(beta_xq: float, x_range: tuple[float, float], count: int) -> n
     large that the grid or a curve overflows.
     """
     b = _check_beta(beta_xq)
-    lo, hi = float(x_range[0]), float(x_range[1])
+    lo = kernels._real(x_range[0], "x_range[0]", CurveError)
+    hi = kernels._real(x_range[1], "x_range[1]", CurveError)
     count = kernels._integer(count, "count", CurveError)
     if count < 2:
         raise CurveError("count must be >= 2")
     if count > MAX_CURVE_SAMPLES:
         raise CurveError(f"count must be <= {MAX_CURVE_SAMPLES}, got {count}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    if hi <= lo:
         raise CurveError(f"invalid x range ({lo}, {hi})")
     x = np.linspace(lo, hi, count)
     table = np.column_stack([x, b * x + math.log(b), -x / b])
@@ -189,13 +188,14 @@ def zero_sum_integral(upper: float, tolerance: float = 1e-8) -> float:
     The exact value is zero by the antisymmetry under b -> 1/b.  Each half,
     [1/upper, 1] and [1, upper], is integrated on its own, so the
     cancellation is computed rather than built into symmetric nodes.  The
-    rule meets any ``tolerance`` down to ``_ZERO_SUM_ACCURACY``; a smaller
-    (or NaN) tolerance raises.
+    rule meets any finite ``tolerance`` down to ``_ZERO_SUM_ACCURACY``; a
+    smaller one raises.
     """
-    upper = float(upper)
-    if not 1.0 <= upper < math.inf:
+    upper = kernels._real(upper, "upper bound", CurveError)
+    if upper < 1.0:
         raise CurveError(f"upper bound must be finite and >= 1, got {upper}")
-    if not tolerance >= _ZERO_SUM_ACCURACY:
+    tolerance = kernels._real(tolerance, "tolerance", CurveError)
+    if tolerance < _ZERO_SUM_ACCURACY:
         raise CurveError(f"tolerance must be >= {_ZERO_SUM_ACCURACY}, got {tolerance}")
     if upper == 1.0:
         return 0.0
@@ -210,9 +210,11 @@ def shocked_equilibrium(beta_xq: float, eps_s: float, eps_d: float,
     In ``general`` mode both shocks enter the exact solve.  In ``paper`` mode
     the supply shock is pinned to eps_s = -eps_d, which reproduces the
     equilibrium-price shock form eps_d*(1+b)/(1+b^2); the eps_s argument is
-    then ignored.
+    then checked and not used.
     """
     b = _check_beta(beta_xq)
+    eps_s = kernels._real(eps_s, "eps_s", CurveError)
+    eps_d = kernels._real(eps_d, "eps_d", CurveError)
     if mode == "paper":
         eps_s = -eps_d
     elif mode != "general":

@@ -252,14 +252,16 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     supplied.  Monte Carlo intervals are computed when ``draws > 0``, which
     requires ``seed``; ``draws == 0`` skips them and negative draws raise.
     ``draws`` and ``seed`` must be integers, not bools, and a seed that is
-    given must be non-negative at every draw count.
+    given must be non-negative at every draw count.  Every float argument
+    that is given must be a real number (``kernels._real``): a Python or
+    NumPy int or float, not a bool, finite and in the argument's range;
+    otherwise the stage that reads it raises.  The report records each as a
+    Python float, so ``1`` and ``np.float64(1.0)`` give the bytes of ``1.0``.
     """
-    if beta_qm is None or not (math.isfinite(beta_qm) and beta_qm > 0.0):
-        raise StageError("beta_algebra",
-                         f"beta_qm must be finite and positive, got {beta_qm}",
-                         hint="pass the firm market beta via beta_qm")
-    if r_m is None or not math.isfinite(float(r_m)):
-        raise StageError("beta_algebra", "market rate r_m must be a finite number")
+    beta_qm = kernels._real(beta_qm, "beta_qm", partial(
+        StageError, "beta_algebra", hint="pass the firm market beta via beta_qm"),
+        "finite and positive")
+    r_m = kernels._real(r_m, "market rate r_m", partial(StageError, "beta_algebra"))
     uncertainty_error = partial(StageError, "uncertainty")
     draws = kernels._integer(draws, "draws", uncertainty_error)
     if seed is not None:
@@ -269,8 +271,7 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     if draws < 0:
         raise StageError("uncertainty", f"draws must be >= 0, got {draws}",
                          hint="draws=0 skips the intervals")
-    if not 0.0 < level < 1.0:
-        raise StageError("uncertainty", f"level must be in (0, 1), got {level}")
+    level = kernels._real(level, "level", uncertainty_error, "in (0, 1)")
     if not isinstance(instruments, str):
         raise StageError("econometrics", "instruments must be 'auto', 'lags:N' or "
                          f"column names, got {instruments!r}")
@@ -280,14 +281,14 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
         "input": input_path,
         "toolkit_version": __version__,
         "flags": {
-            "beta_qm": float(beta_qm),
-            "r_m": float(r_m),
-            "level": float(level),
-            "draws": int(draws),
+            "beta_qm": beta_qm,
+            "r_m": r_m,
+            "level": level,
+            "draws": draws,
             "instruments": instruments,
             "regression_level": REGRESSION_LEVEL,
         },
-        "seed": None if seed is None else int(seed),
+        "seed": seed,
         "regression_stub": stub,
     }
 
@@ -314,11 +315,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     # econometrics stage
     regression = None
     if stub:
-        if slope_se is None:
-            slope_se = 0.0
-        if not (math.isfinite(slope_se) and slope_se >= 0):
-            raise StageError("econometrics",
-                             f"slope se must be finite and >= 0, got {slope_se}")
+        slope_se = 0.0 if slope_se is None else kernels._real(
+            slope_se, "slope se", partial(StageError, "econometrics"), "finite and >= 0")
     else:
         from . import econometrics as em
 
@@ -350,6 +348,8 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
 
     # beta_algebra stage
     try:
+        # beta_from_slope checks the slope too; the report records this float
+        slope = kernels._real(slope, "slope", ba.BetaAlgebraError)
         beta_xq, beta_se = ba.beta_from_slope(slope, slope_se)
         betas, returns = ba.market_chain(beta_xq, beta_qm, r_m)
     except ba.BetaAlgebraError as exc:
@@ -369,15 +369,15 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
                                             f"positive slope {slope:g}, overflows to inf")
         intervals = _uncertainty_stage(
             beta_xq, beta_se, draws=draws, seed=seed, level=level, beta_qm=beta_qm,
-            r_m=float(r_m), mean_ln_flow=mean_ln_flow, mean_ln_price=mean_ln_price,
+            r_m=r_m, mean_ln_flow=mean_ln_flow, mean_ln_price=mean_ln_price,
         )
 
     blocks = dict(
         provenance=provenance,
         descriptives=descriptives,
         regression=regression,
-        slope=float(slope),
-        slope_se=float(slope_se),
+        slope=slope,
+        slope_se=slope_se,
         betas=betas,
         returns=returns,
         # a shallow copy of the frozen point's float fields, in field order

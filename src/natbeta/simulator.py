@@ -16,7 +16,6 @@ instrument selection builds them from the data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -47,19 +46,18 @@ class ScenarioConfig:
     iv_noise_sd: float = 0.02
 
     def __post_init__(self):
-        # stored as ints, so that the truth file records the seed that ran
+        # stored as ints and floats, so that the truth file records the
+        # values that ran
         object.__setattr__(self, "n", kernels._integer(self.n, "n", SimulatorError))
         object.__setattr__(self, "seed", kernels._integer(self.seed, "seed", SimulatorError))
-        if not math.isfinite(self.beta_xq) or self.beta_xq <= 0.0:
-            raise SimulatorError(f"beta must be positive, got {self.beta_xq}")
+        for name, rule in (("beta_xq", "finite and positive"), ("mean_ln_flow", "finite"),
+                           ("mean_ln_price", "finite"), ("iv_noise_sd", "finite and >= 0")):
+            object.__setattr__(self, name, kernels._real(getattr(self, name), name,
+                                                         SimulatorError, rule))
         if self.n < 5:
             raise SimulatorError(f"n must be >= 5, got {self.n}")
         if self.n > MAX_ROWS:
             raise SimulatorError(f"n must be <= {MAX_ROWS}, got {self.n}")
-        if not (math.isfinite(self.mean_ln_flow) and math.isfinite(self.mean_ln_price)):
-            raise SimulatorError("log means must be finite")
-        if not 0.0 <= self.iv_noise_sd < math.inf:
-            raise SimulatorError(f"iv_noise_sd must be finite and >= 0, got {self.iv_noise_sd}")
         if self.seed < 0:
             raise SimulatorError("seed must be a non-negative integer")
 

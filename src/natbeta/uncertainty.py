@@ -187,8 +187,11 @@ class BetaDraws:
     def from_values(cls, values, mean: float, se: float = 0.0) -> BetaDraws:
         """A table of the given stored values: positive betas where se is 0,
         else uniforms in (0, 1), which it sorts.  Raises on an empty table
-        and on any other value, NaN included, and on a uniform at or below
-        the truncation floor, whose beta need not be positive."""
+        and on any other value, NaN included, on a uniform at or below the
+        truncation floor, whose beta need not be positive, and unless
+        ``mean`` is a real number and ``se`` one that is >= 0."""
+        mean = kernels._real(mean, "mean", UncertaintyError)
+        se = kernels._real(se, "se", UncertaintyError, "finite and >= 0")
         values = np.sort(np.array(values, dtype=np.float64))
         inside = values > 0.0 if se == 0.0 else (values > 0.0) & (values < 1.0)
         if not (values.size and inside.all()):
@@ -199,7 +202,7 @@ class BetaDraws:
                 f"uniform {float(values[0])!r} is at or below the truncation floor {floor!r}")
         values.flags.writeable = False
         return cls(size=values.size, knots=values[_BLOCK - 1:-1:_BLOCK], low=values[0],
-                   high=values[-1], n_redrawn=0, seed=0, mean=float(mean), se=float(se),
+                   high=values[-1], n_redrawn=0, seed=0, mean=mean, se=se,
                    _blocks={j: values[j * _BLOCK:(j + 1) * _BLOCK]
                             for j in range(-(-values.size // _BLOCK))})
 
@@ -282,17 +285,16 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     requested draws: the normal is then too inconsistent with the
     positivity restriction to represent the beta.  Where se is 0 every beta
     is the mean: the same table with ``low = high = mean``.  ``draws`` and
-    ``seed`` must be integers, not bools.
+    ``seed`` must be integers and ``mean`` and ``se`` real numbers, none of
+    them a bool.
     """
     draws = kernels._integer(draws, "draws", UncertaintyError)
     if draws < 1:
         raise UncertaintyError(f"draws must be >= 1, got {draws}")
     if draws > MAX_DRAWS:
         raise UncertaintyError(f"draws must be <= {MAX_DRAWS}, got {draws}")
-    if se < 0:
-        raise UncertaintyError(f"se must be >= 0, got {se}")
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise UncertaintyError("mean and se must be finite")
+    mean = kernels._real(mean, "mean", UncertaintyError)
+    se = kernels._real(se, "se", UncertaintyError, "finite and >= 0")
     seed = kernels._integer(seed, "seed", UncertaintyError)
     if seed < 0:
         raise UncertaintyError("seed must be a non-negative integer")
@@ -304,7 +306,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     stream = (generator, generator.bit_generator.state)
     sums = np.cumsum(np.append(generator.standard_gamma(float(_BLOCK), blocks - 1),
                                generator.standard_gamma(draws + 1 - (blocks - 1) * _BLOCK)))
-    n_redrawn, low, high = 0, float(mean), float(mean)
+    n_redrawn, low, high = 0, mean, mean
     if se > 0.0:
         floor = _truncation_floor(mean, se)
         if 1.0 - floor >= _LEAST_ACCEPTANCE:
@@ -316,7 +318,7 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
         low, high = math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0)
     knots = np.clip(low + (high - low) * (sums[:-1] / sums[-1]), low, high)
     return BetaDraws(size=draws, knots=knots, low=low, high=high, n_redrawn=n_redrawn,
-                     seed=seed, mean=float(mean), se=float(se), _stream=stream)
+                     seed=seed, mean=mean, se=se, _stream=stream)
 
 
 def _type7_rows(n: int, q: float) -> tuple[int, int, float]:
@@ -386,14 +388,15 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     picked rank, a past draw, a rank window or a K-rank span are drawn; no
     n-long array is mapped, evaluated or held.  The point column evaluates
     the same maps at the sampling mean.  Raises when a bound is not finite,
-    or when a quantity is NaN for some draw.
+    when a quantity is NaN for some draw, and unless every float argument
+    is a real number (``kernels._real``), ``beta_qm`` positive and
+    ``level`` in (0, 1).
     """
-    if not (math.isfinite(beta_qm) and beta_qm > 0.0):
-        raise UncertaintyError(f"beta_qm must be finite and positive, got {beta_qm}")
-    if not 0.0 < level < 1.0:
-        raise UncertaintyError(f"level must be in (0, 1), got {level}")
-    if not (math.isfinite(mean_ln_flow) and math.isfinite(mean_ln_price) and math.isfinite(r_m)):
-        raise UncertaintyError("means and market rate must be finite")
+    beta_qm = kernels._real(beta_qm, "beta_qm", UncertaintyError, "finite and positive")
+    level = kernels._real(level, "level", UncertaintyError, "in (0, 1)")
+    r_m = kernels._real(r_m, "market rate", UncertaintyError)
+    mean_ln_flow = kernels._real(mean_ln_flow, "mean_ln_flow", UncertaintyError)
+    mean_ln_price = kernels._real(mean_ln_price, "mean_ln_price", UncertaintyError)
 
     n = draws.size
     lo_q = 0.5 * (1.0 - level)
@@ -539,5 +542,4 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         for j, name in enumerate(QUANTITY_NAMES)
     }
     point = dict(zip(QUANTITY_NAMES, map(float, rows[-1])))
-    return IntervalReport(level=float(level), bounds=bounds, point=point,
-                          draws_used=int(n))
+    return IntervalReport(level=level, bounds=bounds, point=point, draws_used=n)

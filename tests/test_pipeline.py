@@ -1,20 +1,24 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from natbeta import econometrics, market_curves, pipeline
+import natbeta
+from natbeta import beta_algebra, econometrics, kernels, market_curves, pipeline
 from natbeta.cli import main
+from natbeta.market_curves import CurveError, ShockModel
 from natbeta.panel_io import parse_panel
 from natbeta.pipeline import StageError, _json_text, render_report, run_estimate
-from natbeta.simulator import SimulatorError, synthesize_panel
-from natbeta.uncertainty import UncertaintyError, sample_betas
+from natbeta.simulator import ScenarioConfig, SimulatorError, synthesize_panel
+from natbeta.uncertainty import BetaDraws, UncertaintyError, derived_intervals, sample_betas
 
 from conftest import PAPER, make_config
 
@@ -116,19 +120,14 @@ def test_draws_and_seed_that_are_not_integers_report_uncertainty(paper, argument
     if argument == "seed":  # checked even where no draws use it
         with pytest.raises(StageError, match=r"^uncertainty: seed must be an integer, got "):
             paper_stub_report(paper, draws=0, seed=bad)
+    # a NumPy integer is an integer
+    paper_stub_report(paper, **{"draws": 10, "seed": 1, argument: np.int64(3)})
 
 
-# every count or seed argument of the library: its name, its module's error
-# and an integer it accepts
+# every other count or seed argument of the library: its name, its module's
+# error and an integer it accepts.  run_estimate's are checked above, and
+# sample_betas' by tests/test_uncertainty.py, with values of the same kinds.
 INTEGER_ARGUMENTS = {
-    "run_estimate draws": (lambda v: paper_stub_report(PAPER, draws=v, seed=1), "draws",
-                           StageError, 3),
-    "run_estimate seed": (lambda v: paper_stub_report(PAPER, draws=10, seed=v), "seed",
-                          StageError, 3),
-    "sample_betas draws": (lambda v: sample_betas(0.9, 0.1, v, seed=1), "draws",
-                           UncertaintyError, 3),
-    "sample_betas seed": (lambda v: sample_betas(0.9, 0.1, 10, seed=v), "seed",
-                          UncertaintyError, 3),
     "ScenarioConfig n": (lambda v: make_config(n=v), "n", SimulatorError, 5),
     "ScenarioConfig seed": (lambda v: make_config(seed=v), "seed", SimulatorError, 3),
     "curve_samples count": (lambda v: market_curves.curve_samples(1.0, (-1.0, 1.0), v),
@@ -139,10 +138,218 @@ INTEGER_ARGUMENTS = {
 @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
 def test_every_count_and_seed_takes_integers_alone(entry):
     call, name, error, good = INTEGER_ARGUMENTS[entry]
-    for bad in (2.5, 3.0, True, "3"):
+    for bad in (2.5, 3.0, True, "3", np.float64(3.0)):
         with pytest.raises(error, match=rf"{name} must be an integer, got "):
             call(bad)
     call(np.int64(good))  # a NumPy integer is an integer
+
+
+def stub(**overrides):
+    """The paper stub's report at 10 draws, with ``overrides``."""
+    return paper_stub_report(PAPER, draws=10, seed=1, **overrides)
+
+
+def interval_report(**overrides):
+    """``derived_intervals`` of 10 draws of the paper's beta, with ``overrides``."""
+    arguments = dict(beta_qm=5.36, r_m=0.029, mean_ln_flow=2.113, mean_ln_price=2.828)
+    return derived_intervals(sample_betas(0.919, 0.018, 10, seed=1), **{**arguments, **overrides})
+
+
+BOTH, HALF, ONE = (1.0, 0.5), (0.5,), (1.0,)
+# every float argument of the library's entry points: a call that passes a
+# value to it, the module's error, the stage that reads it (run_estimate
+# alone), whether None is refused (it is not where None is the default that
+# means "not given"), and the floats of 1.0 and 0.5 that lie in its range
+REAL_ARGUMENTS = {
+    "run_estimate beta_qm": (lambda v: stub(beta_qm=v), StageError, "beta_algebra", True, BOTH),
+    "run_estimate r_m": (lambda v: stub(r_m=v), StageError, "beta_algebra", True, BOTH),
+    "run_estimate level": (lambda v: stub(level=v), StageError, "uncertainty", True, HALF),
+    "run_estimate slope": (lambda v: stub(slope=v), StageError, "beta_algebra", False, BOTH),
+    "run_estimate slope_se": (lambda v: stub(slope_se=v), StageError, "econometrics", False,
+                              BOTH),
+    "run_estimate mean_ln_flow": (lambda v: stub(mean_ln_flow=v), StageError, "market_curves",
+                                  False, BOTH),
+    "run_estimate mean_ln_price": (lambda v: stub(mean_ln_price=v), StageError,
+                                   "market_curves", False, BOTH),
+    "beta_from_slope slope": (lambda v: beta_algebra.beta_from_slope(v, 0.1),
+                              beta_algebra.BetaAlgebraError, None, True, BOTH),
+    "beta_from_slope slope_se": (lambda v: beta_algebra.beta_from_slope(-0.9, v),
+                                 beta_algebra.BetaAlgebraError, None, True, BOTH),
+    "market_chain beta_xq": (lambda v: beta_algebra.market_chain(v, 5.36, 0.029),
+                             beta_algebra.BetaAlgebraError, None, True, BOTH),
+    "market_chain beta_qm": (lambda v: beta_algebra.market_chain(0.919, v, 0.029),
+                             beta_algebra.BetaAlgebraError, None, True, BOTH),
+    "market_chain r_m": (lambda v: beta_algebra.market_chain(0.919, 5.36, v),
+                         beta_algebra.BetaAlgebraError, None, True, BOTH),
+    "sample_betas mean": (lambda v: sample_betas(v, 0.1, 10, seed=1), UncertaintyError, None,
+                          True, BOTH),
+    "sample_betas se": (lambda v: sample_betas(5.0, v, 10, seed=1), UncertaintyError, None,
+                        True, BOTH),
+    "derived_intervals beta_qm": (lambda v: interval_report(beta_qm=v), UncertaintyError, None,
+                                  True, BOTH),
+    "derived_intervals r_m": (lambda v: interval_report(r_m=v), UncertaintyError, None, True,
+                              BOTH),
+    "derived_intervals mean_ln_flow": (lambda v: interval_report(mean_ln_flow=v),
+                                       UncertaintyError, None, True, BOTH),
+    "derived_intervals mean_ln_price": (lambda v: interval_report(mean_ln_price=v),
+                                        UncertaintyError, None, True, BOTH),
+    "derived_intervals level": (lambda v: interval_report(level=v), UncertaintyError, None,
+                                True, HALF),
+    "BetaDraws.from_values mean": (lambda v: BetaDraws.from_values([0.5, 0.6], v, 0.1),
+                                   UncertaintyError, None, True, BOTH),
+    "BetaDraws.from_values se": (lambda v: BetaDraws.from_values([0.5, 0.6], 1.0, v),
+                                 UncertaintyError, None, True, BOTH),
+    "equilibrium_deviation beta_xq": (lambda v: market_curves.equilibrium_deviation(v),
+                                      CurveError, None, True, BOTH),
+    "equilibrium_levels beta_xq": (lambda v: market_curves.equilibrium_levels(v, 2.0, 2.0),
+                                   CurveError, None, True, BOTH),
+    "equilibrium_levels mean_ln_flow": (
+        lambda v: market_curves.equilibrium_levels(1.0, v, 2.0), CurveError, None, True, BOTH),
+    "equilibrium_levels mean_ln_price": (
+        lambda v: market_curves.equilibrium_levels(1.0, 2.0, v), CurveError, None, True, BOTH),
+    "elasticities beta_xq": (lambda v: market_curves.elasticities(v), CurveError, None, True,
+                             BOTH),
+    "curve_samples beta_xq": (lambda v: market_curves.curve_samples(v, (-1.0, 1.0), 3).tolist(),
+                              CurveError, None, True, BOTH),
+    "curve_samples x_range[0]": (
+        lambda v: market_curves.curve_samples(1.0, (v, 2.0), 3).tolist(), CurveError, None,
+        True, BOTH),
+    "curve_samples x_range[1]": (
+        lambda v: market_curves.curve_samples(1.0, (-1.0, v), 3).tolist(), CurveError, None,
+        True, BOTH),
+    "zero_sum_integral upper": (lambda v: market_curves.zero_sum_integral(v), CurveError, None,
+                                True, ONE),
+    "zero_sum_integral tolerance": (lambda v: market_curves.zero_sum_integral(2.0, v),
+                                    CurveError, None, True, BOTH),
+    "shocked_equilibrium beta_xq": (lambda v: market_curves.shocked_equilibrium(v, 0.0, 0.1),
+                                    CurveError, None, True, BOTH),
+    "shocked_equilibrium eps_s": (lambda v: market_curves.shocked_equilibrium(1.0, v, 0.1),
+                                  CurveError, None, True, BOTH),
+    "shocked_equilibrium eps_d": (lambda v: market_curves.shocked_equilibrium(1.0, 0.1, v),
+                                  CurveError, None, True, BOTH),
+    "ShockModel sigma_s": (lambda v: ShockModel(sigma_s=v), CurveError, None, True, BOTH),
+    "ShockModel sigma_d": (lambda v: ShockModel(sigma_d=v), CurveError, None, True, BOTH),
+    "ScenarioConfig beta_xq": (lambda v: make_config(beta=v), SimulatorError, None, True, BOTH),
+    "ScenarioConfig mean_ln_flow": (
+        lambda v: ScenarioConfig(beta_xq=0.919, mean_ln_flow=v, mean_ln_price=2.0),
+        SimulatorError, None, True, BOTH),
+    "ScenarioConfig mean_ln_price": (
+        lambda v: ScenarioConfig(beta_xq=0.919, mean_ln_flow=2.0, mean_ln_price=v),
+        SimulatorError, None, True, BOTH),
+    "ScenarioConfig iv_noise_sd": (lambda v: make_config(iv_noise_sd=v), SimulatorError, None,
+                                   True, BOTH),
+    "student_t_quantile p": (lambda v: kernels.student_t_quantile(v, 16), ValueError, None,
+                             True, HALF),
+    "student_t_quantile df": (lambda v: kernels.student_t_quantile(0.9, v), ValueError, None,
+                              True, BOTH),
+    "t_confidence_interval coef": (lambda v: econometrics.t_confidence_interval(v, 0.1, 16, 0.95),
+                                   econometrics.RegressionError, None, True, BOTH),
+    "t_confidence_interval se": (lambda v: econometrics.t_confidence_interval(0.0, v, 16, 0.95),
+                                 econometrics.RegressionError, None, True, BOTH),
+    "t_confidence_interval df": (lambda v: econometrics.t_confidence_interval(0.0, 1.0, v, 0.95),
+                                 econometrics.RegressionError, None, True, ONE),
+    "t_confidence_interval level": (
+        lambda v: econometrics.t_confidence_interval(0.0, 1.0, 16, v),
+        econometrics.RegressionError, None, True, HALF),
+}
+# The values each float argument refuses: a bool, a string, NaN, +-inf and an
+# int beyond the float range; and the values that stand for a float and
+# must give its bits.
+NOT_REAL = (True, np.bool_(True), "1.0", math.nan, math.inf, -math.inf, 10**400)
+SAME_FLOAT = {1.0: (1, np.int64(1)), 0.5: (np.float64(0.5),)}
+
+
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_every_float_argument_takes_real_numbers_alone(entry):
+    call, error, stage, refuses_none, floats = REAL_ARGUMENTS[entry]
+    for bad in NOT_REAL + (None,) * refuses_none:
+        with pytest.raises(error, match=r" must be (a real number|finite|in \(0, 1\))") as err:
+            call(bad)
+        assert getattr(err.value, "stage", None) == stage, bad
+    # repr shows each float's shortest round-trip digits and its type
+    for number in floats:
+        expected = repr(call(number))
+        for value in SAME_FLOAT[number]:
+            assert repr(call(value)) == expected, value
+
+
+def test_numpy_float_arguments_render_the_bytes_of_their_floats(paper):
+    expected = render_report(paper_stub_report(paper), "json")
+    assert render_report(paper_stub_report(paper, r_m=np.float64(0.029)), "json") == expected
+    floats = {name: np.float64(paper[name]) for name in (
+        "beta_qm", "r_m", "slope", "slope_se", "mean_ln_flow", "mean_ln_price")}
+    report = paper_stub_report(paper, level=np.float64(0.9), **floats)
+    assert render_report(report, "json") == expected
+
+
+# Functions that convert or test a parameter by hand, each for its reason:
+HAND_CHECKED = {
+    "kernels._real",  # the one check itself
+    "cli.parse_rate",  # the text argparse hands over for --r-m
+    "pipeline._pct",  # a rate of a finished report
+    "beta_algebra._finite",  # a value market_chain formed from checked betas
+    "econometrics._t_test",  # a fit's coefficient, SE and df
+    "kernels.propagate_beta_draws",  # means derived_intervals checked
+    "kernels.equilibria_from_shocks",  # a beta ScenarioConfig checked
+}
+HAND_CHECKS = {"float", "math.isfinite", "math.isinf", "math.isnan"}
+
+
+def hand_checks(source: str, module: str) -> list[str]:
+    """Each call of a ``HAND_CHECKS`` function on a parameter of the function
+    around it, or on a field ``self.x`` in a ``__post_init__``, as
+    ``module.function: call``."""
+    found = []
+
+    def visit(node, where, parameters, post_init):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                name = getattr(child, "name", "<lambda>")
+                visit(child, f"{where}.{name}",
+                      {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs},
+                      name == "__post_init__")
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{where}.{child.name}", set(), False)
+                continue
+            if (isinstance(child, ast.Call) and ast.unparse(child.func) in HAND_CHECKS
+                    and len(child.args) == 1):
+                arg = child.args[0]
+                if (isinstance(arg, ast.Name) and arg.id in parameters
+                        or post_init and isinstance(arg, ast.Attribute)
+                        and ast.unparse(arg.value) == "self"):
+                    found.append(f"{where}: {ast.unparse(child)}")
+            visit(child, where, parameters, post_init)
+
+    visit(ast.parse(source), module, set(), False)
+    return found
+
+
+def test_hand_checks_finds_parameters_and_fields():
+    source = """
+import math
+def f(p, *, q):
+    r = float(q)
+    return math.isnan(r) or float(p[0]) or math.isinf(p)
+class C:
+    def __post_init__(self):
+        math.isfinite(self.x)
+    def g(self):
+        return float(self.x)
+"""
+    assert hand_checks(source, "m") == [
+        "m.f: float(q)", "m.f: math.isinf(p)", "m.C.__post_init__: math.isfinite(self.x)"]
+
+
+def test_every_float_argument_goes_through_the_one_check():
+    # kernels._real is the one check; a float() or isfinite of a parameter
+    # elsewhere is a check written by hand, or none at all
+    found = [site for path in sorted(Path(natbeta.__file__).parent.glob("*.py"))
+             for site in hand_checks(path.read_text(), path.stem)]
+    assert [site for site in found if site.split(":")[0] not in HAND_CHECKED] == []
+    # each exemption is still needed
+    assert {site.split(":")[0] for site in found} == HAND_CHECKED
 
 
 def test_bad_beta_qm_reports_beta_algebra():

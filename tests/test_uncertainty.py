@@ -583,14 +583,15 @@ def test_overflowed_endpoints_are_not_finite(r_m):
 @pytest.mark.parametrize("r_m", [0.029, -0.03, 0.0, -0.0])
 def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, r_m):
     # an infinite beta, the largest, puts a NaN (inf/inf) in every
-    # equilibrium column of its row, and at r_m = +-0 one (inf * 0) in r_x
+    # equilibrium column of its row, and at r_m = +-0 one (inf * 0) in r_x.
+    # The table keeps the sampling mean, since a table's mean must be finite.
     draws = sample_betas(0.919, 0.018, 100_000, seed=7)
     values = draws.betas(draws.values())
     values[12_345] = math.inf
     names = "ln_price, ln_quantity, ln_user_cost" + (", r_x" if r_m == 0.0 else "")
     with np.errstate(invalid="ignore"), pytest.raises(
             UncertaintyError, match=rf"^interval bounds of {names} are not finite$"):
-        derived_intervals(fixed_draws(values), paper["beta_qm"], r_m,
+        derived_intervals(BetaDraws.from_values(values, draws.mean), paper["beta_qm"], r_m,
                           paper["mean_ln_flow"], paper["mean_ln_price"])
 
 
