@@ -378,16 +378,19 @@ def propagate_beta_draws(betas, mean_ln_flow, mean_ln_price):
     by element.  Every step is elementwise, so a beta's row has the same
     bits wherever it lies among the betas passed: ``natbeta.uncertainty``
     evaluates a few order statistics of the beta alone and relies on them
-    equalling the rows of a whole draw table.
+    equalling the rows of a whole draw table.  Raises ``ValueError`` unless
+    both means are real numbers (``_real``).
     """
+    mean_ln_flow = _real(mean_ln_flow, "mean_ln_flow", ValueError)
+    mean_ln_price = _real(mean_ln_price, "mean_ln_price", ValueError)
     betas = np.asarray(betas, dtype=np.float64)
     out = np.empty((3, betas.shape[0])).T
     for start in range(0, betas.shape[0], _PROPAGATE_BLOCK):
         b = betas[start:start + _PROPAGATE_BLOCK]
         rows = out[start:start + _PROPAGATE_BLOCK]
         x_e, y_e = solve_equilibrium(b)
-        np.add(float(mean_ln_price), y_e, out=rows[:, 0])
-        np.add(float(mean_ln_flow), x_e, out=rows[:, 1])
+        np.add(mean_ln_price, y_e, out=rows[:, 0])
+        np.add(mean_ln_flow, x_e, out=rows[:, 1])
         np.add(rows[:, 0], rows[:, 1], out=rows[:, 2])
     return out
 
@@ -396,7 +399,10 @@ def equilibria_from_shocks(beta, eps_s, eps_d):
     """Solve the shocked supply/demand system for each shock pair.
 
     Returns (flow deviations, price deviations) before any re-centering.
+    Raises ``ValueError`` unless ``beta`` is a finite, positive real number
+    (``_real``).
     """
+    beta = _real(beta, "beta", ValueError, "finite and positive")
     eps_s = np.asarray(eps_s, dtype=np.float64)
     eps_d = np.asarray(eps_d, dtype=np.float64)
-    return solve_equilibrium(float(beta), eps_s, eps_d)
+    return solve_equilibrium(beta, eps_s, eps_d)

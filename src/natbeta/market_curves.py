@@ -145,11 +145,16 @@ def curve_samples(beta_xq: float, x_range: tuple[float, float], count: int) -> n
 
     Rows are (x, supply y, demand y); shape (count, 3).  Raises, without a
     NumPy warning, when a sample is not finite: the range or the beta is so
-    large that the grid or a curve overflows.
+    large that the grid or a curve overflows; and unless ``x_range`` is a
+    pair of real numbers.
     """
     b = _check_beta(beta_xq)
-    lo = kernels._real(x_range[0], "x_range[0]", CurveError)
-    hi = kernels._real(x_range[1], "x_range[1]", CurveError)
+    try:
+        lo, hi = x_range
+    except (TypeError, ValueError):
+        raise CurveError(f"x_range must be a pair of real numbers, got {x_range!r}") from None
+    lo = kernels._real(lo, "x_range[0]", CurveError)
+    hi = kernels._real(hi, "x_range[1]", CurveError)
     count = kernels._integer(count, "count", CurveError)
     if count < 2:
         raise CurveError("count must be >= 2")

@@ -296,8 +296,14 @@ def run_estimate(panel: RawPanel | None = None, *, beta_qm: float, r_m: float,
     if panel is None and not stub:
         raise StageError("panel_io", "no input panel and no regression stub given",
                          hint="pass a panel file or --slope/--slope-se")
-    if panel is not None and panel.n < MIN_PANEL_ROWS:
-        raise StageError("panel_io", f"panel has {panel.n} rows; need at least {MIN_PANEL_ROWS}")
+    if panel is not None:
+        from .panel_io import RawPanel
+
+        if not isinstance(panel, RawPanel):
+            raise StageError("panel_io", f"panel must be a RawPanel, got {panel!r}")
+        if panel.n < MIN_PANEL_ROWS:
+            raise StageError("panel_io",
+                             f"panel has {panel.n} rows; need at least {MIN_PANEL_ROWS}")
 
     # preprocess stage
     descriptives = None

@@ -50,6 +50,8 @@ class ScenarioConfig:
         # values that ran
         object.__setattr__(self, "n", kernels._integer(self.n, "n", SimulatorError))
         object.__setattr__(self, "seed", kernels._integer(self.seed, "seed", SimulatorError))
+        if not isinstance(self.shocks, ShockModel):
+            raise SimulatorError(f"shocks must be a ShockModel, got {self.shocks!r}")
         for name, rule in (("beta_xq", "finite and positive"), ("mean_ln_flow", "finite"),
                            ("mean_ln_price", "finite"), ("iv_noise_sd", "finite and >= 0")):
             object.__setattr__(self, name, kernels._real(getattr(self, name), name,

@@ -19,11 +19,14 @@ boundaries, ranks B - 1, 2B - 1, ..., at once, as normalised cumulative
 ``standard_gamma`` spacings, and the count of rejected candidates as a
 negative binomial.  A block's other uniforms are drawn, sorted and cached
 when a rank in it is first read, from the block's own position of one PCG64
-stream seeded from the seed mod 2**64.  Every uniform is thus a fixed
-function of (seed, draws, floor, rank), whatever is read and in whatever
-order, and one seed gives common random numbers across levels and map
-inputs.  The draws at or past a uniform are counted by bisecting the
-boundaries and searching one block.
+stream seeded from the seed mod 2**64.  Ranks 0 and draws - 1 are read
+apart while their block is not drawn: as the least or largest of the
+block's uniforms, scaled as the sorted block scales them, with no sort and
+nothing cached; the scaling rises, so the bits are the same.  Every uniform
+is thus a fixed function of (seed, draws, floor, rank), whatever is read
+and in whatever order, and one seed gives common random numbers across
+levels and map inputs.  The draws at or past a uniform are counted by
+bisecting the boundaries and searching one block.
 
 The interval endpoints follow NumPy's linear (Hyndman & Fan type-7) rule:
 two neighbouring order statistics per endpoint, lerped in the quantity's
@@ -69,8 +72,11 @@ silences NumPy's overflow warnings; ``derived_intervals`` raises on every
 non-finite bound instead.  A quantity is NaN only at an infinite beta
 (inf / inf in the equilibrium) or where ``beta_xm`` overflows at
 ``r_m`` = +-0 (inf * 0 in ``r_x``), so at the largest beta if anywhere: one
-row there, added to the kernel call, checks all five.  ``natbeta.pipeline`` runs the two as one stage,
-for ``estimate`` and ``ci`` alike, with those warnings silenced.
+row there, evaluated with the needed betas, checks all five.  After the one
+kernel call, the rows of the needed betas, the largest and the mean are
+read into Python floats, and the directions, the type-7 lerps and the
+checks run on those.  ``natbeta.pipeline`` runs the two as one stage, for
+``estimate`` and ``ci`` alike, with those warnings silenced.
 """
 
 from __future__ import annotations
@@ -141,19 +147,37 @@ def _truncation_floor(mean: float, se: float) -> float:
     return _normal_cdf((_TINIEST - mean) / se) * (1.0 + _TRUNCATION_MARGIN)
 
 
-def _sorted_uniforms(stream: tuple, j: int, out: np.ndarray, lo: float, hi: float) -> None:
-    """Fill ``out`` with iid uniforms on [lo, hi], ascending: the interior
-    of block ``j``, drawn from the block's own position of ``stream``, a
-    generator and the state it was seeded with.  ``lo + (hi - lo) * v``
-    rounds to no less than lo, but may round past hi by an ulp."""
+def _block_uniforms(stream: tuple, j: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the uniforms on [0, 1) of block ``j``'s interior,
+    in the order drawn, from the block's own position of ``stream``, a
+    generator and the state it was seeded with."""
     generator, origin = stream
     generator.bit_generator.state = origin
     generator.bit_generator.advance(_BLOCK_ORIGIN + j * _BLOCK)
     generator.random(out=out)
+
+
+def _sorted_uniforms(stream: tuple, j: int, out: np.ndarray, lo: float, hi: float) -> None:
+    """Fill ``out`` with iid uniforms on [lo, hi], ascending: the interior
+    of block ``j``, each ``min(lo + (hi - lo) * v, hi)`` of a uniform v of
+    ``_block_uniforms``.  ``lo + (hi - lo) * v`` rounds to no less than lo,
+    but may round past hi by an ulp."""
+    _block_uniforms(stream, j, out)
     out.sort()
     out *= hi - lo
     out += lo
     np.minimum(out, hi, out=out)
+
+
+def _extreme_uniform(stream: tuple, j: int, size: int, lo: float, hi: float,
+                     largest: bool) -> float:
+    """The least, or the largest, of the ``size`` uniforms of block ``j``'s
+    interior that ``_sorted_uniforms`` gives, without sorting them: the
+    scaling rises and rounds monotonically, so it maps the extreme of the
+    unsorted uniforms to the same bits."""
+    out = np.empty(size)
+    _block_uniforms(stream, j, out)
+    return min(lo + (hi - lo) * float(out.max() if largest else out.min()), hi)
 
 
 @dataclass(frozen=True)
@@ -206,20 +230,34 @@ class BetaDraws:
                    _blocks={j: values[j * _BLOCK:(j + 1) * _BLOCK]
                             for j in range(-(-values.size // _BLOCK))})
 
+    def _interior(self, j: int) -> tuple[float, float, int]:
+        """(lo, hi, count) of block ``j``'s drawn uniforms: its ranks but the
+        knot that ends every block but the last, on [lo, hi]."""
+        top = j < self.knots.size  # the block ends at knot j
+        return (self.knots[j - 1] if j else self.low, self.knots[j] if top else self.high,
+                min(_BLOCK, self.size - j * _BLOCK) - top)
+
     def _block(self, j: int) -> np.ndarray:
         """Block ``j`` of the table, drawn and cached on first use."""
         block = self._blocks.get(j)
         if block is None:
-            top = j < self.knots.size  # the block ends at knot j
-            lo = self.knots[j - 1] if j else self.low
-            hi = self.knots[j] if top else self.high
+            lo, hi, count = self._interior(j)
             block = np.empty(min(_BLOCK, self.size - j * _BLOCK))
-            _sorted_uniforms(self._stream, j, block[:block.size - top], lo, hi)
-            if top:
-                block[-1] = hi
+            _sorted_uniforms(self._stream, j, block[:count], lo, hi)
+            block[count:] = hi  # the knot, where there is one
             block.flags.writeable = False
             self._blocks[j] = block
         return block
+
+    def _rank(self, k: int) -> float:
+        """The stored value at rank ``k``, ``values(k, k + 1)[0]``.  Rank 0
+        or ``size - 1`` of a block not yet drawn is the least or largest of
+        its uniforms, read without sorting or caching the block."""
+        j = k // _BLOCK
+        if j in self._blocks or 0 < k < self.size - 1:
+            return self._block(j)[k - j * _BLOCK]
+        lo, hi, count = self._interior(j)
+        return _extreme_uniform(self._stream, j, count, lo, hi, largest=k > 0)
 
     def values(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The stored values at ranks ``start`` to ``stop - 1``, ascending;
@@ -304,8 +342,11 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
     blocks = -(-draws // _BLOCK)
     generator = np.random.Generator(np.random.PCG64(seed & _MASK64))
     stream = (generator, generator.bit_generator.state)
-    sums = np.cumsum(np.append(generator.standard_gamma(float(_BLOCK), blocks - 1),
-                               generator.standard_gamma(draws + 1 - (blocks - 1) * _BLOCK)))
+    # the spacings, then in place their cumulative sums: the knots' and the total
+    sums = np.empty(blocks)
+    generator.standard_gamma(float(_BLOCK), out=sums[:-1])
+    sums[-1] = generator.standard_gamma(draws + 1 - (blocks - 1) * _BLOCK)
+    np.cumsum(sums, out=sums)
     n_redrawn, low, high = 0, mean, mean
     if se > 0.0:
         floor = _truncation_floor(mean, se)
@@ -316,7 +357,12 @@ def sample_betas(mean: float, se: float, draws: int, seed: int) -> BetaDraws:
                 f"excessive truncation: more than half of {draws} draws rejected"
             )
         low, high = math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0)
-    knots = np.clip(low + (high - low) * (sums[:-1] / sums[-1]), low, high)
+    knots = sums[:-1]
+    knots /= sums[-1]
+    knots *= high - low
+    knots += low
+    np.maximum(knots, low, out=knots)
+    np.minimum(knots, high, out=knots)
     return BetaDraws(size=draws, knots=knots, low=low, high=high, n_redrawn=n_redrawn,
                      seed=seed, mean=mean, se=se, _stream=stream)
 
@@ -365,7 +411,7 @@ def _order_stats(row: np.ndarray, ranks) -> dict[int, float]:
     return stats
 
 
-def _lerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+def _lerp(a: float, b: float, t: float) -> float:
     """Type-7 quantile between the order statistics ``a`` and ``b``.
 
     The two-sided lerp repeats NumPy's step for step, so the result equals
@@ -385,13 +431,17 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
 
     ``draws`` comes from ``sample_betas``, or ``BetaDraws.from_values``, so
     every beta is positive.  Only the blocks of the table that hold a
-    picked rank, a past draw, a rank window or a K-rank span are drawn; no
-    n-long array is mapped, evaluated or held.  The point column evaluates
-    the same maps at the sampling mean.  Raises when a bound is not finite,
-    when a quantity is NaN for some draw, and unless every float argument
-    is a real number (``kernels._real``), ``beta_qm`` positive and
-    ``level`` in (0, 1).
+    needed rank, a past draw, a rank window or a K-rank span are drawn and
+    sorted; the least and largest draws are read from their blocks'
+    unsorted uniforms where no other rank is.  No n-long array is mapped,
+    evaluated or held.  The point column evaluates the same maps at the
+    sampling mean.  Raises when a bound is not finite, when a quantity is
+    NaN for some draw, and unless ``draws`` is a ``BetaDraws`` table, every
+    float argument a real number (``kernels._real``), ``beta_qm`` positive
+    and ``level`` in (0, 1).
     """
+    if not isinstance(draws, BetaDraws):
+        raise UncertaintyError(f"draws must be a BetaDraws table, got {draws!r}")
     beta_qm = kernels._real(beta_qm, "beta_qm", UncertaintyError, "finite and positive")
     level = kernels._real(level, "level", UncertaintyError, "in (0, 1)")
     r_m = kernels._real(r_m, "market rate", UncertaintyError)
@@ -406,7 +456,9 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     # a quantity that descends in beta takes its rank k from the beta's rank n-1-k
     needed = sorted(ends | {n - 1 - k for k in ends})
     picked = sorted({*needed, 0, n - 1})
-    u = {k: draws.values(k, k + 1)[0] for k in picked}
+    # the ranks inside first, so that an end rank whose block they draw is
+    # read from it; the ends of other blocks are read without sorting them
+    u = {k: draws._rank(k) for k in (*picked[1:-1], 0, n - 1)}
     # By quantity, the monotone piece of its map whose guards, _TURN_MARGIN
     # inside its turning points, hold every needed beta: the uniforms of its
     # guards.  u_at rises, so the uniforms decide every guard.  A product's
@@ -432,15 +484,17 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
         if u[n - 1] >= edge:
             above = draws.values(draws.searchsorted(edge), n)
     mapped = draws.betas(np.concatenate([[u[k] for k in picked], below, above]))
-    beta = dict(zip(picked, mapped))
-    past = mapped[len(picked):]
-    # Every quantity, in QUANTITY_NAMES order, at the needed betas, the
-    # largest beta, the past draws and the mean.  The maps that turn come
-    # first, as the kernel's columns.
-    at = np.concatenate([[beta[k] for k in needed], [beta[n - 1]], past, [draws.mean]])
-    kernel = kernels.propagate_beta_draws(at, mean_ln_flow, mean_ln_price)
-    rows = np.column_stack([kernel, *beta_algebra.chain_products(at, beta_qm, r_m)])
+    beta = dict(zip(picked, mapped[:len(picked)].tolist()))
+    # One kernel call evaluates the maps that turn at the needed betas, the
+    # largest, the mean and the past draws.  The rows of all but the past
+    # ones, with the products beside them, are every quantity there, in
+    # QUANTITY_NAMES order, in Python floats.
+    front = [beta[k] for k in needed] + [beta[n - 1], draws.mean]
+    kernel = kernels.propagate_beta_draws(np.concatenate([front, mapped[len(picked):]]),
+                                          mean_ln_flow, mean_ln_price)
     m = len(needed)
+    head = [[*row, *beta_algebra.chain_products(b, beta_qm, r_m)]
+            for b, row in zip(front, kernel[:m + 2].tolist())]
     # a rise the kernel's rounding cannot blur, per rank between the needed betas
     resolved = _RESOLUTION * np.abs(kernel[:m]).max() * (needed[-1] - needed[0])
     # Whether each quantity descends in beta: the sign of its rise between
@@ -456,17 +510,19 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
     windows = {}
     for j, name in enumerate(QUANTITY_NAMES):
         turns = market_curves.TURNING_POINTS[name]
-        if turns and not (j in pieces and abs(rows[m - 1, j] - rows[0, j]) > resolved):
+        if turns and not (j in pieces and abs(head[m - 1][j] - head[0][j]) > resolved):
             turning.append(j)
             continue
-        descending[j] = rows[m - 1, j] < rows[0, j]
+        descending[j] = head[m - 1][j] < head[0][j]
         if not (turns and (u[0] <= pieces[j][0] or u[n - 1] >= pieces[j][1])):
             continue  # a product, or every past draw lies on the map's own piece
-        g = (-1.0 if descending[j] else 1.0) * rows[:, j]  # rises with the beta
+        sign = -1.0 if descending[j] else 1.0  # g, the map times sign, rises with the beta
         # d at rank r: past values below g there less the draws below the
         # low guard.  The beta's rank r then holds rank r + d of g, and
         # rank r of g lies among the beta's ranks r to r - d
-        shift = dict(zip(needed, np.sort(g[m + 1:-1]).searchsorted(g[:m]) - below.size))
+        past = np.sort(sign * kernel[m + 2:, j])
+        shift = dict(zip(needed, (past.searchsorted([sign * row[j] for row in head[:m]])
+                                  - below.size).tolist()))
         for end in {lo[:2], hi[:2]}:
             ranks = {k: n - 1 - k if descending[j] else k for k in end}
             moved = {k: r for k, r in ranks.items() if shift[r]}
@@ -497,7 +553,7 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
                 spans[-1] = (spans[-1][0], max(spans[-1][1], stop))
             else:
                 spans.append((start, stop))
-    row_at = dict(zip(needed, rows))
+    row_at = dict(zip(needed, head))
     # rank k is the value at the beta's rank k, or n-1-k where descending
     stats = {j: {k: row_at[n - 1 - k if down else k][j] for k in ends}
              for j, down in descending.items()}
@@ -520,26 +576,19 @@ def derived_intervals(draws: BetaDraws, beta_qm: float, r_m: float, mean_ln_flow
             # each value outside the window and P lies on one side of rank r
             # of g, a - p_b of them below it
             sign, i = -1.0 if descending[j] else 1.0, below.size - a
-            g = sign * np.concatenate([window[:, j], rows[m + 1:-1, j]])
+            g = sign * np.concatenate([window[:, j], kernel[m + 2:, j]])
             g.partition(sorted({r + i for r in moved.values()}))
             for k, r in moved.items():
                 stats[j][k] = sign * g[r + i]
 
-    def quantities(k: int) -> np.ndarray:
-        # rank k of every quantity, in QUANTITY_NAMES order
-        return np.array([stats[j][k] for j in range(len(QUANTITY_NAMES))])
-
-    lows = _lerp(quantities(lo[0]), quantities(lo[1]), lo[2])
-    highs = _lerp(quantities(hi[0]), quantities(hi[1]), hi[2])
+    bounds = {name: [float(_lerp(stats[j][lo[0]], stats[j][lo[1]], lo[2])),
+                     float(_lerp(stats[j][hi[0]], stats[j][hi[1]], hi[2]))]
+              for j, name in enumerate(QUANTITY_NAMES)}
     # A NaN orders last, so one shows at the largest beta: inf / inf in the
     # equilibrium, inf * 0 in r_x, the only NaNs a quantity can take.
-    overflowed = [name for name, top, low, high in zip(QUANTITY_NAMES, rows[m], lows, highs)
+    overflowed = [name for (name, (low, high)), top in zip(bounds.items(), head[m])
                   if math.isnan(top) or not (math.isfinite(low) and math.isfinite(high))]
     if overflowed:
         raise UncertaintyError(f"interval bounds of {', '.join(overflowed)} are not finite")
-    bounds = {
-        name: [float(lows[j]), float(highs[j])]
-        for j, name in enumerate(QUANTITY_NAMES)
-    }
-    point = dict(zip(QUANTITY_NAMES, map(float, rows[-1])))
-    return IntervalReport(level=level, bounds=bounds, point=point, draws_used=n)
+    return IntervalReport(level=level, bounds=bounds, point=dict(zip(QUANTITY_NAMES, head[-1])),
+                          draws_used=n)

@@ -238,6 +238,15 @@ REAL_ARGUMENTS = {
         SimulatorError, None, True, BOTH),
     "ScenarioConfig iv_noise_sd": (lambda v: make_config(iv_noise_sd=v), SimulatorError, None,
                                    True, BOTH),
+    "propagate_beta_draws mean_ln_flow": (
+        lambda v: kernels.propagate_beta_draws([1.5], v, 2.0).tolist(), ValueError, None, True,
+        BOTH),
+    "propagate_beta_draws mean_ln_price": (
+        lambda v: kernels.propagate_beta_draws([1.5], 2.0, v).tolist(), ValueError, None, True,
+        BOTH),
+    "equilibria_from_shocks beta": (
+        lambda v: [a.tolist() for a in kernels.equilibria_from_shocks(v, [0.1], [0.1])],
+        ValueError, None, True, BOTH),
     "student_t_quantile p": (lambda v: kernels.student_t_quantile(v, 16), ValueError, None,
                              True, HALF),
     "student_t_quantile df": (lambda v: kernels.student_t_quantile(0.9, v), ValueError, None,
@@ -273,6 +282,23 @@ def test_every_float_argument_takes_real_numbers_alone(entry):
             assert repr(call(value)) == expected, value
 
 
+@pytest.mark.parametrize("call, error, stage", [
+    (lambda: derived_intervals(None, 5.36, 0.029, 2.0, 2.0), UncertaintyError, None),
+    (lambda: market_curves.curve_samples(1.0, (1.0,), 3), CurveError, None),
+    (lambda: market_curves.curve_samples(1.0, None, 3), CurveError, None),
+    (lambda: run_estimate("x", beta_qm=5, r_m=0.03, draws=0), StageError, "panel_io"),
+    (lambda: ScenarioConfig(beta_xq=1.0, mean_ln_flow=1.0, mean_ln_price=1.0, shocks=None),
+     SimulatorError, None),
+], ids=["derived_intervals draws", "curve_samples short range", "curve_samples no range",
+        "run_estimate panel", "ScenarioConfig shocks"])
+def test_arguments_that_are_not_numbers_raise_the_modules_error(call, error, stage):
+    # not a bare AttributeError, IndexError or TypeError, nor accepted
+    with pytest.raises(error, match=r" must be a (BetaDraws table|pair of real numbers|RawPanel"
+                                    r"|ShockModel), got ") as err:
+        call()
+    assert getattr(err.value, "stage", None) == stage
+
+
 def test_numpy_float_arguments_render_the_bytes_of_their_floats(paper):
     expected = render_report(paper_stub_report(paper), "json")
     assert render_report(paper_stub_report(paper, r_m=np.float64(0.029)), "json") == expected
@@ -289,8 +315,6 @@ HAND_CHECKED = {
     "pipeline._pct",  # a rate of a finished report
     "beta_algebra._finite",  # a value market_chain formed from checked betas
     "econometrics._t_test",  # a fit's coefficient, SE and df
-    "kernels.propagate_beta_draws",  # means derived_intervals checked
-    "kernels.equilibria_from_shocks",  # a beta ScenarioConfig checked
 }
 HAND_CHECKS = {"float", "math.isfinite", "math.isinf", "math.isnan"}
 

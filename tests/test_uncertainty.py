@@ -224,6 +224,48 @@ def test_the_table_is_drawn_from_the_stream_as_documented(n):
     assert got.values(1024 * j, n).tobytes() == np.minimum(interior, high).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 1_023, 1_024, 1_025, 2_049, 100_000, MAX_DRAWS])
+@pytest.mark.parametrize("mean, se", [(0.919, 0.018), (0.1, 0.1), (0.9, 0.0)])
+def test_knots_formed_in_place_keep_the_bits_of_the_clipped_sums(mean, se, n):
+    # sample_betas writes the spacings into one array and scales and clips
+    # the knots in place; the oracle is the expression that formed them
+    # from appended spacings and np.clip
+    for seed in (0, 7, 2**64 + 9):
+        got = sample_betas(mean, se, n, seed)
+        stream = np.random.Generator(np.random.PCG64(seed % 2**64))
+        blocks = -(-n // 1024)
+        sums = np.cumsum(np.append(stream.standard_gamma(1024.0, blocks - 1),
+                                   stream.standard_gamma(n + 1 - (blocks - 1) * 1024)))
+        low = high = mean
+        if se > 0.0:
+            floor = uncertainty._truncation_floor(mean, se)
+            low, high = math.nextafter(floor, 1.0), math.nextafter(1.0, 0.0)
+        expected = np.clip(low + (high - low) * (sums[:-1] / sums[-1]), low, high)
+        assert got.knots.tobytes() == expected.tobytes(), seed
+
+
+@pytest.mark.parametrize("n", [1, 2, 1_023, 1_024, 1_025, 2_048, 20_000, 100_000])
+@pytest.mark.parametrize("mean, se", [(0.919, 0.018), (0.5, 0.25), (0.9, 0.0)])
+def test_end_ranks_read_unsorted_have_the_bits_of_the_sorted_table(mean, se, n):
+    # ranks 0 and n - 1 of a block not yet drawn are the least and largest
+    # of its unsorted uniforms, scaled as the sorted block is: the same bits
+    # as values(0, 1)[0] and values(n - 1, n)[0], before the block is drawn
+    # (which the read does not do) and after, and on a hand-built table
+    for seed in (0, 7, 2**64 + 9):
+        expected = [sample_betas(mean, se, n, seed).values(0, 1)[0],
+                    sample_betas(mean, se, n, seed).values(n - 1, n)[0]]
+        draws = sample_betas(mean, se, n, seed)
+        before = [draws._rank(0), draws._rank(n - 1)]
+        assert draws._blocks == {}
+        draws.values()
+        after = [draws._rank(0), draws._rank(n - 1)]
+        assert np.array(before).tobytes() == np.array(after).tobytes() \
+            == np.array(expected).tobytes(), seed
+        given = BetaDraws.from_values(draws.values(), mean, se)
+        assert np.array([given._rank(0), given._rank(n - 1)]).tobytes() \
+            == np.array(expected).tobytes(), seed
+
+
 @pytest.mark.parametrize("mean, se, n", [
     (0.919, 0.018, 100_000), (0.1, 0.1, 20_000), (0.9, 0.0, 3_000), (0.9, 0.08, 7),
 ])
@@ -596,15 +638,21 @@ def test_one_infinite_beta_makes_equilibrium_bounds_not_finite(paper, r_m):
 
 
 def record_work(monkeypatch):
-    """Record the index of each block of a table drawn, and a copy of each
-    argument of ``kernels.normal_quantile`` and of the equilibrium kernel."""
-    blocks, mapped, passed = [], [], []
-    sorted_uniforms = uncertainty._sorted_uniforms
+    """Record the index of each block of a table drawn and sorted, the
+    (index, largest) of each extreme read of a block not drawn, and a copy
+    of each argument of ``kernels.normal_quantile`` and of the equilibrium
+    kernel."""
+    blocks, ends, mapped, passed = [], [], [], []
+    sorted_uniforms, extreme = uncertainty._sorted_uniforms, uncertainty._extreme_uniform
     quantile, propagate = kernels.normal_quantile, kernels.propagate_beta_draws
 
     def recording_block(stream, j, *args):
         blocks.append(j)
         return sorted_uniforms(stream, j, *args)
+
+    def recording_extreme(stream, j, *args, largest):
+        ends.append((j, largest))
+        return extreme(stream, j, *args, largest=largest)
 
     def recording_quantile(u):
         mapped.append(np.array(u))
@@ -615,34 +663,40 @@ def record_work(monkeypatch):
         return propagate(betas, *args)
 
     monkeypatch.setattr(uncertainty, "_sorted_uniforms", recording_block)
+    monkeypatch.setattr(uncertainty, "_extreme_uniform", recording_extreme)
     monkeypatch.setattr(kernels, "normal_quantile", recording_quantile)
     monkeypatch.setattr(kernels, "propagate_beta_draws", recording_propagation)
-    return blocks, mapped, passed
+    return blocks, ends, mapped, passed
 
 
 def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
     # The report's bits cannot tell mapped order statistics from per-draw
-    # selection, so record the work: four blocks of the table are drawn,
-    # those of the six picked ranks (0, 4 999, 5 000, 94 999, 95 000 and
-    # 99 999), which also hold every draw past the guard of b = 1 (where
-    # ln_user_cost turns); the normal quantile maps the six uniforms and
-    # those past the guard's uniform, few enough for its Python-float path
-    # (at most kernels._FEW); the kernel, called once, sees the four
-    # needed betas, the largest, those draws, here the ones past b = 1, and
-    # the mean.  The work is the same at every sign of r_m: at +-0, where
+    # selection, so record the work.  Of the six picked ranks (0, 4 999,
+    # 5 000, 94 999, 95 000 and 99 999), the four needed ones are read from
+    # their blocks, 4 and 92, drawn and sorted; ranks 0 and 99 999 are the
+    # least uniform of block 0 and the largest of block 97, read unsorted.
+    # Block 97 is sorted too where it holds draws past the guard of b = 1
+    # (where ln_user_cost turns): two at STUB_SEED_TWO_PAST_ONE, none at
+    # STUB_SEED_NONE_PAST_ONE.  The normal quantile maps the six uniforms
+    # and those past the guard's uniform, few enough for its Python-float
+    # path (at most kernels._FEW); the kernel, called once, sees the four
+    # needed betas, the largest, the mean and those draws, here the ones
+    # past b = 1.  The work is the same at every sign of r_m: at +-0, where
     # r_x does not rise, it is still a product of the beta, never selected
     # by the K-rank rule.
-    blocks, mapped, passed = record_work(monkeypatch)
-    for (seed, n_past), r_m in itertools.product(
-            ((STUB_SEED_NONE_PAST_ONE, 0), (STUB_SEED_TWO_PAST_ONE, 2)),
+    blocks, ends, mapped, passed = record_work(monkeypatch)
+    for (seed, n_past, sorted_blocks), r_m in itertools.product(
+            ((STUB_SEED_NONE_PAST_ONE, 0, [4, 92]), (STUB_SEED_TWO_PAST_ONE, 2, [4, 92, 97])),
             (0.029, -0.03, 0.0, -0.0)):
         draws = sample_betas(0.919, 0.018, 100_000, seed=seed)
         blocks.clear()
+        ends.clear()
         mapped.clear()
         passed.clear()
         derived_intervals(draws, paper["beta_qm"], r_m,
                           paper["mean_ln_flow"], paper["mean_ln_price"])
-        assert sorted(blocks) == [0, 4, 92, 97]
+        assert sorted(blocks) == sorted_blocks
+        assert ends == [(0, False), (97, True)]
         [u] = mapped
         [betas] = passed
         assert u.size <= kernels._FEW
@@ -652,21 +706,23 @@ def test_paper_stub_selects_only_the_beta_from_no_cuts(monkeypatch, paper):
         assert u.size == 6 + n_past and np.all(u[6:] > uniforms[95_000])
         past = ordered[ordered >= 1.0]
         assert past.size == n_past
-        assert betas.size == 4 + 1 + n_past + 1
+        assert betas.size == 4 + 1 + 1 + n_past
         assert betas[:5].tobytes() == ordered[[4_999, 5_000, 94_999, 95_000, 99_999]].tobytes()
-        assert np.sort(betas[5:-1]).tobytes() == past.tobytes()
-        assert betas[-1] == 0.919
+        assert betas[5] == 0.919
+        assert np.sort(betas[6:]).tobytes() == past.tobytes()
 
 
 def test_block_work_repeats_at_max_draws_and_the_truncated_inputs(monkeypatch, paper):
-    # The paper stub at MAX_DRAWS draws the four blocks of its six picked
-    # ranks, and holds no array near the 8e7 bytes of one value per draw.
-    # At the truncated_20k inputs the upper endpoint also reads the ~530
-    # draws past b ~ 0.3013, where ln_quantity turns, and one rank window.
-    # Each count is the same on a second run.
-    blocks, _, _ = record_work(monkeypatch)
+    # The paper stub at MAX_DRAWS sorts the two blocks of its four needed
+    # ranks and, at seed 7, the last one, which holds draws past b = 1; it
+    # holds no array near the 8e7 bytes of one value per draw.  At the
+    # truncated_20k inputs the lower endpoint's block is block 0, and the
+    # upper endpoint also reads the ~530 draws past b ~ 0.3013, where
+    # ln_quantity turns, and one rank window.  Each count is the same on a
+    # second run.
+    blocks, _, _, _ = record_work(monkeypatch)
     args = (paper["beta_qm"], paper["r_m"], paper["mean_ln_flow"], paper["mean_ln_price"])
-    for (mean, se, n), expected in [((0.919, 0.018, MAX_DRAWS), [0, 488, 9277, 9765]),
+    for (mean, se, n), expected in [((0.919, 0.018, MAX_DRAWS), [488, 9277, 9765]),
                                     ((0.1, 0.1, 20_000), [0, 18, 19])]:
         for _ in range(2):
             blocks.clear()
@@ -683,12 +739,12 @@ def test_tail_draws_past_a_turning_point_select_from_rank_windows(monkeypatch, p
     # b ~ 0.3013, where ln_quantity turns, and some of their values fall
     # among the others' below the upper endpoint.  That endpoint is selected
     # from them and one window of the beta's order statistics beside its
-    # ranks: the kernel sees the needed betas, the largest beta, the past
-    # draws and the mean, then the window, never an n-long array, and at
+    # ranks: the kernel sees the needed betas, the largest beta, the mean
+    # and the past draws, then the window, never an n-long array, and at
     # most 5 of the 20 blocks are drawn.  The normal quantile maps as few:
     # the picked order statistics with the draws at or past the guard's
     # uniform, then the window.
-    blocks, mapped, passed = record_work(monkeypatch)
+    blocks, _, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
     guard = market_curves.TURNING_POINTS["ln_quantity"][0] * (1.0 - uncertainty._TURN_MARGIN)
@@ -720,7 +776,7 @@ def test_needed_betas_inside_the_turn_margin_go_to_the_k_rank_rule(monkeypatch, 
     # quantity is evaluated at the needed betas alone, in one kernel call;
     # inside it ln_price goes to the K-rank rule, a second call on its
     # candidates.  Both give the bounds of the table of every draw.
-    _, _, passed = record_work(monkeypatch)
+    _, _, _, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
     guard = market_curves.TURNING_POINTS["ln_price"][0] * (1.0 - 2.0**-10)
@@ -772,7 +828,7 @@ def test_straddled_turning_point_maps_a_quarter_of_the_draws_at_most(monkeypatch
     # given more than a quarter of the draws, no more blocks are drawn than
     # a quarter of the draws fill, and the bounds are those of the table of
     # every draw.
-    blocks, mapped, passed = record_work(monkeypatch)
+    blocks, _, mapped, passed = record_work(monkeypatch)
     means = (paper["mean_ln_flow"], paper["mean_ln_price"])
     lo_q = 0.5 * (1.0 - 0.90)
     draws = sample_betas(1.0, 0.1, 100_000, seed=5)
